@@ -24,13 +24,15 @@ environment variable (512 when unset).  Output documents are JSON with
 floats printed to 17 significant digits and keys in fixed order, so
 identical invocations are byte-identical.
 
-Exit codes: 0 success, 2 malformed input documents, 3 numerical-contract
-violations, 64 usage errors.
+Exit codes: 0 success, 2 malformed input documents (including a loop
+marked closed whose end ray differs from its start ray), 3
+numerical-contract violations, 64 usage errors.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -40,6 +42,7 @@ import numpy as np
 from . import __version__, estimation, geometry, hilbert, holonomy, model, symmetry
 from .errors import (
     AnchorError,
+    ClosureError,
     DomainError,
     MeasurementDefinitionError,
     ModelDefinitionError,
@@ -167,20 +170,11 @@ def _parse_catalog_spec(doc):
     except (ValueError, KeyError, TypeError) as exc:
         raise SpecFormatError(f"invalid params for {name}: {exc}", path="params") from exc
     if "fd_step" in doc:
-        built = _with_fd_step(built, float(doc["fd_step"]))
+        built = dataclasses.replace(built, fd_step=float(doc["fd_step"]))
     echo = {"kind": "catalog", "name": name, "params": _jsonable(params)}
     if "fd_step" in doc:
         echo["fd_step"] = float(doc["fd_step"])
     return built, echo
-
-
-def _with_fd_step(built, fd_step):
-    return PureStateModel(
-        space=built.space, m=built.m, domain=built.domain,
-        evaluate_fn=built.evaluate_fn, tangent_fn=built.tangent_fn,
-        fd_step=fd_step, kind=built.kind, params=built.params,
-        sample_grid=built.sample_grid,
-    )
 
 
 def _parse_space_spec(spec, path):
@@ -286,6 +280,9 @@ def _jsonable(obj):
         return {k: _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    if isinstance(obj, bool):
+        # bool subclasses int; keep flags such as grid.periodic boolean
+        return obj
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
@@ -448,11 +445,7 @@ def _cmd_check(args):
         states = [built.evaluate(t) for t in samples]
         aligned, _ = holonomy.align_phases(states)
         basis = hilbert.gram_schmidt_real(aligned, tol=1e-8)
-        op = symmetry.conjugation_in_basis(hilbert.complete_basis(basis))
-        residual = 0.0
-        for s in aligned:
-            delta = op.apply(s).amplitudes - s.amplitudes
-            residual = max(residual, StateVector(s.space, delta).norm())
+        residual = float(np.max(hilbert.conjugation_residuals(basis, aligned)))
         anti = {
             "constructed": True,
             "invariant": bool(residual < 1e-6),
@@ -631,10 +624,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         doc = args.func(args)
-    except SpecFormatError as exc:
-        print(f"qestgeo: spec error: {exc}", file=sys.stderr)
-        return EXIT_SPEC
-    except DomainError as exc:
+    except (SpecFormatError, DomainError, ClosureError) as exc:
         print(f"qestgeo: spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
     except _NUMERICAL_ERRORS as exc:

@@ -95,6 +95,13 @@ class RefinementError(QestgeoError):
         self.overlap = overlap
 
 
+class ClosureError(QestgeoError, ValueError):
+    """A curve marked closed does not return to its starting ray.
+
+    Also a :class:`ValueError`: the curve argument itself is invalid.
+    """
+
+
 class UndefinedPhaseError(QestgeoError):
     """Relative phase of two states is undefined (orthogonal endpoints)."""
 

@@ -195,12 +195,49 @@ def gram_schmidt_real(vectors, tol=1e-8):
     return basis
 
 
+def conjugation_residuals(basis, states):
+    """Displacement of each state under conjugation in a real basis.
+
+    ``basis`` is an orthonormal family with coordinate matrix ``U`` (k
+    columns), typically the output of :func:`gram_schmidt_real`.  For a
+    state with coordinates ``c`` let ``a = U^dagger c`` be its
+    coefficients and ``r = c - U a`` its part outside the span.  The
+    returned displacement is
+
+        2 * sqrt(||Im a||^2 + ||r||^2)
+
+    at O(n k) cost.  Conjugation in a full basis ``[U, C]`` moves the
+    state by ``2 ||Im (a, C^dagger r)||``; the complement ``C`` enters
+    only through ``Im C^dagger r``, whose norm is at most ``||r||`` and
+    reaches it when ``C`` starts with ``i r / ||r||``.  So the value is
+    the largest displacement over all completions of ``U``: it does not
+    depend on which complement a dense construction happens to pick, and
+    it equals the dense ``conjugation_in_basis(complete_basis(basis))``
+    displacement whenever ``r = 0``.  Returns an array with one entry per
+    state.
+    """
+    space = basis[0].space
+    for k, s in enumerate(states):
+        if s.space != space:
+            raise SpaceMismatchError(f"state {k} lives on a different space")
+    u = np.column_stack([b.coords for b in basis])
+    c = np.column_stack([s.coords for s in states])
+    a = u.conj().T @ c
+    r = c - u @ a
+    return 2.0 * np.sqrt(np.sum(a.imag ** 2, axis=0) + np.sum(np.abs(r) ** 2, axis=0))
+
+
 def complete_basis(vectors):
     """Extend an orthonormal family to a full orthonormal basis.
 
     The input vectors are kept verbatim as the leading basis members;
     the complement is an eigenbasis of the orthogonal projector, so no
     spurious phases touch the given vectors.
+
+    Dense oracle for small dimensions: it builds and diagonalizes an
+    ``n x n`` projector, O(n^3).  No CLI path uses it;
+    :func:`conjugation_residuals` measures invariance without a
+    complement.
     """
     if not vectors:
         raise ValueError("need at least one vector")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .errors import AnchorError, RefinementError, UndefinedPhaseError
+from .errors import AnchorError, ClosureError, RefinementError, UndefinedPhaseError
 from .model import Curve
 
 MIN_OVERLAP = 1e-6
@@ -67,9 +67,21 @@ def _refined_states(model, thetas):
 
 
 def _ray_distance(a, b):
-    pa = np.outer(a.coords, a.coords.conj())
-    pb = np.outer(b.coords, b.coords.conj())
-    return float(np.linalg.norm(pa - pb))
+    """Frobenius distance ``||a a^dagger - b b^dagger||`` in O(n).
+
+    Uses the identity
+
+        ||a a^dagger - b b^dagger||^2
+            = (|a|^2 - |b|^2)^2 + 2 |a|^2 |b - (<a|b> / |a|^2) a|^2,
+
+    whose two terms are non-negative, so nearly equal rays lose no
+    digits to cancellation.
+    """
+    ca, cb = a.coords, b.coords
+    na2 = float(np.vdot(ca, ca).real)
+    nb2 = float(np.vdot(cb, cb).real)
+    perp = cb - (np.vdot(ca, cb) / na2) * ca
+    return float(np.sqrt((na2 - nb2) ** 2 + 2.0 * na2 * np.vdot(perp, perp).real))
 
 
 def berry_phase_loop(curve):
@@ -77,14 +89,15 @@ def berry_phase_loop(curve):
 
     The listed points must return to the starting ray; the closing
     vector is replaced by the starting one, so only ray closure (not
-    vector equality) is required.
+    vector equality) is required; :class:`ClosureError` reports endpoint
+    rays that differ by ``RAY_CLOSURE_TOL`` or more.
     """
     if not curve.closed:
         raise ValueError("berry_phase_loop needs a closed curve")
     _, states = _refined_states(curve.model, curve.points)
     dist = _ray_distance(states[0], states[-1])
     if dist >= RAY_CLOSURE_TOL:
-        raise ValueError(
+        raise ClosureError(
             f"curve marked closed but endpoint rays differ by {dist:.2e}"
         )
     chain = states[:-1] + [states[0]]

@@ -51,6 +51,10 @@ def conjugation_in_basis(basis):
     Acts as coefficient conjugation in the given basis.  A partial
     orthonormal family can be extended first with
     :func:`hilbert.complete_basis`.
+
+    Dense oracle for small dimensions: the operator is ``n x n``.  No CLI
+    path uses it; :func:`hilbert.conjugation_residuals` gives the
+    displacement of sample states in O(n k).
     """
     if not basis:
         raise ValueError("need a basis")
@@ -106,6 +110,8 @@ def motion_reversal_op(space, alpha=None):
     Materializing the map is O(n^2) in grid points; the function form
     :func:`generalized_time_reversal` stays the cheap path for single
     states.  ``alpha=None`` gives plain time reversal.
+
+    Dense oracle for small dimensions; no CLI path uses it.
     """
     if not isinstance(space, hilbert.GridSpace):
         raise UnsupportedSpaceError("motion reversal acts on grid spaces")

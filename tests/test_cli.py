@@ -1,10 +1,17 @@
 """End-to-end driver tests: documents, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
+from referencing import Registry, Resource
 
+import qestgeo
 from qestgeo import cli
 from qestgeo.cli import main, parse_model_spec, render_document
 from qestgeo.errors import SpecFormatError
@@ -287,3 +294,71 @@ class TestExitCodes:
 
     def test_theta_arity_checked(self, capsys, pm_spec):
         assert main(["report", "--model", pm_spec, "--theta", "0"]) == 2
+
+    def test_closed_loop_off_its_start_ray(self, tmp_path):
+        model_path = tmp_path / "bloch.json"
+        model_path.write_text(json.dumps({"kind": "catalog", "name": "bloch"}))
+        loop_path = tmp_path / "loop.json"
+        loop_path.write_text(json.dumps({"thetas": [[0.3, 0.0], [0.8, 0.0], [0.9, 0.2]],
+                                         "closed": True}))
+        src = str(Path(qestgeo.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "qestgeo.cli", "holonomy", "--model", str(model_path),
+             "--loop", str(loop_path)],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("qestgeo: ")
+        assert "endpoint rays differ" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
+
+
+@pytest.fixture(scope="module")
+def document_validator():
+    schemas = {p.name: json.loads(p.read_text()) for p in SCHEMA_DIR.glob("*.json")}
+    # "$ref": "model_spec.schema.json" resolves against the "qestgeo/" id base
+    registry = Registry().with_resources(
+        (f"qestgeo/{name}", Resource.from_contents(doc)) for name, doc in schemas.items()
+    )
+    return jsonschema.Draft7Validator(schemas["report_document.schema.json"],
+                                      registry=registry)
+
+
+class TestDocumentSchema:
+    def test_check_documents(self, capsys, tmp_path, two_well_spec, document_validator):
+        gauss = tmp_path / "gauss.json"
+        gauss.write_text(json.dumps({
+            "kind": "catalog", "name": "position_shift",
+            "params": {"profile": "gaussian",
+                       "grid": {"n": 256, "lower": -10, "upper": 10}},
+        }))
+        for spec, invariant in ((str(gauss), True), (two_well_spec, None)):
+            doc = run_to_doc(capsys, ["check", "--model", spec,
+                                      "--samples=-1;-0.5;0;0.5;1"])
+            document_validator.validate(doc)
+            assert doc["antiunitary"]["invariant"] is invariant
+
+    def test_holonomy_documents(self, capsys, tmp_path, document_validator):
+        bloch = tmp_path / "bloch.json"
+        bloch.write_text(json.dumps({"kind": "catalog", "name": "bloch"}))
+        latitude = tmp_path / "latitude.json"
+        latitude.write_text(json.dumps({
+            "thetas": [[0.9, 2 * np.pi * j / 64] for j in range(65)], "closed": True}))
+        ring = tmp_path / "ring.json"
+        ring.write_text(json.dumps({
+            "kind": "catalog", "name": "ring_flux",
+            "params": {"grid": {"n": 256, "lower": 0.0, "upper": 2 * np.pi,
+                                "periodic": True}},
+        }))
+        arc = tmp_path / "arc.json"
+        arc.write_text(json.dumps({"thetas": [[0.5 + j / 20] for j in range(21)]}))
+        for model_path, loop_path, closed in ((bloch, latitude, True), (ring, arc, False)):
+            doc = run_to_doc(capsys, ["holonomy", "--model", str(model_path),
+                                      "--loop", str(loop_path)])
+            document_validator.validate(doc)
+            assert doc["loop"]["closed"] is closed

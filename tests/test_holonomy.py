@@ -6,7 +6,7 @@ import pytest
 import qestgeo as qg
 from qestgeo import holonomy
 from qestgeo.errors import AnchorError, RefinementError, UndefinedPhaseError
-from qestgeo.hilbert import BasisSpace
+from qestgeo.hilbert import BasisSpace, GridSpace, StateVector
 from qestgeo.holonomy import (
     align_phases,
     berry_phase_loop,
@@ -15,6 +15,8 @@ from qestgeo.holonomy import (
     is_quasi_parallel,
 )
 from qestgeo.model import Curve, PureStateModel
+
+from conftest import random_state
 
 
 def octant_points(n_total):
@@ -156,6 +158,66 @@ class TestLoop:
         with pytest.raises(RefinementError) as err:
             berry_phase_loop(curve)
         assert err.value.overlap < 1e-6
+
+
+def dense_ray_distance(a, b):
+    """Frobenius norm of the difference of the two outer products."""
+    pa = np.outer(a.coords, a.coords.conj())
+    pb = np.outer(b.coords, b.coords.conj())
+    return float(np.linalg.norm(pa - pb))
+
+
+class TestRayDistance:
+    """The O(n) closure distance against the dense outer products, n <= 256."""
+
+    @pytest.fixture(params=[BasisSpace(7), GridSpace(256, -10.0, 10.0)],
+                    ids=["basis", "grid"])
+    def pair_source(self, request):
+        space = request.param
+        rng = np.random.default_rng(11)
+        a = random_state(space, rng)
+        w = random_state(space, rng).coords
+        w -= np.vdot(a.coords, w) * a.coords
+        w /= np.linalg.norm(w)
+        return space, a, w
+
+    def nearby(self, space, a, w, eps):
+        """Unit state whose ray is about sqrt(2) * eps away from a's."""
+        return StateVector(space, a.amplitudes + eps * w / np.sqrt(space.weight),
+                           normalize=True)
+
+    def test_equal_rays_at_zero(self, pair_source):
+        _, a, _ = pair_source
+        for b in (a, a.with_amplitudes(np.exp(0.7j) * a.amplitudes),
+                  a.with_amplitudes(-a.amplitudes)):
+            fast = holonomy._ray_distance(a, b)
+            assert fast <= 1e-15
+            assert abs(fast - dense_ray_distance(a, b)) <= 1e-15
+
+    @pytest.mark.parametrize("eps", [1e-9, 1e-7])
+    def test_near_pairs(self, pair_source, eps):
+        space, a, w = pair_source
+        b = self.nearby(space, a, w, eps)
+        b = b.with_amplitudes(np.exp(-1.3j) * b.amplitudes)
+        fast = holonomy._ray_distance(a, b)
+        assert fast > 1e-9
+        assert fast == pytest.approx(dense_ray_distance(a, b), rel=1e-6)
+        assert (fast < holonomy.RAY_CLOSURE_TOL) == (eps < holonomy.RAY_CLOSURE_TOL)
+
+    def test_far_and_unnormalized_pairs(self, pair_source):
+        space, a, w = pair_source
+        rng = np.random.default_rng(4)
+        c = random_state(space, rng)
+        pairs = [
+            (a, c),
+            (a, self.nearby(space, a, w, 0.3)),
+            (a.with_amplitudes(2.5 * a.amplitudes), c.with_amplitudes(0.3j * c.amplitudes)),
+            (a.with_amplitudes(1.7 * a.amplitudes), a.with_amplitudes(1j * a.amplitudes)),
+        ]
+        for x, y in pairs:
+            for p, q in ((x, y), (y, x)):
+                assert holonomy._ray_distance(p, q) == pytest.approx(
+                    dense_ray_distance(p, q), rel=1e-6)
 
 
 class TestOpen:

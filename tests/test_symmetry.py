@@ -5,12 +5,18 @@ import pytest
 
 import qestgeo as qg
 from qestgeo import hilbert, holonomy, symmetry
-from qestgeo.errors import NonRealOverlapError, UnsupportedSpaceError
+from qestgeo.errors import (
+    NonRealOverlapError,
+    SpaceMismatchError,
+    UnsupportedSpaceError,
+)
 from qestgeo.hilbert import (
     BasisSpace,
     GridSpace,
     StateVector,
     complete_basis,
+    conjugation_residuals,
+    from_coords,
     gram_schmidt_real,
     inner,
 )
@@ -34,6 +40,15 @@ def basis_state(space, k):
 
 def standard_conjugation(space):
     return conjugation_in_basis([basis_state(space, k) for k in range(space.dim)])
+
+
+def dense_residuals(full_basis, states):
+    """Displacements under the dense conjugation in a completed basis."""
+    op = conjugation_in_basis(complete_basis(full_basis))
+    return np.array([
+        StateVector(s.space, op.apply(s).amplitudes - s.amplitudes).norm()
+        for s in states
+    ])
 
 
 class TestConjugationInBasis:
@@ -305,3 +320,64 @@ class TestEquivalenceTheorems:
         flag, _ = momentum_symmetry_check(s)
         assert flag
         assert np.allclose(time_reversal(s).amplitudes, s.amplitudes)
+
+
+class TestConjugationResiduals:
+    """The O(n k) residual against the dense oracle, n <= 256."""
+
+    MODELS = {
+        "position_shift": lambda: qg.catalog(
+            "position_shift",
+            {"profile": "gaussian", "grid": {"n": 256, "lower": -10, "upper": 10}},
+        ),
+        "spin_jz": lambda: qg.catalog("spin_jz", {"amplitudes": [0.5, 2**-0.5, 0.5]}),
+    }
+
+    def real_basis(self, name, thetas=(-1.0, -0.4, 0.1, 0.5, 0.9)):
+        mod = self.MODELS[name]()
+        states = [mod.evaluate((t,)) for t in thetas]
+        aligned, _ = holonomy.align_phases(states)
+        return gram_schmidt_real(aligned), aligned
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_matches_dense_on_aligned_samples(self, name):
+        basis, aligned = self.real_basis(name)
+        fast = conjugation_residuals(basis, aligned)
+        assert fast.shape == (len(aligned),)
+        assert np.max(fast) < 1e-12
+        assert np.allclose(fast, dense_residuals(basis, aligned), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_imaginary_coefficients_in_span(self, name):
+        # r = 0: perturb along i*b_j, so only Im a moves
+        basis, aligned = self.real_basis(name)
+        perturbed = [
+            s.with_amplitudes(s.amplitudes + 1j * eps * basis[j % len(basis)].amplitudes)
+            for j, (s, eps) in enumerate(zip(aligned, (3e-4, 1e-2, 0.2)))
+        ]
+        fast = conjugation_residuals(basis, perturbed)
+        assert np.min(fast) > 1e-4
+        assert np.allclose(fast, dense_residuals(basis, perturbed), rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("name", sorted(MODELS))
+    def test_out_of_span_bounds_every_completion(self, name):
+        # two samples leave a complement even in the d = 3 spin space
+        basis, aligned = self.real_basis(name, thetas=(-0.4, 0.5))
+        space = basis[0].space
+        rng = np.random.default_rng(5)
+        kicks = [0.05 * random_state(space, rng).amplitudes for _ in aligned]
+        states = [s.with_amplitudes(s.amplitudes + k) for s, k in zip(aligned, kicks)]
+        fast = conjugation_residuals(basis, states)
+        # the complement eigh picks is one completion: never above the bound
+        assert np.all(dense_residuals(basis, states) <= fast + 1e-12)
+        # the completion that starts with i r / |r| attains the bound
+        u = np.column_stack([b.coords for b in basis])
+        for s, value in zip(states, fast):
+            r = s.coords - u @ (u.conj().T @ s.coords)
+            worst = basis + [from_coords(space, 1j * r / np.linalg.norm(r))]
+            assert dense_residuals(worst, [s])[0] == pytest.approx(value, rel=1e-9)
+
+    def test_space_mismatch_rejected(self):
+        basis = [basis_state(BasisSpace(3), 0)]
+        with pytest.raises(SpaceMismatchError):
+            conjugation_residuals(basis, [basis_state(BasisSpace(4), 0)])
