@@ -96,24 +96,50 @@ def _float_repr(x):
     return format(x, ".17g")
 
 
-class _ReportEncoder(json.JSONEncoder):
-    def iterencode(self, o, _one_shot=False):
-        return json.encoder._make_iterencode(
-            {} if self.check_circular else None,
-            self.default,
-            json.encoder.encode_basestring_ascii,
-            self.indent,
-            _float_repr,
-            self.key_separator,
-            self.item_separator,
-            self.sort_keys,
-            self.skipkeys,
-            _one_shot=False,
-        )(o, 0)
+def _encode(obj, newline, out):
+    """Append the JSON text of ``obj`` to ``out``, indented by two spaces.
+
+    ``newline`` is the line break plus the indentation of the enclosing
+    level.  The bytes match ``json.dumps(obj, indent=2)`` except that
+    floats go through :func:`_float_repr`.
+    """
+    if isinstance(obj, float):
+        out.append(_float_repr(obj))
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
+    elif isinstance(obj, dict):
+        if not obj:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        for k, (key, value) in enumerate(obj.items()):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(("{" if k == 0 else ",") + inner + json.dumps(key) + ": ")
+            _encode(value, inner, out)
+        out.append(newline + "}")
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        for k, value in enumerate(obj):
+            out.append(("[" if k == 0 else ",") + inner)
+            _encode(value, inner, out)
+        out.append(newline + "]")
+    else:
+        raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def render_document(doc):
-    return json.dumps(doc, cls=_ReportEncoder, indent=2) + "\n"
+    out = []
+    _encode(doc, "\n", out)
+    out.append("\n")
+    return "".join(out)
 
 
 def _matrix(a):
@@ -397,7 +423,7 @@ def _cmd_holonomy(args):
     if not isinstance(loop_doc, dict) or "thetas" not in loop_doc:
         raise SpecFormatError("loop document must contain a thetas list")
     raw = loop_doc["thetas"]
-    points = [tuple(np.atleast_1d(np.asarray(p, dtype=float))) for p in raw]
+    points = [np.atleast_1d(np.asarray(p, dtype=float)) for p in raw]
     for k, p in enumerate(points):
         if len(p) != built.m:
             raise SpecFormatError(
@@ -510,11 +536,12 @@ def _cmd_fisher(args):
     thetas = parse_theta_list(args.theta, built.m)
     samples = parse_theta_list(args.samples, built.m) if args.samples else thetas
     povm, povm_echo = _make_povm(args.povm, built, samples)
-    family = estimation.measurement_family(built, povm)
     entries = []
     for theta in thetas:
-        j_c = estimation.classical_fisher(family, np.asarray(theta))
-        j_s = geometry.sld_fisher(built.horizontal_lift(theta))
+        # one lift per point: state, scores, node term and J_S all come from it
+        lift = built.horizontal_lift(theta)
+        j_c = estimation.lift_fisher(povm, lift)
+        j_s = geometry.sld_fisher(lift)
         gap = j_s - j_c
         entries.append({
             "theta": [float(t) for t in theta],

@@ -10,6 +10,7 @@ Fisher comparison free of finite-difference noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -84,6 +85,10 @@ class ProjectorPovm:
                 "projector POVM vectors are not orthonormal"
             )
         self._u = u
+        # U^dagger, conjugated once for every later product; the
+        # Fortran-ordered view keeps the matrix-vector kernel, and so the
+        # rounding, of the per-call conjugate it replaces
+        self._uh = u.conj().T
         self.has_complement = u.shape[1] < self.space.dim
         self.outcomes = tuple(range(u.shape[1])) + (
             ("rest",) if self.has_complement else ()
@@ -96,26 +101,28 @@ class ProjectorPovm:
     def probabilities(self, state):
         if state.space != self.space:
             raise SpaceMismatchError("state does not live on the measured space")
-        amps = self._u.conj().T @ state.coords
+        amps = self._uh @ state.coords
         p = np.abs(amps) ** 2
         if self.has_complement:
             rest = max(0.0, 1.0 - float(np.sum(p)))
             p = np.concatenate([p, [rest]])
         return p
 
+    def _lift_amps(self, lifts):
+        """Basis coefficients of the lifts, one row per lift."""
+        # one matrix-vector product per lift: a single matrix-matrix
+        # product rounds differently once there are two or more lifts
+        return np.stack([self._uh @ l.coords for l in lifts])
+
     def scores(self, state, lifts):
-        phi_amp = self._u.conj().T @ state.coords
-        rows = []
-        for l in lifts:
-            l_amp = self._u.conj().T @ l.coords
-            s = (np.conj(phi_amp) * l_amp).real
-            if self.has_complement:
-                s = np.concatenate([s, [-np.sum(s)]])
-            rows.append(s)
-        return np.stack(rows)
+        phi_amp = self._uh @ state.coords
+        s = (np.conj(phi_amp) * self._lift_amps(lifts)).real
+        if self.has_complement:
+            s = np.concatenate([s, -np.sum(s, axis=1, keepdims=True)], axis=1)
+        return s
 
     def node_fisher(self, lifts, mask):
-        l_amp = np.stack([self._u.conj().T @ l.coords for l in lifts])
+        l_amp = self._lift_amps(lifts)
         rank1 = mask[: self._u.shape[1]]
         w = l_amp[:, rank1]
         out = (w.conj() @ w.T).real
@@ -127,26 +134,26 @@ class ProjectorPovm:
 
 
 class MatrixPovm:
-    """Explicit PSD elements; validated to resolve the identity."""
+    """Explicit PSD elements, stacked as one ``(W, d, d)`` array; validated
+    to resolve the identity."""
 
     def __init__(self, elements, outcomes=None, space=None):
-        self.elements = [np.asarray(e, dtype=complex) for e in elements]
-        if not self.elements:
+        elements = [np.asarray(e, dtype=complex) for e in elements]
+        if not elements:
             raise MeasurementDefinitionError("empty POVM")
-        d = self.elements[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for k, e in enumerate(self.elements):
+        d = elements[0].shape[0]
+        for k, e in enumerate(elements):
             if e.shape != (d, d):
                 raise MeasurementDefinitionError(f"element {k} is not {d}x{d}")
             if np.max(np.abs(e - e.conj().T)) > PSD_TOL:
                 raise MeasurementDefinitionError(f"element {k} is not Hermitian")
             if np.min(np.linalg.eigvalsh(0.5 * (e + e.conj().T))) < -PSD_TOL:
                 raise MeasurementDefinitionError(f"element {k} is not PSD")
-            total += e
-        if np.max(np.abs(total - np.eye(d))) > RESOLUTION_TOL:
+        self.elements = np.stack(elements)
+        if np.max(np.abs(self.elements.sum(axis=0) - np.eye(d))) > RESOLUTION_TOL:
             raise MeasurementDefinitionError("elements do not sum to the identity")
         self.space = space
-        self.outcomes = tuple(outcomes) if outcomes else tuple(range(len(self.elements)))
+        self.outcomes = tuple(outcomes) if outcomes else tuple(range(len(elements)))
 
     @property
     def n_outcomes(self):
@@ -154,30 +161,16 @@ class MatrixPovm:
 
     def probabilities(self, state):
         c = state.coords
-        return np.array([float(np.real(np.vdot(c, e @ c))) for e in self.elements])
+        return np.einsum("i,wij,j->w", c.conj(), self.elements, c).real
 
     def scores(self, state, lifts):
         c = state.coords
-        rows = []
-        for l in lifts:
-            lc = l.coords
-            rows.append(
-                np.array([float(np.real(np.vdot(c, e @ lc))) for e in self.elements])
-            )
-        return np.stack(rows)
+        frame = np.stack([l.coords for l in lifts])
+        return np.einsum("i,wij,aj->aw", c.conj(), self.elements, frame).real
 
     def node_fisher(self, lifts, mask):
-        m = len(lifts)
-        out = np.zeros((m, m))
-        for k, masked in enumerate(mask):
-            if not masked:
-                continue
-            e = self.elements[k]
-            for a in range(m):
-                for b in range(m):
-                    out[a, b] += float(np.real(np.vdot(lifts[a].coords,
-                                                       e @ lifts[b].coords)))
-        return out
+        frame = np.stack([l.coords for l in lifts])
+        return np.einsum("ai,wij,bj->ab", frame.conj(), self.elements[mask], frame).real
 
 
 def grid_pvm(space):
@@ -285,8 +278,30 @@ def classical_fisher(family, theta):
     limit Re <l_i|E|l_j> instead of being dropped, which is what the
     chain-rule form 4 sum (da_i)^2 yields for real amplitude families.
     """
-    p = np.asarray(family.probabilities(theta), dtype=float)
-    s = np.asarray(family.scores(theta), dtype=float)
+    node = None if family.node_fisher is None else partial(family.node_fisher, theta)
+    return _fisher(family.probabilities(theta), family.scores(theta), node)
+
+
+def lift_fisher(povm, lift):
+    """Classical Fisher matrix of ``povm`` at the point of ``lift``.
+
+    Equals ``classical_fisher(measurement_family(model, povm), theta)``
+    but takes the state, the scores and the node-limit term from the
+    one lift instead of evaluating the model again for each of them.
+    """
+    return _fisher(induced_distribution(povm, lift.phi),
+                   povm.scores(lift.phi, lift.lifts),
+                   lambda mask: povm.node_fisher(lift.lifts, mask))
+
+
+def _fisher(p, s, node_fisher):
+    """Fisher core shared by :func:`classical_fisher` and :func:`lift_fisher`.
+
+    ``node_fisher(mask)``, when not None, gives the limit contribution of
+    the clipped outcomes.
+    """
+    p = np.asarray(p, dtype=float)
+    s = np.asarray(s, dtype=float)
     support = p > PROB_CLIP
     dropped = ~support
     if np.any(dropped):
@@ -302,8 +317,8 @@ def classical_fisher(family, theta):
         )
     w = s[:, support] / np.sqrt(p[support])
     j = w @ w.T
-    if np.any(dropped) and family.node_fisher is not None:
-        j = j + np.asarray(family.node_fisher(theta, dropped), dtype=float)
+    if np.any(dropped) and node_fisher is not None:
+        j = j + np.asarray(node_fisher(dropped), dtype=float)
     return 0.5 * (j + j.T)
 
 

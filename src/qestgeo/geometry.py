@@ -62,20 +62,29 @@ def _gram(lift):
     return g
 
 
+def _metric_and_curvature(gram):
+    re, im = gram.real, gram.imag
+    return 0.5 * (re + re.T), 0.5 * (im - im.T)
+
+
 def sld_fisher(lift):
     """Real part of the lift Gram matrix; symmetric PSD."""
-    g = _gram(lift).real
-    return 0.5 * (g + g.T)
+    return _metric_and_curvature(_gram(lift))[0]
 
 
 def berry_curvature(lift):
     """Imaginary part of the lift Gram matrix; antisymmetric."""
-    g = _gram(lift).imag
-    return 0.5 * (g - g.T)
+    return _metric_and_curvature(_gram(lift))[1]
 
 
-def _inverse_sqrt(j_s, rank_tol=RANK_TOL):
-    j_s = np.asarray(j_s, dtype=float)
+def _beta_spectrum(j_s, j_tilde, rank_tol=RANK_TOL):
+    """Singular values of the metric-whitened curvature, one per pair.
+
+    One ``eigh`` of J_S serves both the rank test and J_S^{-1/2}, and one
+    SVD of the whitened curvature gives the spectrum.  Raises
+    :class:`RankDeficiencyError` before the SVD when the metric is
+    singular.
+    """
     eigvals, eigvecs = np.linalg.eigh(j_s)
     if _is_singular(eigvals, rank_tol):
         null = eigvals <= max(rank_tol * eigvals[-1], METRIC_SCALE_FLOOR)
@@ -83,13 +92,8 @@ def _inverse_sqrt(j_s, rank_tol=RANK_TOL):
             f"metric is singular: eigenvalues {eigvals.tolist()}",
             null_directions=eigvecs[:, null],
         )
-    return eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.T
-
-
-def _beta_spectrum(j_s, j_tilde, rank_tol=RANK_TOL):
-    """Singular values of the metric-whitened curvature, one per pair."""
-    inv_sqrt = _inverse_sqrt(j_s, rank_tol)
-    k = inv_sqrt @ np.asarray(j_tilde, dtype=float) @ inv_sqrt
+    inv_sqrt = eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.T
+    k = inv_sqrt @ j_tilde @ inv_sqrt
     k = 0.5 * (k - k.T)
     svals = np.linalg.svd(k, compute_uv=False)
     # antisymmetric real: singular values pair up as (b, b); keep one of each
@@ -143,16 +147,33 @@ def d_via_projection(lift, x):
     return coeffs
 
 
+def _weighted_trace(weight, j_s):
+    g = weight.matrix if isinstance(weight, WeightMatrix) else np.asarray(weight, float)
+    return float(np.trace(np.linalg.solve(j_s, g)))
+
+
 def sld_bound(weight, j_s, rank_tol=RANK_TOL):
     """Lower bound Tr G J_S^{-1} on the weighted estimation error."""
-    g = weight.matrix if isinstance(weight, WeightMatrix) else np.asarray(weight, float)
     j_s = np.asarray(j_s, dtype=float)
     eigvals = np.linalg.eigvalsh(j_s)
     if _is_singular(eigvals, rank_tol):
         raise RankDeficiencyError(
             f"metric is singular: eigenvalues {eigvals.tolist()}"
         )
-    return float(np.trace(np.linalg.solve(j_s, g)))
+    return _weighted_trace(weight, j_s)
+
+
+def _cr_from_betas(m, betas):
+    for b in betas:
+        if b > 1.0 + BETA_BOUND_TOL:
+            raise SpectralConsistencyError(
+                f"beta = {b:.8f} exceeds 1 beyond tolerance {BETA_BOUND_TOL:.0e}; "
+                "the inputs are not the metric and curvature of a pure-state family"
+            )
+    clamped = [min(b, 1.0) for b in betas]
+    paired = sum(4.0 / (1.0 + np.sqrt(1.0 - b * b)) for b in clamped)
+    unpaired = m - 2 * len(clamped)
+    return float(paired + unpaired)
 
 
 def attainable_cr_js(j_s, j_tilde, rank_tol=RANK_TOL):
@@ -164,18 +185,8 @@ def attainable_cr_js(j_s, j_tilde, rank_tol=RANK_TOL):
     equality exactly when the curvature vanishes.
     """
     j_s = np.asarray(j_s, dtype=float)
-    m = j_s.shape[0]
-    betas = _beta_spectrum(j_s, j_tilde, rank_tol)
-    for b in betas:
-        if b > 1.0 + BETA_BOUND_TOL:
-            raise SpectralConsistencyError(
-                f"beta = {b:.8f} exceeds 1 beyond tolerance {BETA_BOUND_TOL:.0e}; "
-                "the inputs are not the metric and curvature of a pure-state family"
-            )
-    clamped = [min(b, 1.0) for b in betas]
-    paired = sum(4.0 / (1.0 + np.sqrt(1.0 - b * b)) for b in clamped)
-    unpaired = m - 2 * len(clamped)
-    return float(paired + unpaired)
+    betas = _beta_spectrum(j_s, np.asarray(j_tilde, dtype=float), rank_tol)
+    return _cr_from_betas(j_s.shape[0], betas)
 
 
 def is_quasi_classical(j_tilde, j_s=None, tol=QUASI_CLASSICAL_TOL):
@@ -206,7 +217,11 @@ class GeometryReport:
 
     def sld_bound(self, weight):
         """Tr G J_S^{-1}; raises on a rank-deficient metric."""
-        return sld_bound(weight, self.sld_fisher)
+        if self.rank_deficient:
+            raise RankDeficiencyError(
+                f"metric is singular at theta {self.theta.tolist()}"
+            )
+        return _weighted_trace(weight, self.sld_fisher)
 
 
 def analyze(model, theta, rank_tol=RANK_TOL, qc_tol=QUASI_CLASSICAL_TOL):
@@ -217,16 +232,18 @@ def analyze(model, theta, rank_tol=RANK_TOL, qc_tol=QUASI_CLASSICAL_TOL):
     so the corresponding fields come back as None.
     """
     lift = model.horizontal_lift(theta)
-    j_s = sld_fisher(lift)
-    j_t = berry_curvature(lift)
-    eigvals = np.linalg.eigvalsh(j_s)
-    deficient = bool(_is_singular(eigvals, rank_tol))
-    if deficient:
-        d_matrix, betas, cr = None, (), None
-    else:
+    j_s, j_t = _metric_and_curvature(_gram(lift))
+    # one eigh, one SVD and one solve per point: d_transform shares its
+    # spectral pass with the bound and reports a singular metric by raising
+    # right after the eigh
+    try:
         d_matrix, beta_list = d_transform(j_s, j_t, rank_tol)
+    except RankDeficiencyError:
+        d_matrix, betas, cr, deficient = None, (), None, True
+    else:
         betas = tuple(beta_list)
-        cr = attainable_cr_js(j_s, j_t, rank_tol)
+        cr = _cr_from_betas(j_s.shape[0], beta_list)
+        deficient = False
     return GeometryReport(
         theta=lift.theta,
         sld_fisher=j_s,

@@ -34,36 +34,68 @@ class PhaseResult:
     min_overlap: float
 
 
+def _evaluate_rows(model, thetas, amps):
+    """Fill ``amps[k]`` with the amplitudes of ``thetas[k]``."""
+    for k, theta in enumerate(thetas):
+        amps[k] = model.evaluate(theta).amplitudes
+
+
+def _overlaps(space, amps):
+    """Consecutive overlaps ``<phi_k|phi_{k+1}>`` of the rows of ``amps``."""
+    return space.weight * np.einsum("ij,ij->i", amps[:-1].conj(), amps[1:])
+
+
 def _refined_states(model, thetas):
-    """Evaluate the chain, inserting midpoints where overlaps collapse."""
-    thetas = [np.asarray(t, dtype=float) for t in thetas]
-    states = [model.evaluate(t) for t in thetas]
-    for _ in range(MAX_REFINE_LEVELS):
-        new_thetas = [thetas[0]]
-        new_states = [states[0]]
-        refined = False
-        for k in range(len(thetas) - 1):
-            ov = abs(hilbert.inner(states[k], states[k + 1]))
-            if ov <= MIN_OVERLAP:
-                mid = 0.5 * (thetas[k] + thetas[k + 1])
-                new_thetas.append(mid)
-                new_states.append(model.evaluate(mid))
-                refined = True
-            new_thetas.append(thetas[k + 1])
-            new_states.append(states[k + 1])
-        thetas, states = new_thetas, new_states
-        if not refined:
-            return thetas, states
-    for k in range(len(states) - 1):
-        ov = abs(hilbert.inner(states[k], states[k + 1]))
-        if ov <= MIN_OVERLAP:
+    """Evaluate the chain, inserting midpoints where overlaps collapse.
+
+    Returns ``(space, amps)``: the space of the states and the ``(K, dim)``
+    amplitudes of the refined chain.
+    Only segments at or below ``MIN_OVERLAP`` get a midpoint; a segment
+    still that small after ``MAX_REFINE_LEVELS`` levels raises
+    :class:`RefinementError`.
+    """
+    thetas = np.asarray(thetas, dtype=float)
+    first = model.evaluate(thetas[0])
+    space = first.space
+    amps = np.empty((len(thetas), space.dim), dtype=complex)
+    amps[0] = first.amplitudes
+    _evaluate_rows(model, thetas[1:], amps[1:])
+    for level in range(MAX_REFINE_LEVELS + 1):
+        mags = np.abs(_overlaps(space, amps))
+        bad = np.flatnonzero(mags <= MIN_OVERLAP)
+        if bad.size == 0:
+            break
+        if level == MAX_REFINE_LEVELS:
+            k = int(bad[0])
+            ov = float(mags[k])
             raise RefinementError(
                 f"segment {k} stays near-orthogonal (|overlap| = {ov:.2e}) "
                 f"after {MAX_REFINE_LEVELS} refinement levels",
                 segment=(thetas[k].tolist(), thetas[k + 1].tolist()),
                 overlap=ov,
             )
-    return thetas, states
+        mids = 0.5 * (thetas[bad] + thetas[bad + 1])
+        mid_amps = np.empty((len(mids), space.dim), dtype=complex)
+        _evaluate_rows(model, mids, mid_amps)
+        thetas = np.insert(thetas, bad + 1, mids, axis=0)
+        amps = np.insert(amps, bad + 1, mid_amps, axis=0)
+    return space, amps
+
+
+def _chain(space, amps, closing=1.0):
+    """Phase of the consecutive overlaps times a unit ``closing`` factor.
+
+    The product runs over the unit overlaps ``<phi_k|phi_{k+1}>/|...|``;
+    ``min_overlap`` is the smallest overlap magnitude of the chain.
+    """
+    ovs = _overlaps(space, amps)
+    mags = np.abs(ovs)
+    prod = complex(np.prod(ovs / mags)) * closing
+    return PhaseResult(
+        gamma=float(np.angle(prod)),
+        n_segments=len(amps) - 1,
+        min_overlap=float(np.min(mags)),
+    )
 
 
 def _ray_distance(a, b):
@@ -94,24 +126,16 @@ def berry_phase_loop(curve):
     """
     if not curve.closed:
         raise ValueError("berry_phase_loop needs a closed curve")
-    _, states = _refined_states(curve.model, curve.points)
-    dist = _ray_distance(states[0], states[-1])
+    space, amps = _refined_states(curve.model, curve.points)
+    dist = _ray_distance(hilbert.StateVector(space, amps[0]),
+                         hilbert.StateVector(space, amps[-1]))
     if dist >= RAY_CLOSURE_TOL:
         raise ClosureError(
             f"curve marked closed but endpoint rays differ by {dist:.2e}"
         )
-    chain = states[:-1] + [states[0]]
-    prod = 1.0 + 0.0j
-    min_ov = np.inf
-    for k in range(len(chain) - 1):
-        ov = hilbert.inner(chain[k], chain[k + 1])
-        min_ov = min(min_ov, abs(ov))
-        prod *= ov / abs(ov)
-    return PhaseResult(
-        gamma=float(np.angle(prod)),
-        n_segments=len(chain) - 1,
-        min_overlap=float(min_ov),
-    )
+    # close the chain with the starting vector itself
+    amps[-1] = amps[0]
+    return _chain(space, amps)
 
 
 def berry_phase_open(curve):
@@ -122,24 +146,13 @@ def berry_phase_open(curve):
     with :func:`berry_phase_loop`.  Orthogonal endpoints leave the
     relative phase undefined.
     """
-    _, states = _refined_states(curve.model, curve.points)
-    direct = hilbert.inner(states[0], states[-1])
+    space, amps = _refined_states(curve.model, curve.points)
+    direct = complex(space.weight * np.vdot(amps[0], amps[-1]))
     if abs(direct) <= MIN_OVERLAP:
         raise UndefinedPhaseError(
             f"endpoint overlap magnitude {abs(direct):.2e} leaves the phase undefined"
         )
-    prod = 1.0 + 0.0j
-    min_ov = np.inf
-    for k in range(len(states) - 1):
-        ov = hilbert.inner(states[k], states[k + 1])
-        min_ov = min(min_ov, abs(ov))
-        prod *= ov / abs(ov)
-    prod *= np.conj(direct) / abs(direct)
-    return PhaseResult(
-        gamma=float(np.angle(prod)),
-        n_segments=len(states) - 1,
-        min_overlap=float(min_ov),
-    )
+    return _chain(space, amps, closing=np.conj(direct) / abs(direct))
 
 
 def curvature_check(model, theta, i, j, eps, n_sub=8):

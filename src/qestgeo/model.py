@@ -65,21 +65,27 @@ class PureStateModel:
     sample_grid: tuple = ()
 
     def contains(self, theta):
-        theta = _as_theta(theta, self.m)
-        return all(lo <= t <= hi for t, (lo, hi) in zip(theta, self.domain))
+        return self._inside(_as_theta(theta, self.m))
+
+    def _inside(self, theta):
+        return all(lo <= t <= hi for t, (lo, hi) in zip(theta.tolist(), self.domain))
 
     def evaluate(self, theta):
         theta = _as_theta(theta, self.m)
-        if not self.contains(theta):
+        if not self._inside(theta):
             raise DomainError(f"theta {theta.tolist()} outside domain {self.domain}")
+        # the state owns its copy of the amplitudes, so it is normalized
+        # in place, with the norm the drift check measured
         state = StateVector(self.space, self.evaluate_fn(theta))
-        drift = abs(state.norm() - 1.0)
+        nrm = np.sqrt(self.space.weight) * np.linalg.norm(state.amplitudes)
+        drift = abs(nrm - 1.0)
         if drift >= NORM_DRIFT_TOL:
             raise ModelDefinitionError(
                 f"norm drift {drift:.3e} at theta {theta.tolist()} "
                 f"(limit {NORM_DRIFT_TOL:.0e}); check grid truncation"
             )
-        return StateVector(self.space, state.amplitudes, normalize=True)
+        state.amplitudes /= nrm
+        return state
 
     def tangent(self, theta, i):
         """Unnormalized derivative d_i |phi> at theta."""
@@ -93,7 +99,7 @@ class PureStateModel:
         dn = theta.copy()
         up[i] += h
         dn[i] -= h
-        if not (self.contains(up) and self.contains(dn)):
+        if not (self._inside(up) and self._inside(dn)):
             raise DomainError(
                 f"finite-difference step {h:.1e} in component {i} leaves the "
                 f"domain at theta {theta.tolist()}"
@@ -138,7 +144,9 @@ class Curve:
 
 
 def _as_theta(theta, m):
-    arr = np.atleast_1d(np.asarray(theta, dtype=float))
+    arr = np.asarray(theta, dtype=float)
+    if arr.ndim == 0:
+        arr = arr.reshape(1)
     if arr.shape != (m,):
         raise DomainError(f"theta has shape {arr.shape}, model expects ({m},)")
     return arr

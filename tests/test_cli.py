@@ -362,3 +362,57 @@ class TestDocumentSchema:
                                       "--loop", str(loop_path)])
             document_validator.validate(doc)
             assert doc["loop"]["closed"] is closed
+
+
+class TestRenderDocument:
+    """The explicit serializer pins the bytes of every output document."""
+
+    def test_float_free_documents_match_json_dumps(self):
+        docs = [
+            {},
+            [],
+            {"a": 1, "b": [True, False, None], "c": {"d": [], "e": {}}},
+            [[1, 2], [[], [{}]], "x\"y\\z\n\t", "é中\U0001f600"],
+            {"nested": {"deeper": {"list": [0, -3, 12345678901234567890]}}},
+            {"über": ["å", ""], "": 0},
+            ("tuple", 1),
+            "plain",
+            42,
+            None,
+        ]
+        for doc in docs:
+            assert render_document(doc) == json.dumps(doc, indent=2) + "\n"
+
+    def test_float_spellings(self):
+        doc = {
+            "nan": float("nan"),
+            "inf": [float("inf"), float("-inf")],
+            "zero": [0.0, -0.0],
+            "third": 1.0 / 3.0,
+            "tiny": 5e-324,
+            "big": 1e300,
+            "np": np.float64(0.1),
+            "empty": {"list": [], "dict": {}, "deep": [[], {}]},
+            "ßì": 2.5,
+        }
+        want = (
+            '{\n'
+            '  "nan": NaN,\n'
+            '  "inf": [\n    Infinity,\n    -Infinity\n  ],\n'
+            '  "zero": [\n    0,\n    -0\n  ],\n'
+            '  "third": 0.33333333333333331,\n'
+            '  "tiny": 4.9406564584124654e-324,\n'
+            '  "big": 1.0000000000000001e+300,\n'
+            '  "np": 0.10000000000000001,\n'
+            '  "empty": {\n    "list": [],\n    "dict": {},\n'
+            '    "deep": [\n      [],\n      {}\n    ]\n  },\n'
+            '  "\\u00df\\u00ec": 2.5\n'
+            '}\n'
+        )
+        assert render_document(doc) == want
+
+    def test_unsupported_values_raise(self):
+        with pytest.raises(TypeError):
+            render_document({"a": np.int64(3)})
+        with pytest.raises(TypeError):
+            render_document({1: "int key"})

@@ -5,7 +5,7 @@ import pytest
 
 import qestgeo as qg
 from qestgeo import estimation as est
-from qestgeo import geometry
+from qestgeo import geometry, hilbert
 from qestgeo.errors import (
     MeasurementDefinitionError,
     NonRealOverlapError,
@@ -276,3 +276,155 @@ class TestOrderingInvariants:
         fourth = np.mean((draws - draws.mean()) ** 4)
         se = np.sqrt(max(fourth - v**2, 0.0) / stats.n)
         assert v >= 1.0 / j_c - 3.0 * se
+
+
+def octahedral_elements():
+    """Six elements |v><v| / 3 along the +-x, +-y, +-z Bloch axes."""
+    s = 2**-0.5
+    kets = [(1, 0), (0, 1), (s, s), (s, -s), (s, 1j * s), (s, -1j * s)]
+    return [np.outer(v, np.conj(v)) / 3.0 for v in np.asarray(kets, dtype=complex)]
+
+
+def node_case():
+    """Odd oscillator state whose node sits exactly on a grid point at theta = 0."""
+    mod = qg.catalog("position_shift", {"profile": {"name": "hermite", "n": 1},
+                                        "grid": {"n": 257, "lower": -8, "upper": 8}})
+    return mod, grid_pvm(mod.space), [(0.0,)]
+
+
+def lift_fisher_cases():
+    ps = qg.catalog("position_shift", {"grid": {"n": 512, "lower": -10, "upper": 10}})
+    spin = qg.catalog("spin_jz", {"amplitudes": [0.5, 2**-0.5, 0.5]})
+    bloch = qg.catalog("bloch")
+    samples = [(t,) for t in np.linspace(-1, 1, 9)]
+    return {
+        "cell": (ps, grid_pvm(ps.space), [(0.25,), (-0.6,)]),
+        "schmidt": (ps, optimal_measurement_quasi_parallel(ps, samples), samples[::3]),
+        "schmidt_spin": (spin, optimal_measurement_quasi_parallel(spin, spin.sample_grid),
+                         spin.sample_grid),
+        "matrix": (bloch, MatrixPovm(octahedral_elements(), space=bloch.space),
+                   [(0.7, 0.2), (1.1, 4.0)]),
+        "node": node_case(),
+    }
+
+
+class TestLiftFisher:
+    @pytest.mark.parametrize("case", ["cell", "schmidt", "schmidt_spin", "matrix", "node"])
+    def test_matches_measurement_family(self, case):
+        mod, povm, thetas = lift_fisher_cases()[case]
+        fam = measurement_family(mod, povm)
+        for th in thetas:
+            want = classical_fisher(fam, np.asarray(th))
+            got = est.lift_fisher(povm, mod.horizontal_lift(th))
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-14)
+
+    def test_node_case_takes_the_node_path(self):
+        mod, povm, thetas = node_case()
+        p = induced_distribution(povm, mod.evaluate(thetas[0]))
+        assert np.min(p) <= est.PROB_CLIP
+        lift = mod.horizontal_lift(thetas[0])
+        dropped = p <= est.PROB_CLIP
+        node = povm.node_fisher(lift.lifts, dropped)
+        assert node[0, 0] > 1e-3
+        # the node term is what lets the grid PVM attain J_S
+        j_c = est.lift_fisher(povm, lift)
+        assert j_c[0, 0] == pytest.approx(geometry.sld_fisher(lift)[0, 0], rel=1e-8)
+
+    @pytest.mark.parametrize("povm_kind", ["basis", "matrix", "schmidt"])
+    def test_cli_fisher_evaluates_each_theta_once(self, monkeypatch, capsys, tmp_path,
+                                                  povm_kind):
+        import dataclasses
+        import json
+
+        from qestgeo import cli
+
+        if povm_kind == "schmidt":
+            base = qg.catalog("position_shift",
+                              {"grid": {"n": 256, "lower": -10, "upper": 10}})
+            thetas, extra = "-0.5;0;0.5", ["--samples=-1;-0.5;0;0.5;1"]
+        else:
+            base = qg.catalog("bloch")
+            thetas, extra = "0.7,0.2;1.1,4;2,1;0.5,0.5", []
+        povm_arg = povm_kind
+        if povm_kind == "matrix":
+            path = tmp_path / "octahedral.json"
+            path.write_text(json.dumps({"kind": "matrices", "elements": [
+                [[[z.real, z.imag] for z in row] for row in e]
+                for e in octahedral_elements()]}))
+            povm_arg = str(path)
+        calls = {"evaluate": 0, "tangent": 0}
+
+        def ev(theta):
+            calls["evaluate"] += 1
+            return base.evaluate_fn(theta)
+
+        def tangent(theta, i):
+            calls["tangent"] += 1
+            return base.tangent_fn(theta, i)
+
+        counted = dataclasses.replace(base, evaluate_fn=ev, tangent_fn=tangent)
+        monkeypatch.setattr(cli, "_load_model", lambda path: (counted, {"kind": "test"}))
+        make_povm = cli._make_povm
+
+        def make_then_reset(*args):
+            # POVM construction (schmidt samples) is not per-theta work
+            out = make_povm(*args)
+            calls.update(evaluate=0, tangent=0)
+            return out
+
+        monkeypatch.setattr(cli, "_make_povm", make_then_reset)
+        code = cli.main(["fisher", "--model", "-", "--povm", povm_arg,
+                         "--theta=" + thetas, *extra])
+        assert code == 0
+        n = len(json.loads(capsys.readouterr().out)["entries"])
+        assert calls == {"evaluate": n, "tangent": n * base.m}
+
+
+class TestStackedPovms:
+    def test_matrix_povm_matches_elementwise(self):
+        rng = np.random.default_rng(8)
+        d, w = 3, 5
+        raw = []
+        for _ in range(w):
+            a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+            raw.append(a @ a.conj().T)
+        vals, vecs = np.linalg.eigh(sum(raw))
+        inv_sqrt = vecs @ np.diag(vals**-0.5) @ vecs.conj().T
+        elements = [inv_sqrt @ a @ inv_sqrt for a in raw]
+        elements = [0.5 * (e + e.conj().T) for e in elements]
+        space = BasisSpace(d)
+        povm = MatrixPovm(elements, space=space)
+        assert povm.elements.shape == (w, d, d)
+        state = StateVector(space, rng.normal(size=d) + 1j * rng.normal(size=d),
+                            normalize=True)
+        lifts = [StateVector(space, rng.normal(size=d) + 1j * rng.normal(size=d))
+                 for _ in range(2)]
+        c = state.coords
+        p = [np.vdot(c, e @ c).real for e in elements]
+        s = [[np.vdot(c, e @ l.coords).real for e in elements] for l in lifts]
+        mask = np.array([True, False, True, False, False])
+        node = [[sum(np.vdot(a.coords, e @ b.coords).real
+                     for e, keep in zip(elements, mask) if keep)
+                 for b in lifts] for a in lifts]
+        np.testing.assert_allclose(povm.probabilities(state), p, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(povm.scores(state, lifts), s, rtol=0, atol=1e-15)
+        np.testing.assert_allclose(povm.node_fisher(lifts, mask), node, rtol=0, atol=1e-15)
+
+    def test_projector_products_keep_their_rounding(self):
+        # U^dagger is conjugated once; each product must still round as
+        # the per-call conjugate did, so documents keep their bytes
+        mod = qg.catalog("position_momentum_shift",
+                         {"grid": {"n": 512, "lower": -10, "upper": 10}})
+        space = mod.space
+        rng = np.random.default_rng(9)
+        basis = hilbert.gram_schmidt_real(
+            [StateVector(space, rng.normal(size=space.dim)) for _ in range(7)])
+        povm = est.ProjectorPovm(basis)
+        lift = mod.horizontal_lift((0.3, -0.2))
+        u = np.column_stack([b.coords for b in basis])
+        phi_amp = u.conj().T @ lift.phi.coords
+        rows = [(np.conj(phi_amp) * (u.conj().T @ l.coords)).real for l in lift.lifts]
+        want = np.stack([np.concatenate([r, [-np.sum(r)]]) for r in rows])
+        assert np.array_equal(povm.scores(lift.phi, lift.lifts), want)
+        p = np.abs(phi_amp) ** 2
+        assert np.array_equal(povm.probabilities(lift.phi)[:-1], p)

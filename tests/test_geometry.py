@@ -306,3 +306,69 @@ class TestInvariants:
         assert rep.cr_js is None and rep.d_matrix is None
         with pytest.raises(RankDeficiencyError):
             rep.sld_bound(np.eye(1))
+
+
+class TestSpectralPass:
+    """``analyze`` does one eigh, one SVD and one solve per point."""
+
+    @pytest.fixture
+    def spectral_calls(self, monkeypatch):
+        counts = {}
+        for name in ("eigh", "eigvalsh", "svd", "solve"):
+            counts[name] = 0
+
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(geometry.np.linalg, name, counted)
+        return counts
+
+    def test_full_rank_point(self, spectral_calls):
+        rep = qg.analyze(qg.catalog("bloch"), (1.0, 0.3))
+        assert not rep.rank_deficient
+        assert rep.betas == pytest.approx((1.0,), abs=1e-12)
+        assert spectral_calls == {"eigh": 1, "eigvalsh": 0, "svd": 1, "solve": 1}
+
+    def test_rank_deficient_point(self, spectral_calls):
+        rep = qg.analyze(qg.catalog("bloch"), (0.0, 0.3))
+        assert rep.rank_deficient and rep.d_matrix is None and rep.cr_js is None
+        assert spectral_calls == {"eigh": 1, "eigvalsh": 0, "svd": 0, "solve": 0}
+
+    def test_report_bound_reuses_rank_verdict(self, spectral_calls):
+        bloch = qg.catalog("bloch")
+        rep = qg.analyze(bloch, (1.0, 0.3))
+        assert rep.sld_bound(rep.sld_fisher) == pytest.approx(2.0, abs=1e-14)
+        assert spectral_calls["eigvalsh"] == 0
+        deficient = qg.analyze(bloch, (0.0, 0.3))
+        before = dict(spectral_calls)
+        with pytest.raises(RankDeficiencyError):
+            deficient.sld_bound(np.eye(2))
+        assert spectral_calls == before
+
+    def test_beta_above_one_still_rejected(self, spectral_calls, monkeypatch):
+        # a Hermitian "Gram" matrix that no family of lift vectors has:
+        # its whitened curvature exceeds 1
+        fake = np.array([[1.0, 1.1j], [-1.1j, 1.0]])
+        monkeypatch.setattr(geometry, "_gram", lambda lift: fake)
+        with pytest.raises(SpectralConsistencyError):
+            qg.analyze(qg.catalog("bloch"), (1.0, 0.3))
+        assert spectral_calls == {"eigh": 1, "eigvalsh": 0, "svd": 1, "solve": 1}
+        with pytest.raises(SpectralConsistencyError):
+            attainable_cr_js(fake.real, fake.imag)
+
+    def test_matches_separate_functions(self):
+        rng = np.random.default_rng(41)
+        for _ in range(5):
+            mod = random_unitary_family(4, 3, rng)
+            th = rng.uniform(-1, 1, 3)
+            rep = qg.analyze(mod, th)
+            lift = mod.horizontal_lift(th)
+            j_s, j_t = sld_fisher(lift), berry_curvature(lift)
+            d, betas = d_transform(j_s, j_t)
+            assert np.array_equal(rep.sld_fisher, j_s)
+            assert np.array_equal(rep.berry_curvature, j_t)
+            assert np.array_equal(rep.d_matrix, d)
+            assert rep.betas == tuple(betas)
+            assert rep.cr_js == attainable_cr_js(j_s, j_t)
+            assert rep.sld_bound(np.eye(3)) == sld_bound(np.eye(3), j_s)

@@ -6,7 +6,7 @@ import pytest
 import qestgeo as qg
 from qestgeo import holonomy
 from qestgeo.errors import AnchorError, RefinementError, UndefinedPhaseError
-from qestgeo.hilbert import BasisSpace, GridSpace, StateVector
+from qestgeo.hilbert import BasisSpace, GridSpace, StateVector, inner
 from qestgeo.holonomy import (
     align_phases,
     berry_phase_loop,
@@ -372,3 +372,112 @@ class TestQuasiParallel:
 
         for s in aligned:
             assert abs(inner(aligned[anchor], s).imag) < 1e-10
+
+
+def reference_transport(model, points, closed):
+    """Segment-by-segment transport over a list of states.
+
+    Refines like the chain routine (a midpoint for every segment at or
+    below ``MIN_OVERLAP``, up to ``MAX_REFINE_LEVELS`` levels) but keeps
+    one ``StateVector`` per point and multiplies ``hilbert.inner``
+    overlaps one at a time.  Returns ``(gamma, n_segments, min_overlap,
+    levels)``.
+    """
+    thetas = [np.asarray(t, dtype=float) for t in points]
+    states = [model.evaluate(t) for t in thetas]
+    levels = 0
+    for _ in range(holonomy.MAX_REFINE_LEVELS):
+        new_thetas, new_states = [thetas[0]], [states[0]]
+        for k in range(len(thetas) - 1):
+            if abs(inner(states[k], states[k + 1])) <= holonomy.MIN_OVERLAP:
+                mid = 0.5 * (thetas[k] + thetas[k + 1])
+                new_thetas.append(mid)
+                new_states.append(model.evaluate(mid))
+            new_thetas.append(thetas[k + 1])
+            new_states.append(states[k + 1])
+        if len(new_states) == len(states):
+            break
+        thetas, states = new_thetas, new_states
+        levels += 1
+    for k in range(len(states) - 1):
+        ov = abs(inner(states[k], states[k + 1]))
+        if ov <= holonomy.MIN_OVERLAP:
+            raise RefinementError("reference", segment=(thetas[k].tolist(),
+                                                        thetas[k + 1].tolist()),
+                                  overlap=ov)
+    chain = states[:-1] + [states[0]] if closed else states
+    prod = 1.0 + 0.0j
+    min_ov = np.inf
+    for a, b in zip(chain[:-1], chain[1:]):
+        ov = inner(a, b)
+        min_ov = min(min_ov, abs(ov))
+        prod *= ov / abs(ov)
+    if not closed:
+        direct = inner(states[0], states[-1])
+        prod *= np.conj(direct) / abs(direct)
+    return float(np.angle(prod)), len(chain) - 1, float(min_ov), levels
+
+
+def assert_matches_reference(model, points, closed, levels=0):
+    curve = Curve(model, tuple(points), closed=closed)
+    res = berry_phase_loop(curve) if closed else berry_phase_open(curve)
+    gamma, n_segments, min_ov, ref_levels = reference_transport(model, points, closed)
+    assert ref_levels == levels
+    assert res.n_segments == n_segments
+    assert abs(np.remainder(res.gamma - gamma + np.pi, 2 * np.pi) - np.pi) <= 1e-13
+    assert abs(res.min_overlap - min_ov) <= 1e-13
+    return res
+
+
+@pytest.fixture(scope="module")
+def wide_pm():
+    """Phase-space displacements on a grid wide enough for far-apart points."""
+    return qg.catalog("position_momentum_shift", {
+        "grid": {"n": 2048, "lower": -40.0, "upper": 40.0},
+        "domain": ((-32.0, 32.0), (-32.0, 32.0)),
+    })
+
+
+class TestArrayChain:
+    """The array chain against per-vector overlaps multiplied one by one."""
+
+    def test_closed_bloch_octant(self, bloch):
+        assert_matches_reference(bloch, octant_points(300), closed=True)
+
+    def test_closed_bloch_latitudes(self, bloch):
+        for pol in (0.4, 1.0, 2.6):
+            pts = [(pol, phi) for phi in np.linspace(0, 2 * np.pi, 400, endpoint=False)]
+            pts.append((pol, 2 * np.pi))
+            assert_matches_reference(bloch, pts, closed=True)
+
+    def test_open_ring_flux_chain(self, battery):
+        mod = battery["ring_flux"]
+        pts = [(t,) for t in np.linspace(0.3, 2.8, 60)]
+        res = assert_matches_reference(mod, pts, closed=False)
+        assert min(abs(res.gamma), abs(abs(res.gamma) - np.pi)) > 1e-3
+
+    @pytest.mark.parametrize("side, levels", [(10.0, 1), (20.0, 2), (30.0, 3)])
+    def test_refinement_levels(self, wide_pm, side, levels):
+        # coherent-state overlaps fall as exp(-|d|^2 / 4): a segment of
+        # length d needs log2(d / 7.4) halvings to rise above MIN_OVERLAP
+        pts = [(0.0, 0.0), (side, 0.0), (side, side), (0.0, 0.0)]
+        res = assert_matches_reference(wide_pm, pts, closed=True, levels=levels)
+        assert res.n_segments > 3
+        assert res.min_overlap > holonomy.MIN_OVERLAP
+
+    def test_refinement_error_matches_reference(self):
+        space = BasisSpace(2)
+
+        def ev(th):
+            return np.array([1.0, 0.0] if th[0] < 0.5 else [0.0, 1.0], dtype=complex)
+
+        jumpy = PureStateModel(space=space, m=1, domain=((0.0, 1.0),), evaluate_fn=ev)
+        pts = ((0.0,), (0.3,), (1.0,), (0.0,))
+        with pytest.raises(RefinementError) as want:
+            reference_transport(jumpy, pts, closed=True)
+        with pytest.raises(RefinementError) as got:
+            berry_phase_loop(Curve(jumpy, pts, closed=True))
+        assert got.value.segment == want.value.segment
+        assert got.value.overlap == pytest.approx(want.value.overlap, abs=1e-13)
+        (lo,), (hi,) = got.value.segment
+        assert lo < 0.5 <= hi and hi - lo == pytest.approx(0.7 / 8)
