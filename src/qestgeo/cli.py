@@ -460,16 +460,13 @@ def _momentum_symmetry_section(built):
 def _cmd_check(args):
     built, echo = _load_model(args.model)
     samples = parse_theta_list(args.samples, built.m)
-    qp_flag, witness = holonomy.is_quasi_parallel(built, samples,
-                                                  tol=TOLERANCES["quasi_parallel"])
-    raw_flag, _ = holonomy.is_quasi_parallel(built, samples,
-                                             tol=TOLERANCES["quasi_parallel"],
-                                             align=False)
+    thetas, states, aligned = holonomy.sample_states(built, samples)
+    tol = TOLERANCES["quasi_parallel"]
+    qp_flag, witness = holonomy.quasi_parallel_states(thetas, aligned, tol)
+    raw_flag, _ = holonomy.quasi_parallel_states(thetas, states, tol)
     anti = {"constructed": False, "invariant": None, "max_residual": None,
             "reason": None}
     try:
-        states = [built.evaluate(t) for t in samples]
-        aligned, _ = holonomy.align_phases(states)
         basis = hilbert.gram_schmidt_real(aligned, tol=1e-8)
         residual = float(np.max(hilbert.conjugation_residuals(basis, aligned)))
         anti = {
@@ -591,6 +588,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
+def _int_at_least(low):
+    """argparse type: an integer no smaller than ``low``."""
+    def parse(text):
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be an integer >= {low}, got {value}")
+        return value
+    parse.__name__ = "int"  # argparse names the type when int() fails
+    return parse
+
+
 def build_parser():
     parser = _Parser(prog="qestgeo",
                      description="estimation geometry of pure-state families")
@@ -640,8 +648,8 @@ def build_parser():
     smp.add_argument("--model", required=True)
     smp.add_argument("--povm", required=True)
     smp.add_argument("--theta", required=True)
-    smp.add_argument("--n", type=int, required=True)
-    smp.add_argument("--seed", type=int, required=True)
+    smp.add_argument("--n", type=_int_at_least(1), required=True)
+    smp.add_argument("--seed", type=_int_at_least(0), required=True)
     smp.set_defaults(func=_cmd_sample)
     return parser
 
@@ -665,7 +673,12 @@ def main(argv=None):
         with open(args.out, "w", encoding="utf-8") as fh:
             fh.write(text)
     else:
-        sys.stdout.write(text)
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except BrokenPipeError:
+            # the reader left early (`| head`): let the exit flush go to devnull
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ from .errors import (
     SingularSupportError,
     SpaceMismatchError,
 )
-from .holonomy import align_phases, is_quasi_parallel
+from .holonomy import quasi_parallel_states, sample_states
 
 PSD_TOL = 1e-10
 RESOLUTION_TOL = 1e-8
@@ -30,169 +30,143 @@ SUPPORT_MASS_TOL = 1e-10
 SUPPORT_SCORE_TOL = 1e-8
 
 
-class CellPovm:
-    """One rank-1 projector per basis index or quadrature-weighted grid cell."""
+class Povm:
+    """Measurement with elements ``E_w = sum_r |k_r><k_r|``.
 
-    def __init__(self, space):
+    Outcome ``w`` owns the ``rank`` rows ``<k_r|`` of ``bras`` from
+    ``w*rank`` on, in the orthonormal coordinates of ``space`` (None: any
+    space of dimension ``bras.shape[1]``).  ``bras=None`` is the coordinate
+    basis, one outcome per index or grid cell, with no ``n x n`` matrix.
+    ``has_complement`` appends ``I - sum_w E_w`` as the last outcome.
+    :func:`grid_pvm`, :func:`ProjectorPovm` and :func:`MatrixPovm` build
+    validated instances.
+    """
+
+    def __init__(self, space, bras=None, rank=1, has_complement=False):
         self.space = space
-        self.outcomes = self._labels(space)
+        self.bras = bras
+        self.rank = rank
+        self.has_complement = has_complement
+        self.dim = space.dim if bras is None else bras.shape[1]
+        rows = self.dim if bras is None else len(bras)
+        self.n_outcomes = rows // rank + int(has_complement)
 
-    @staticmethod
-    def _labels(space):
-        if isinstance(space, hilbert.GridSpace):
-            return tuple(float(x) for x in space.points)
-        if space.labels is not None:
-            return tuple(space.labels)
-        return tuple(range(space.dim))
+    def _amps(self, coords):
+        """Amplitudes ``<k_r|c>`` of orthonormal coordinates ``c``, one per bra."""
+        return coords if self.bras is None else self.bras @ coords
 
-    @property
-    def n_outcomes(self):
-        return self.space.dim
+    def _lift_amps(self, lifts):
+        # one row per lift, each its own matrix-vector product: one matmul
+        # of all the lifts would round differently
+        return np.array([self._amps(l.coords) for l in lifts])
+
+    def _by_outcome(self, x):
+        """Sum the last axis of ``x`` over the ``rank`` bras of each outcome."""
+        return x.reshape(*x.shape[:-1], -1, self.rank).sum(axis=-1)
 
     def probabilities(self, state):
-        if state.space != self.space:
+        if state.space.dim != self.dim or self.space not in (None, state.space):
             raise SpaceMismatchError("state does not live on the measured space")
-        return np.abs(state.coords) ** 2
+        p = self._by_outcome(np.abs(self._amps(state.coords)) ** 2)
+        if self.has_complement:
+            p = np.concatenate([p, [max(0.0, 1.0 - float(np.sum(p)))]])
+        return p
+
+    def rho_probabilities(self, rho):
+        """``Re tr(rho E_w)`` of a ``d x d`` density matrix in orthonormal
+        coordinates: ``O(d)`` in the coordinate basis, ``O(rows d^2)`` else."""
+        diag = (np.diag(rho) if self.bras is None
+                else np.sum((self.bras @ rho) * self.bras.conj(), axis=1))
+        p = self._by_outcome(diag.real)
+        if self.has_complement:
+            rest = float(np.trace(rho).real) - float(np.sum(p))
+            p = np.concatenate([p, [max(0.0, rest)]])
+        return p
 
     def scores(self, state, lifts):
         # d_i p_w = Re <phi| E_w |l_i>, exact through the projector derivative
-        phi = state.coords
-        return np.stack([(np.conj(phi) * l.coords).real for l in lifts])
-
-    def node_fisher(self, lifts, mask):
-        # limit contribution Re <l_i| E_w |l_j> of outcomes whose
-        # probability vanishes quadratically
-        w = np.stack([l.coords[mask] for l in lifts])
-        return (w.conj() @ w.T).real
-
-
-class ProjectorPovm:
-    """Rank-1 projectors onto an orthonormal family, plus the complement.
-
-    When the family does not span the space, the remainder projector is
-    appended as a final catch-all outcome so the elements resolve the
-    identity.
-    """
-
-    def __init__(self, basis, ortho_tol=RESOLUTION_TOL):
-        if not basis:
-            raise MeasurementDefinitionError("projector POVM needs at least one vector")
-        self.space = basis[0].space
-        u = np.column_stack([b.coords for b in basis])
-        gram = u.conj().T @ u
-        if np.max(np.abs(gram - np.eye(u.shape[1]))) > ortho_tol:
-            raise MeasurementDefinitionError(
-                "projector POVM vectors are not orthonormal"
-            )
-        self._u = u
-        # U^dagger, conjugated once for every later product; the
-        # Fortran-ordered view keeps the matrix-vector kernel, and so the
-        # rounding, of the per-call conjugate it replaces
-        self._uh = u.conj().T
-        self.has_complement = u.shape[1] < self.space.dim
-        self.outcomes = tuple(range(u.shape[1])) + (
-            ("rest",) if self.has_complement else ()
-        )
-
-    @property
-    def n_outcomes(self):
-        return self._u.shape[1] + (1 if self.has_complement else 0)
-
-    def probabilities(self, state):
-        if state.space != self.space:
-            raise SpaceMismatchError("state does not live on the measured space")
-        amps = self._uh @ state.coords
-        p = np.abs(amps) ** 2
-        if self.has_complement:
-            rest = max(0.0, 1.0 - float(np.sum(p)))
-            p = np.concatenate([p, [rest]])
-        return p
-
-    def _lift_amps(self, lifts):
-        """Basis coefficients of the lifts, one row per lift."""
-        # one matrix-vector product per lift: a single matrix-matrix
-        # product rounds differently once there are two or more lifts
-        return np.stack([self._uh @ l.coords for l in lifts])
-
-    def scores(self, state, lifts):
-        phi_amp = self._uh @ state.coords
-        s = (np.conj(phi_amp) * self._lift_amps(lifts)).real
+        phi_amp = self._amps(state.coords)
+        s = self._by_outcome((np.conj(phi_amp) * self._lift_amps(lifts)).real)
         if self.has_complement:
             s = np.concatenate([s, -np.sum(s, axis=1, keepdims=True)], axis=1)
         return s
 
     def node_fisher(self, lifts, mask):
-        l_amp = self._lift_amps(lifts)
-        rank1 = mask[: self._u.shape[1]]
-        w = l_amp[:, rank1]
+        # limit contribution Re <l_i| E_w |l_j> of outcomes whose
+        # probability vanishes quadratically
+        rows = np.repeat(mask[: self.n_outcomes - self.has_complement], self.rank)
+        amps = self._lift_amps(lifts)
+        w = amps[:, rows]
         out = (w.conj() @ w.T).real
         if self.has_complement and mask[-1]:
             full = np.stack([l.coords for l in lifts])
-            gram = (full.conj() @ full.T).real
-            out = out + gram - (l_amp.conj() @ l_amp.T).real
+            out = out + (full.conj() @ full.T).real - (amps.conj() @ amps.T).real
         return out
 
 
-class MatrixPovm:
-    """Explicit PSD elements, stacked as one ``(W, d, d)`` array; validated
-    to resolve the identity."""
-
-    def __init__(self, elements, outcomes=None, space=None):
-        elements = [np.asarray(e, dtype=complex) for e in elements]
-        if not elements:
-            raise MeasurementDefinitionError("empty POVM")
-        d = elements[0].shape[0]
-        for k, e in enumerate(elements):
-            if e.shape != (d, d):
-                raise MeasurementDefinitionError(f"element {k} is not {d}x{d}")
-            if np.max(np.abs(e - e.conj().T)) > PSD_TOL:
-                raise MeasurementDefinitionError(f"element {k} is not Hermitian")
-            if np.min(np.linalg.eigvalsh(0.5 * (e + e.conj().T))) < -PSD_TOL:
-                raise MeasurementDefinitionError(f"element {k} is not PSD")
-        self.elements = np.stack(elements)
-        if np.max(np.abs(self.elements.sum(axis=0) - np.eye(d))) > RESOLUTION_TOL:
-            raise MeasurementDefinitionError("elements do not sum to the identity")
-        self.space = space
-        self.outcomes = tuple(outcomes) if outcomes else tuple(range(len(elements)))
-
-    @property
-    def n_outcomes(self):
-        return len(self.elements)
-
-    def probabilities(self, state):
-        c = state.coords
-        return np.einsum("i,wij,j->w", c.conj(), self.elements, c).real
-
-    def scores(self, state, lifts):
-        c = state.coords
-        frame = np.stack([l.coords for l in lifts])
-        return np.einsum("i,wij,aj->aw", c.conj(), self.elements, frame).real
-
-    def node_fisher(self, lifts, mask):
-        frame = np.stack([l.coords for l in lifts])
-        return np.einsum("ai,wij,bj->ab", frame.conj(), self.elements[mask], frame).real
-
-
 def grid_pvm(space):
-    """Projective measurement of the grid position (or basis label)."""
-    return CellPovm(space)
+    """One rank-1 projector per basis index or quadrature-weighted grid cell."""
+    return Povm(space)
+
+
+CellPovm = grid_pvm
+
+
+def ProjectorPovm(basis, ortho_tol=RESOLUTION_TOL):
+    """Rank-1 projectors onto an orthonormal family; when the family does
+    not span the space, the remainder projector is the last outcome."""
+    if not basis:
+        raise MeasurementDefinitionError("projector POVM needs at least one vector")
+    space = basis[0].space
+    u = np.column_stack([b.coords for b in basis])
+    # U^dagger as a transposed view, not a C-ordered copy: the memory order
+    # picks the matrix-vector kernel, and so the last bits of every result
+    bras = u.conj().T
+    if np.max(np.abs(bras @ u - np.eye(u.shape[1]))) > ortho_tol:
+        raise MeasurementDefinitionError("projector POVM vectors are not orthonormal")
+    return Povm(space, bras, has_complement=u.shape[1] < space.dim)
+
+
+def MatrixPovm(elements, space=None):
+    """Explicit PSD ``d x d`` elements, validated to resolve the identity.
+
+    ``d`` is ``space.dim``, or the first element's size when ``space`` is
+    None.  Each element enters as ``d`` bras ``sqrt(lambda) v^dagger`` from
+    one ``eigh`` of the stack, kept as ``.elements`` (shape ``(W, d, d)``).
+    """
+    elements = [np.asarray(e, dtype=complex) for e in elements]
+    if not elements:
+        raise MeasurementDefinitionError("empty POVM")
+    d = elements[0].shape[0] if space is None else space.dim
+    for k, e in enumerate(elements):
+        if e.shape != (d, d):
+            raise MeasurementDefinitionError(f"element {k} is not {d}x{d}")
+    stack = np.stack(elements)
+    adjoint = stack.conj().transpose(0, 2, 1)
+    vals, vecs = np.linalg.eigh(0.5 * (stack + adjoint))
+    for k in range(len(elements)):
+        if np.max(np.abs(stack[k] - adjoint[k])) > PSD_TOL:
+            raise MeasurementDefinitionError(f"element {k} is not Hermitian")
+        if np.min(vals[k]) < -PSD_TOL:
+            raise MeasurementDefinitionError(f"element {k} is not PSD")
+    if np.max(np.abs(stack.sum(axis=0) - np.eye(d))) > RESOLUTION_TOL:
+        raise MeasurementDefinitionError("elements do not sum to the identity")
+    bras = np.sqrt(np.clip(vals, 0.0, None))[:, :, None] * vecs.conj().transpose(0, 2, 1)
+    povm = Povm(space, bras.reshape(-1, d), rank=d)
+    povm.elements = stack
+    return povm
 
 
 def induced_distribution(povm, state_or_rho):
-    """Outcome probabilities tr(rho E_w), clipped of roundoff negatives."""
+    """Outcome probabilities tr(rho E_w), clipped of roundoff negatives.
+
+    A density matrix is given in the orthonormal coordinates of the
+    measured space.
+    """
     if isinstance(state_or_rho, hilbert.StateVector):
         p = povm.probabilities(state_or_rho)
     else:
-        rho = np.asarray(state_or_rho, dtype=complex)
-        if hasattr(povm, "elements"):
-            p = np.array([float(np.real(np.trace(rho @ e))) for e in povm.elements])
-        elif isinstance(povm, CellPovm):
-            p = np.real(np.diag(rho)).copy()
-        else:
-            u = povm._u
-            p = np.real(np.einsum("ia,ij,ja->a", u.conj(), rho, u)).copy()
-            if povm.has_complement:
-                p = np.concatenate([p, [max(0.0, 1.0 - float(np.sum(p)))]])
+        p = povm.rho_probabilities(np.asarray(state_or_rho, dtype=complex))
     if np.min(p) < -PSD_TOL:
         raise MeasurementDefinitionError(
             f"induced probability {np.min(p):.2e} is negative beyond tolerance"
@@ -331,7 +305,8 @@ def optimal_measurement_quasi_parallel(model, sample_thetas, tol=1e-6):
     to the quantum one at every sampled point, with a single measurement
     that never depends on the parameter.
     """
-    flag, witness = is_quasi_parallel(model, sample_thetas, tol)
+    thetas, _, aligned = sample_states(model, sample_thetas)
+    flag, witness = quasi_parallel_states(thetas, aligned, tol)
     if not flag:
         raise NonRealOverlapError(
             "family is not quasi-parallel on the samples "
@@ -339,8 +314,6 @@ def optimal_measurement_quasi_parallel(model, sample_thetas, tol=1e-6):
             pair=tuple(witness["pair"]),
             imag=witness["value"],
         )
-    states = [model.evaluate(t) for t in sample_thetas]
-    aligned, _ = align_phases(states)
     basis = hilbert.gram_schmidt_real(aligned, tol=1e-8)
     return ProjectorPovm(basis)
 

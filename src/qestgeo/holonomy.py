@@ -225,16 +225,28 @@ def is_quasi_parallel(model, sample_thetas, tol=1e-6, align=True):
     horizontal (``<phi|d phi> = 0``); a non-horizontal lift can carry a
     removable phase twist that only the aligned test forgives.
     """
+    thetas, states, aligned = sample_states(model, sample_thetas, align)
+    return quasi_parallel_states(thetas, aligned if align else states, tol)
+
+
+def sample_states(model, sample_thetas, align=True):
+    """``(thetas, states, aligned)``: the samples as float arrays, the model
+    evaluated once at each, and :func:`align_phases` of those states (None,
+    and no :class:`AnchorError`, when ``align`` is False)."""
     thetas = [np.asarray(t, dtype=float) for t in sample_thetas]
     states = [model.evaluate(t) for t in thetas]
-    aligned = states
-    if align:
-        aligned, _ = align_phases(states)
+    aligned = align_phases(states)[0] if align else None
+    return thetas, states, aligned
+
+
+def quasi_parallel_states(thetas, states, tol=1e-6):
+    """The pair scan of :func:`is_quasi_parallel` on ``states[k]``, the state
+    at the float array ``thetas[k]``, evaluated (and aligned) by the caller."""
     worst = 0.0
     worst_pair = (thetas[0], thetas[0])
-    for a in range(len(aligned)):
-        for b in range(a + 1, len(aligned)):
-            ov = hilbert.inner(aligned[a], aligned[b])
+    for a in range(len(states)):
+        for b in range(a + 1, len(states)):
+            ov = hilbert.inner(states[a], states[b])
             ratio = abs(ov.imag) / max(abs(ov), 1e-3)
             if ratio > worst:
                 worst = ratio

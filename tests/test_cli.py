@@ -363,6 +363,36 @@ class TestDocumentSchema:
             document_validator.validate(doc)
             assert doc["loop"]["closed"] is closed
 
+    def test_report_fisher_and_sample_documents(self, capsys, tmp_path, pm_spec,
+                                                document_validator):
+        bloch = tmp_path / "bloch.json"
+        bloch.write_text(json.dumps({"kind": "catalog", "name": "bloch"}))
+        spin = tmp_path / "spin.json"
+        spin.write_text(json.dumps({
+            "kind": "catalog", "name": "spin_jz",
+            "params": {"amplitudes": [0.5, 0.7071067811865475, 0.5]},
+        }))
+        octahedral = tmp_path / "octahedral.json"
+        octahedral.write_text(json.dumps(octahedral_povm_doc()))
+        runs = [
+            ["report", "--model", pm_spec, "--theta", "0,0;0.3,-0.4", "--weight", "js"],
+            ["report", "--model", str(bloch), "--theta", "0,0;0.7,0.2",
+             "--weight", "diag:1,2"],
+            ["fisher", "--model", pm_spec, "--povm", "grid", "--theta", "0,0;0.2,0.1"],
+            ["fisher", "--model", str(spin), "--povm", "schmidt", "--theta", "0;0.5",
+             "--samples", "0;0.5;1;1.5;2"],
+            ["fisher", "--model", str(bloch), "--povm", str(octahedral),
+             "--theta", "0.7,0.2;1.1,4"],
+            ["sample", "--model", pm_spec, "--povm", "grid", "--theta", "0.1,0.2",
+             "--n", "500", "--seed", "3"],
+            ["sample", "--model", str(bloch), "--povm", str(octahedral),
+             "--theta", "0.7,0.2", "--n", "500", "--seed", "3"],
+        ]
+        for argv in runs:
+            doc = run_to_doc(capsys, argv)
+            document_validator.validate(doc)
+            assert doc["tool"]["command"] == argv[0]
+
 
 class TestRenderDocument:
     """The explicit serializer pins the bytes of every output document."""
@@ -416,3 +446,117 @@ class TestRenderDocument:
             render_document({"a": np.int64(3)})
         with pytest.raises(TypeError):
             render_document({1: "int key"})
+
+
+def octahedral_povm_doc():
+    """POVM file with six elements |v><v| / 3 along the +-x, +-y, +-z axes."""
+    r = 2**-0.5
+    kets = np.asarray([(1, 0), (0, 1), (r, r), (r, -r), (r, 1j * r), (r, -1j * r)],
+                      dtype=complex)
+    return {"kind": "matrices", "elements": [
+        [[[z.real, z.imag] for z in row] for row in np.outer(v, v.conj()) / 3.0]
+        for v in kets]}
+
+
+class TestPovmFileSize:
+    """A POVM file whose elements do not match the model's dimension."""
+
+    @pytest.mark.parametrize("command", [
+        ["fisher", "--theta", "0.3,0.1"],
+        ["sample", "--theta", "0.3,0.1", "--n", "10", "--seed", "1"],
+    ])
+    def test_wrong_size_is_a_spec_error(self, capsys, tmp_path, command):
+        bloch = tmp_path / "bloch.json"
+        bloch.write_text(json.dumps({"kind": "catalog", "name": "bloch"}))
+        povm = tmp_path / "p3.json"
+        povm.write_text(json.dumps({"kind": "matrices", "elements": [
+            [[[1.0 if i == j == k else 0.0, 0.0] for j in range(3)] for i in range(3)]
+            for k in range(3)]}))
+        code = main([command[0], "--model", str(bloch), "--povm", str(povm),
+                     *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == "qestgeo: spec error: invalid POVM: element 0 is not 2x2\n"
+
+
+class TestSampleArguments:
+    @pytest.mark.parametrize("bad, message", [
+        (["--n", "0", "--seed", "1"], "argument --n: must be an integer >= 1, got 0"),
+        (["--n", "-3", "--seed", "1"], "argument --n: must be an integer >= 1, got -3"),
+        (["--n", "5", "--seed", "-1"], "argument --seed: must be an integer >= 0, got -1"),
+    ])
+    def test_out_of_range_counts_are_usage_errors(self, capsys, pm_spec, bad, message):
+        with pytest.raises(SystemExit) as err:
+            main(["sample", "--model", pm_spec, "--povm", "grid", "--theta", "0,0", *bad])
+        assert err.value.code == 64
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("usage: qestgeo sample")
+        assert stderr.endswith(f"qestgeo sample: error: {message}\n")
+
+
+def counting_model(calls):
+    """position_shift n=256 whose evaluate_fn counts its calls."""
+    import dataclasses
+
+    base = qestgeo.catalog("position_shift", {"grid": {"n": 256, "lower": -10, "upper": 10}})
+
+    def ev(theta):
+        calls.append(tuple(theta))
+        return base.evaluate_fn(theta)
+
+    return dataclasses.replace(base, evaluate_fn=ev)
+
+
+class TestEvaluationCounts:
+    SAMPLES = "--samples=-1;-0.5;0;0.5;1"
+
+    def test_check_evaluates_each_sample_once(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_load_model",
+                            lambda path: (counting_model(calls), {"kind": "test"}))
+        doc = run_to_doc(capsys, ["check", "--model", "-", self.SAMPLES])
+        assert doc["quasi_parallel"]["flag"] is True
+        # five samples plus the momentum section's base state
+        assert len(calls) == 6
+        assert len(set(calls[:5])) == 5
+
+    def test_schmidt_construction_evaluates_each_sample_once(self):
+        calls = []
+        samples = cli.parse_theta_list(self.SAMPLES.split("=")[1], 1)
+        povm, echo = cli._make_povm("schmidt", counting_model(calls), samples)
+        assert echo == {"kind": "schmidt", "n_samples": 5}
+        assert povm.n_outcomes == 6  # five basis vectors and the complement
+        assert len(calls) == 5
+
+    def test_check_without_an_anchor_is_a_numerical_error(self, capsys, tmp_path):
+        # far-apart gaussians overlap nowhere: alignment finds no anchor
+        path = tmp_path / "far.json"
+        path.write_text(json.dumps({
+            "kind": "catalog", "name": "position_shift",
+            "params": {"grid": {"n": 512, "lower": -40, "upper": 40},
+                       "domain": [[-20, 20]]},
+        }))
+        assert main(["check", "--model", str(path), "--samples=-15;0;15"]) == 3
+        assert "no sample overlaps every other sample" in capsys.readouterr().err
+
+
+def test_stdout_closed_early_exits_cleanly(tmp_path):
+    model_path = tmp_path / "bloch.json"
+    model_path.write_text(json.dumps({"kind": "catalog", "name": "bloch"}))
+    # about 300 kB of output, well past a pipe's buffer
+    thetas = ";".join(f"{0.3 + 0.001 * k},{0.01 * k}" for k in range(400))
+    src = str(Path(qestgeo.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = src
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qestgeo.cli", "report", "--model", str(model_path),
+         "--theta", thetas],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.read(10) == b'{\n  "tool"'
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert stderr == b""

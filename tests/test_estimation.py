@@ -10,6 +10,7 @@ from qestgeo.errors import (
     MeasurementDefinitionError,
     NonRealOverlapError,
     SingularSupportError,
+    SpaceMismatchError,
 )
 from qestgeo.estimation import (
     CellPovm,
@@ -428,3 +429,80 @@ class TestStackedPovms:
         assert np.array_equal(povm.scores(lift.phi, lift.lifts), want)
         p = np.abs(phi_amp) ** 2
         assert np.array_equal(povm.probabilities(lift.phi)[:-1], p)
+
+
+def random_density_matrix(dim, rank, rng):
+    a = rng.normal(size=(dim, rank)) + 1j * rng.normal(size=(dim, rank))
+    rho = a @ a.conj().T
+    return rho / np.trace(rho).real
+
+
+class TestAgainstElements:
+    """Povm results equal their formulas in the explicit elements E_w."""
+
+    def test_projector_povm_with_complement(self):
+        rng = np.random.default_rng(21)
+        space = hilbert.GridSpace(40, -3.0, 3.0)
+        basis = hilbert.gram_schmidt_real(
+            [StateVector(space, rng.normal(size=space.dim)) for _ in range(4)])
+        povm = est.ProjectorPovm(basis)
+        assert povm.n_outcomes == 5
+        u = np.column_stack([b.coords for b in basis])
+        elements = [np.outer(u[:, k], u[:, k].conj()) for k in range(4)]
+        elements.append(np.eye(space.dim) - sum(elements))
+        rho = random_density_matrix(space.dim, 3, rng)
+        want = [np.trace(rho @ e).real for e in elements]
+        np.testing.assert_allclose(induced_distribution(povm, rho), want,
+                                   rtol=0, atol=1e-14)
+
+    def test_projector_node_term_includes_the_complement(self):
+        rng = np.random.default_rng(23)
+        space = BasisSpace(6)
+        basis = hilbert.gram_schmidt_real(
+            [StateVector(space, rng.normal(size=6)) for _ in range(3)])
+        povm = est.ProjectorPovm(basis)
+        u = np.column_stack([b.coords for b in basis])
+        elements = [np.outer(u[:, k], u[:, k].conj()) for k in range(3)]
+        elements.append(np.eye(6) - sum(elements))
+        lifts = [StateVector(space, rng.normal(size=6) + 1j * rng.normal(size=6))
+                 for _ in range(2)]
+        for mask in ([True, False, True, False], [False, True, False, True]):
+            want = [[sum(np.vdot(a.coords, e @ b.coords).real
+                         for e, keep in zip(elements, mask) if keep)
+                     for b in lifts] for a in lifts]
+            np.testing.assert_allclose(povm.node_fisher(lifts, np.array(mask)), want,
+                                       rtol=0, atol=1e-14)
+
+    def test_matrix_povm_with_rank_two_elements(self):
+        rng = np.random.default_rng(22)
+        d = 4
+        q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        top = q[:, :2] @ q[:, :2].conj().T
+        elements = [0.7 * top, 0.3 * top + (np.eye(d) - top)]
+        povm = MatrixPovm(elements, space=BasisSpace(d))
+        assert povm.n_outcomes == 2
+        rho = random_density_matrix(d, 2, rng)
+        want = [np.trace(rho @ e).real for e in elements]
+        np.testing.assert_allclose(induced_distribution(povm, rho), want,
+                                   rtol=0, atol=1e-14)
+        # a pure rho and its state vector give the same distribution
+        state = StateVector(BasisSpace(d), q[:, 0] + 0.5 * q[:, 3], normalize=True)
+        np.testing.assert_allclose(induced_distribution(povm, hilbert.projector(state)),
+                                   induced_distribution(povm, state), rtol=0, atol=1e-14)
+
+    def test_matrix_povm_rejects_elements_of_the_wrong_size(self):
+        with pytest.raises(MeasurementDefinitionError, match="element 0 is not 2x2"):
+            MatrixPovm([np.eye(3) / 2, np.eye(3) / 2], space=BasisSpace(2))
+
+    def test_matrix_povm_without_space_measures_states_of_its_size(self):
+        bloch = qg.catalog("bloch")
+        theta = np.array([0.7, 0.4])
+        bare = MatrixPovm(octahedral_elements())
+        placed = MatrixPovm(octahedral_elements(), space=bloch.space)
+        np.testing.assert_array_equal(induced_distribution(bare, bloch.evaluate(theta)),
+                                      induced_distribution(placed, bloch.evaluate(theta)))
+        np.testing.assert_array_equal(
+            classical_fisher(measurement_family(bloch, bare), theta),
+            classical_fisher(measurement_family(bloch, placed), theta))
+        with pytest.raises(SpaceMismatchError):
+            induced_distribution(bare, StateVector(BasisSpace(3), [1.0, 0.0, 0.0]))
