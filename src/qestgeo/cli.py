@@ -74,12 +74,8 @@ _NUMERICAL_ERRORS = (
     UndefinedPhaseError,
 )
 
-TOLERANCES = {
-    "rank": geometry.RANK_TOL,
-    "quasi_classical": geometry.QUASI_CLASSICAL_TOL,
-    "quasi_parallel": 1e-6,
-    "beta_bound": geometry.BETA_BOUND_TOL,
-}
+CONJUGATION_RESIDUAL_TOL = 1e-6
+TABLE_TOL = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -156,6 +152,15 @@ def _require(mapping, key, path):
     return mapping[key]
 
 
+def _floats(value, path):
+    """``value`` as a float array; a spec error names ``path`` when it is
+    not numeric."""
+    try:
+        return np.asarray(value, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise SpecFormatError(f"not numeric: {value!r}", path=path) from exc
+
+
 def default_grid_points():
     raw = os.environ.get("QESTGEO_GRID_N", "512")
     try:
@@ -186,8 +191,13 @@ def _parse_catalog_spec(doc):
             f"unknown catalog model {name!r}; known: {sorted(model.CATALOG)}",
             path="name",
         )
-    params = dict(doc.get("params", {}))
-    if "grid" in params and isinstance(params["grid"], dict):
+    params = doc.get("params", {})
+    if not isinstance(params, dict):
+        raise SpecFormatError("must be an object", path="params")
+    params = dict(params)
+    if "grid" in params:
+        if not isinstance(params["grid"], dict):
+            raise SpecFormatError("must be an object", path="params.grid")
         grid = dict(params["grid"])
         grid.setdefault("n", default_grid_points())
         params["grid"] = grid
@@ -195,11 +205,14 @@ def _parse_catalog_spec(doc):
         built = model.catalog(name, params)
     except (ValueError, KeyError, TypeError) as exc:
         raise SpecFormatError(f"invalid params for {name}: {exc}", path="params") from exc
-    if "fd_step" in doc:
-        built = dataclasses.replace(built, fd_step=float(doc["fd_step"]))
     echo = {"kind": "catalog", "name": name, "params": _jsonable(params)}
     if "fd_step" in doc:
-        echo["fd_step"] = float(doc["fd_step"])
+        step = _floats(doc["fd_step"], "fd_step")
+        if step.shape or not 0.0 < step < np.inf:
+            raise SpecFormatError(f"must be a positive number, got {doc['fd_step']!r}",
+                                  path="fd_step")
+        built = dataclasses.replace(built, fd_step=float(step))
+        echo["fd_step"] = float(step)
     return built, echo
 
 
@@ -207,31 +220,36 @@ def _parse_space_spec(spec, path):
     if not isinstance(spec, dict):
         raise SpecFormatError("space must be an object", path=path)
     stype = _require(spec, "type", path)
-    if stype == "grid":
-        return GridSpace(
-            int(_require(spec, "n", path)),
-            float(_require(spec, "lower", path)),
-            float(_require(spec, "upper", path)),
-            periodic=bool(spec.get("periodic", False)),
-        )
-    if stype == "basis":
-        return BasisSpace(int(_require(spec, "dimension", path)),
-                          labels=spec.get("labels"))
+    try:
+        if stype == "grid":
+            return GridSpace(
+                int(_require(spec, "n", path)),
+                float(_require(spec, "lower", path)),
+                float(_require(spec, "upper", path)),
+                periodic=bool(spec.get("periodic", False)),
+            )
+        if stype == "basis":
+            return BasisSpace(int(_require(spec, "dimension", path)),
+                              labels=spec.get("labels"))
+    except (TypeError, ValueError) as exc:
+        raise SpecFormatError(f"invalid space: {exc}", path=path) from exc
     raise SpecFormatError(f"unknown space type {stype!r}", path=f"{path}.type")
 
 
 def _parse_tabulated_spec(doc):
     space = _parse_space_spec(_require(doc, "space", ""), "space")
-    thetas = np.asarray(_require(doc, "thetas", ""), dtype=float)
+    thetas = _floats(_require(doc, "thetas", ""), "thetas")
     if thetas.ndim != 1 or thetas.size < 2:
         raise SpecFormatError("thetas must be a flat list of at least two values",
                               path="thetas")
     steps = np.diff(thetas)
-    if np.max(np.abs(steps - steps[0])) > 1e-9 * max(1.0, abs(steps[0])):
+    if np.max(np.abs(steps - steps[0])) > TABLE_TOL * max(1.0, abs(steps[0])):
         raise SpecFormatError("theta grid must be uniform", path="thetas")
     if steps[0] <= 0:
         raise SpecFormatError("thetas must be strictly increasing", path="thetas")
     rows = _require(doc, "amplitudes", "")
+    if not isinstance(rows, list):
+        raise SpecFormatError("must be a list of rows", path="amplitudes")
     if len(rows) != thetas.size:
         raise SpecFormatError(
             f"got {len(rows)} amplitude rows for {thetas.size} thetas",
@@ -239,7 +257,7 @@ def _parse_tabulated_spec(doc):
         )
     table = []
     for r, row in enumerate(rows):
-        arr = np.asarray(row, dtype=float)
+        arr = _floats(row, f"amplitudes[{r}]")
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] != space.dim:
             raise SpecFormatError(
                 f"row {r} must be {space.dim} [re, im] pairs",
@@ -270,7 +288,7 @@ def _tabulated_model(space, thetas, table):
 
     def row_index(theta):
         k = int(round((theta[0] - thetas[0]) / step))
-        if not 0 <= k < len(table) or abs(thetas[k] - theta[0]) > 1e-9 * max(1.0, step):
+        if not 0 <= k < len(table) or abs(thetas[k] - theta[0]) > TABLE_TOL * max(1.0, step):
             raise DomainError(
                 f"tabulated model is defined only at the table points; got {theta[0]}"
             )
@@ -288,7 +306,7 @@ def _tabulated_model(space, thetas, table):
     interior = tuple((float(t),) for t in thetas[1:-1])
     return PureStateModel(
         space=space, m=1, domain=((float(thetas[0]), float(thetas[-1])),),
-        evaluate_fn=ev, tangent_fn=tangent_fn, kind="tabulated", params={},
+        evaluate_fn=ev, tangent_fn=tangent_fn, kind="tabulated",
         sample_grid=interior if interior else tuple((float(t),) for t in thetas),
     )
 
@@ -357,7 +375,10 @@ def _parse_weight(text, m):
     if text == "js":
         return {"kind": "js"}
     if text.startswith("diag:"):
-        values = [float(v) for v in text[len("diag:"):].split(",") if v.strip()]
+        try:
+            values = [float(v) for v in text[len("diag:"):].split(",") if v.strip()]
+        except ValueError as exc:
+            raise SpecFormatError(f"non-numeric diag weight in {text!r}") from exc
         if len(values) != m:
             raise SpecFormatError(
                 f"diag weight has {len(values)} entries, model expects {m}"
@@ -407,7 +428,12 @@ def _cmd_report(args):
         "tool": _tool_header("report"),
         "model": echo,
         "weight": weight,
-        "tolerances": dict(TOLERANCES),
+        "tolerances": {
+            "rank": geometry.RANK_TOL,
+            "quasi_classical": geometry.QUASI_CLASSICAL_TOL,
+            "quasi_parallel": holonomy.QUASI_PARALLEL_TOL,
+            "beta_bound": geometry.BETA_BOUND_TOL,
+        },
         "entries": entries,
         "summary": {
             "all_quasi_classical": all(e["quasi_classical"] for e in entries),
@@ -423,14 +449,23 @@ def _cmd_holonomy(args):
     if not isinstance(loop_doc, dict) or "thetas" not in loop_doc:
         raise SpecFormatError("loop document must contain a thetas list")
     raw = loop_doc["thetas"]
-    points = [np.atleast_1d(np.asarray(p, dtype=float)) for p in raw]
+    if not isinstance(raw, list) or len(raw) < 2:
+        raise SpecFormatError("must be a list of at least two points", path="thetas")
+    try:
+        # no per-point error path: loops run to thousands of points
+        points = [np.atleast_1d(np.asarray(p, dtype=float)) for p in raw]
+    except (TypeError, ValueError) as exc:
+        raise SpecFormatError(f"not numeric: {exc}", path="thetas") from exc
     for k, p in enumerate(points):
         if len(p) != built.m:
             raise SpecFormatError(
                 f"loop point {k} has {len(p)} components, model expects {built.m}",
                 path=f"thetas[{k}]",
             )
-    closed = bool(loop_doc.get("closed", False)) or args.closed
+    closed = loop_doc.get("closed", False)
+    if not isinstance(closed, bool):
+        raise SpecFormatError(f"must be true or false, got {closed!r}", path="closed")
+    closed = closed or args.closed
     curve = Curve(built, tuple(points), closed=closed)
     result = (holonomy.berry_phase_loop(curve) if closed
               else holonomy.berry_phase_open(curve))
@@ -461,17 +496,16 @@ def _cmd_check(args):
     built, echo = _load_model(args.model)
     samples = parse_theta_list(args.samples, built.m)
     thetas, states, aligned = holonomy.sample_states(built, samples)
-    tol = TOLERANCES["quasi_parallel"]
-    qp_flag, witness = holonomy.quasi_parallel_states(thetas, aligned, tol)
-    raw_flag, _ = holonomy.quasi_parallel_states(thetas, states, tol)
+    qp_flag, witness = holonomy.quasi_parallel_states(thetas, aligned)
+    raw_flag, _ = holonomy.quasi_parallel_states(thetas, states)
     anti = {"constructed": False, "invariant": None, "max_residual": None,
             "reason": None}
     try:
-        basis = hilbert.gram_schmidt_real(aligned, tol=1e-8)
+        basis = hilbert.gram_schmidt_real(aligned)
         residual = float(np.max(hilbert.conjugation_residuals(basis, aligned)))
         anti = {
             "constructed": True,
-            "invariant": bool(residual < 1e-6),
+            "invariant": bool(residual < CONJUGATION_RESIDUAL_TOL),
             "max_residual": residual,
             "reason": None,
         }
@@ -495,7 +529,7 @@ def _cmd_check(args):
             "flag": qp_flag,
             "raw_flag": raw_flag,
             "witness": witness,
-            "tolerance": TOLERANCES["quasi_parallel"],
+            "tolerance": holonomy.QUASI_PARALLEL_TOL,
         },
         "antiunitary": anti,
         "momentum_symmetry": momentum,
@@ -512,9 +546,12 @@ def _make_povm(spec, built, samples):
     doc = _load_json(spec)
     if not isinstance(doc, dict) or doc.get("kind") != "matrices":
         raise SpecFormatError("POVM file must be {\"kind\": \"matrices\", ...}")
+    raw = doc.get("elements", [])
+    if not isinstance(raw, list):
+        raise SpecFormatError("must be a list of matrices", path="elements")
     elements = []
-    for k, element in enumerate(doc.get("elements", [])):
-        arr = np.asarray(element, dtype=float)
+    for k, element in enumerate(raw):
+        arr = _floats(element, f"elements[{k}]")
         if arr.ndim != 3 or arr.shape[2] != 2 or arr.shape[0] != arr.shape[1]:
             raise SpecFormatError(
                 f"element {k} must be a square matrix of [re, im] pairs",

@@ -28,6 +28,7 @@ RESOLUTION_TOL = 1e-8
 PROB_CLIP = 1e-12
 SUPPORT_MASS_TOL = 1e-10
 SUPPORT_SCORE_TOL = 1e-8
+SCORE_FD_STEP = 1e-6
 
 
 class Povm:
@@ -112,7 +113,7 @@ def grid_pvm(space):
 CellPovm = grid_pvm
 
 
-def ProjectorPovm(basis, ortho_tol=RESOLUTION_TOL):
+def ProjectorPovm(basis):
     """Rank-1 projectors onto an orthonormal family; when the family does
     not span the space, the remainder projector is the last outcome."""
     if not basis:
@@ -122,7 +123,7 @@ def ProjectorPovm(basis, ortho_tol=RESOLUTION_TOL):
     # U^dagger as a transposed view, not a C-ordered copy: the memory order
     # picks the matrix-vector kernel, and so the last bits of every result
     bras = u.conj().T
-    if np.max(np.abs(bras @ u - np.eye(u.shape[1]))) > ortho_tol:
+    if np.max(np.abs(bras @ u - np.eye(u.shape[1]))) > RESOLUTION_TOL:
         raise MeasurementDefinitionError("projector POVM vectors are not orthonormal")
     return Povm(space, bras, has_complement=u.shape[1] < space.dim)
 
@@ -197,14 +198,14 @@ class ClassicalFamily:
     node_fisher: object = None
 
     @staticmethod
-    def from_probability_fn(p_fn, m, fd_step=1e-6):
+    def from_probability_fn(p_fn, m):
         """Wrap a plain probability function; scores by central differences."""
 
         def scores(theta):
             theta = np.atleast_1d(np.asarray(theta, dtype=float))
             rows = []
             for i in range(m):
-                h = fd_step * max(1.0, abs(theta[i]))
+                h = SCORE_FD_STEP * max(1.0, abs(theta[i]))
                 up = theta.copy()
                 dn = theta.copy()
                 up[i] += h
@@ -296,7 +297,7 @@ def _fisher(p, s, node_fisher):
     return 0.5 * (j + j.T)
 
 
-def optimal_measurement_quasi_parallel(model, sample_thetas, tol=1e-6):
+def optimal_measurement_quasi_parallel(model, sample_thetas):
     """Fixed projective measurement attaining the quantum Fisher matrix.
 
     Requires the family to pass :func:`is_quasi_parallel` on the samples.
@@ -306,7 +307,7 @@ def optimal_measurement_quasi_parallel(model, sample_thetas, tol=1e-6):
     that never depends on the parameter.
     """
     thetas, _, aligned = sample_states(model, sample_thetas)
-    flag, witness = quasi_parallel_states(thetas, aligned, tol)
+    flag, witness = quasi_parallel_states(thetas, aligned)
     if not flag:
         raise NonRealOverlapError(
             "family is not quasi-parallel on the samples "
@@ -314,7 +315,7 @@ def optimal_measurement_quasi_parallel(model, sample_thetas, tol=1e-6):
             pair=tuple(witness["pair"]),
             imag=witness["value"],
         )
-    basis = hilbert.gram_schmidt_real(aligned, tol=1e-8)
+    basis = hilbert.gram_schmidt_real(aligned)
     return ProjectorPovm(basis)
 
 

@@ -24,13 +24,14 @@ RANK_TOL = 1e-10
 METRIC_SCALE_FLOOR = 1e-12
 BETA_BOUND_TOL = 1e-6
 QUASI_CLASSICAL_TOL = 1e-8
+WEIGHT_TOL = 1e-12
 
 
-def _is_singular(eigvals, rank_tol=RANK_TOL):
+def _is_singular(eigvals):
     # relative rank test, with an absolute floor so the all-zero metric
     # (pure-gauge directions) is caught as well
     largest = float(eigvals[-1])
-    return largest <= METRIC_SCALE_FLOOR or eigvals[0] <= rank_tol * largest
+    return largest <= METRIC_SCALE_FLOOR or eigvals[0] <= RANK_TOL * largest
 
 
 @dataclass(frozen=True)
@@ -43,9 +44,9 @@ class WeightMatrix:
         g = np.array(self.matrix, dtype=float, copy=True)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("weight must be a square matrix")
-        if np.max(np.abs(g - g.T)) > 1e-12:
-            raise ValueError("weight must be symmetric within 1e-12")
-        if np.min(np.linalg.eigvalsh(g)) < -1e-12:
+        if np.max(np.abs(g - g.T)) > WEIGHT_TOL:
+            raise ValueError(f"weight must be symmetric within {WEIGHT_TOL:.0e}")
+        if np.min(np.linalg.eigvalsh(g)) < -WEIGHT_TOL:
             raise ValueError("weight must be positive semidefinite")
         g.setflags(write=False)
         object.__setattr__(self, "matrix", g)
@@ -77,7 +78,7 @@ def berry_curvature(lift):
     return _metric_and_curvature(_gram(lift))[1]
 
 
-def _beta_spectrum(j_s, j_tilde, rank_tol=RANK_TOL):
+def _beta_spectrum(j_s, j_tilde):
     """Singular values of the metric-whitened curvature, one per pair.
 
     One ``eigh`` of J_S serves both the rank test and J_S^{-1/2}, and one
@@ -86,8 +87,8 @@ def _beta_spectrum(j_s, j_tilde, rank_tol=RANK_TOL):
     singular.
     """
     eigvals, eigvecs = np.linalg.eigh(j_s)
-    if _is_singular(eigvals, rank_tol):
-        null = eigvals <= max(rank_tol * eigvals[-1], METRIC_SCALE_FLOOR)
+    if _is_singular(eigvals):
+        null = eigvals <= max(RANK_TOL * eigvals[-1], METRIC_SCALE_FLOOR)
         raise RankDeficiencyError(
             f"metric is singular: eigenvalues {eigvals.tolist()}",
             null_directions=eigvecs[:, null],
@@ -98,10 +99,10 @@ def _beta_spectrum(j_s, j_tilde, rank_tol=RANK_TOL):
     svals = np.linalg.svd(k, compute_uv=False)
     # antisymmetric real: singular values pair up as (b, b); keep one of each
     betas = svals[0::2]
-    return [float(b) for b in betas if b > rank_tol * max(1.0, svals[0] if len(svals) else 1.0)]
+    return [float(b) for b in betas if b > RANK_TOL * max(1.0, svals[0] if len(svals) else 1.0)]
 
 
-def d_transform(j_s, j_tilde, rank_tol=RANK_TOL):
+def d_transform(j_s, j_tilde):
     """Metric-adjoint of the curvature: D = J_S^{-1} J_tilde.
 
     Returns ``(D, betas)`` with betas the nonzero pair magnitudes of the
@@ -109,11 +110,11 @@ def d_transform(j_s, j_tilde, rank_tol=RANK_TOL):
     from the symmetrized J_S^{-1/2} J_tilde J_S^{-1/2}, which is exactly
     antisymmetric in the metric frame, so the pairing is numerically
     guaranteed.  Raises :class:`RankDeficiencyError` when the metric is
-    singular at relative tolerance ``rank_tol``.
+    singular at relative tolerance ``RANK_TOL``.
     """
     j_s = np.asarray(j_s, dtype=float)
     j_tilde = np.asarray(j_tilde, dtype=float)
-    betas = _beta_spectrum(j_s, j_tilde, rank_tol)
+    betas = _beta_spectrum(j_s, j_tilde)
     d = np.linalg.solve(j_s, j_tilde)
     return d, betas
 
@@ -152,11 +153,11 @@ def _weighted_trace(weight, j_s):
     return float(np.trace(np.linalg.solve(j_s, g)))
 
 
-def sld_bound(weight, j_s, rank_tol=RANK_TOL):
+def sld_bound(weight, j_s):
     """Lower bound Tr G J_S^{-1} on the weighted estimation error."""
     j_s = np.asarray(j_s, dtype=float)
     eigvals = np.linalg.eigvalsh(j_s)
-    if _is_singular(eigvals, rank_tol):
+    if _is_singular(eigvals):
         raise RankDeficiencyError(
             f"metric is singular: eigenvalues {eigvals.tolist()}"
         )
@@ -176,7 +177,7 @@ def _cr_from_betas(m, betas):
     return float(paired + unpaired)
 
 
-def attainable_cr_js(j_s, j_tilde, rank_tol=RANK_TOL):
+def attainable_cr_js(j_s, j_tilde):
     """Attainable error bound at weight G = J_S.
 
     Each curvature pair beta_j contributes 4 / (1 + sqrt(1 - beta_j^2));
@@ -185,17 +186,15 @@ def attainable_cr_js(j_s, j_tilde, rank_tol=RANK_TOL):
     equality exactly when the curvature vanishes.
     """
     j_s = np.asarray(j_s, dtype=float)
-    betas = _beta_spectrum(j_s, np.asarray(j_tilde, dtype=float), rank_tol)
+    betas = _beta_spectrum(j_s, np.asarray(j_tilde, dtype=float))
     return _cr_from_betas(j_s.shape[0], betas)
 
 
-def is_quasi_classical(j_tilde, j_s=None, tol=QUASI_CLASSICAL_TOL):
+def is_quasi_classical(j_tilde, j_s):
     """True when the curvature vanishes relative to the metric scale."""
     j_tilde = np.asarray(j_tilde, dtype=float)
-    scale = 1.0
-    if j_s is not None:
-        scale = max(1.0, float(np.max(np.abs(j_s))))
-    return bool(np.max(np.abs(j_tilde)) < tol * scale)
+    scale = max(1.0, float(np.max(np.abs(j_s))))
+    return bool(np.max(np.abs(j_tilde)) < QUASI_CLASSICAL_TOL * scale)
 
 
 @dataclass(frozen=True)
@@ -224,7 +223,7 @@ class GeometryReport:
         return _weighted_trace(weight, self.sld_fisher)
 
 
-def analyze(model, theta, rank_tol=RANK_TOL, qc_tol=QUASI_CLASSICAL_TOL):
+def analyze(model, theta):
     """Geometry report of ``model`` at ``theta``.
 
     Rank deficiency of the metric is reported as a flag here; only the
@@ -237,7 +236,7 @@ def analyze(model, theta, rank_tol=RANK_TOL, qc_tol=QUASI_CLASSICAL_TOL):
     # spectral pass with the bound and reports a singular metric by raising
     # right after the eigh
     try:
-        d_matrix, beta_list = d_transform(j_s, j_t, rank_tol)
+        d_matrix, beta_list = d_transform(j_s, j_t)
     except RankDeficiencyError:
         d_matrix, betas, cr, deficient = None, (), None, True
     else:
@@ -251,6 +250,6 @@ def analyze(model, theta, rank_tol=RANK_TOL, qc_tol=QUASI_CLASSICAL_TOL):
         d_matrix=d_matrix,
         betas=betas,
         cr_js=cr,
-        quasi_classical=is_quasi_classical(j_t, j_s, qc_tol),
+        quasi_classical=is_quasi_classical(j_t, j_s),
         rank_deficient=deficient,
     )

@@ -25,6 +25,9 @@ from .errors import (
     UnsupportedSpaceError,
 )
 
+NORM_TOL = 1e-8
+GRAM_SCHMIDT_TOL = 1e-8
+
 
 @dataclass(frozen=True)
 class BasisSpace:
@@ -142,25 +145,25 @@ def inner(u, v):
     return complex(u.space.weight * np.vdot(u.amplitudes, v.amplitudes))
 
 
-def assert_normalized(state, tol=1e-8):
+def assert_normalized(state):
     drift = abs(state.norm() - 1.0)
-    if drift >= tol:
-        raise ValueError(f"state norm drifts from 1 by {drift:.3e} (tol {tol:.1e})")
+    if drift >= NORM_TOL:
+        raise ValueError(f"state norm drifts from 1 by {drift:.3e} (tol {NORM_TOL:.1e})")
 
 
-def gram_schmidt_real(vectors, tol=1e-8):
+def gram_schmidt_real(vectors):
     """Orthonormalize vectors whose pairwise overlaps are real.
 
     Returns an orthonormal list spanning the same subspace over the
     reals, so every input has real coefficients in the output basis.
-    Inputs that are linearly dependent on their predecessors (residual
-    below ``tol`` times the largest input norm) are skipped silently.
+    Inputs linearly dependent on their predecessors (residual below
+    ``GRAM_SCHMIDT_TOL`` times the largest input norm) are skipped silently.
 
     Raises
     ------
     NonRealOverlapError
-        If some pairwise overlap has ``|Im| >= tol``; the exception
-        carries the offending index pair.  Reality of the *input*
+        If some pairwise overlap has ``|Im| >= GRAM_SCHMIDT_TOL``; the
+        exception carries the offending index pair.  Reality of the *input*
         overlaps is the hypothesis under which real coefficients are
         guaranteed, so it is what gets checked.
     """
@@ -174,7 +177,7 @@ def gram_schmidt_real(vectors, tol=1e-8):
     for a in range(len(vecs)):
         for b in range(a + 1, len(vecs)):
             ov = inner(vecs[a], vecs[b])
-            if abs(ov.imag) >= tol:
+            if abs(ov.imag) >= GRAM_SCHMIDT_TOL:
                 raise NonRealOverlapError(
                     f"overlap of inputs {a} and {b} has Im = {ov.imag:.3e}",
                     pair=(a, b),
@@ -189,7 +192,7 @@ def gram_schmidt_real(vectors, tol=1e-8):
             for b in basis:
                 resid -= inner(b, StateVector(space, resid)) * b.amplitudes
         rnorm = StateVector(space, resid).norm()
-        if rnorm < tol * skip_scale:
+        if rnorm < GRAM_SCHMIDT_TOL * skip_scale:
             continue
         basis.append(StateVector(space, resid / rnorm))
     return basis

@@ -25,6 +25,7 @@ from .model import Curve
 MIN_OVERLAP = 1e-6
 MAX_REFINE_LEVELS = 3
 RAY_CLOSURE_TOL = 1e-8
+QUASI_PARALLEL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -190,17 +191,17 @@ def curvature_check(model, theta, i, j, eps, n_sub=8):
     return float(measured), float(predicted)
 
 
-def align_phases(states, threshold=MIN_OVERLAP):
+def align_phases(states):
     """Rotate each state so its overlap with a common anchor is real.
 
     Tries each state as the anchor until one overlaps every other state
-    above ``threshold``; raises :class:`AnchorError` when none does.
+    above ``MIN_OVERLAP``; raises :class:`AnchorError` when none does.
     Returns ``(aligned_states, anchor_index)``.
     """
     n = len(states)
     for anchor in range(n):
         ovs = [hilbert.inner(states[anchor], s) for s in states]
-        if all(abs(ov) > threshold for ov in ovs):
+        if all(abs(ov) > MIN_OVERLAP for ov in ovs):
             aligned = [
                 s.with_amplitudes(np.exp(-1j * np.angle(ov)) * s.amplitudes)
                 for s, ov in zip(states, ovs)
@@ -211,14 +212,14 @@ def align_phases(states, threshold=MIN_OVERLAP):
     )
 
 
-def is_quasi_parallel(model, sample_thetas, tol=1e-6, align=True):
+def is_quasi_parallel(model, sample_thetas, align=True):
     """Test whether the family admits a joint phase gauge with real overlaps.
 
     Evaluates the model on the samples, aligns phases against an anchor,
-    and scans all pairs for residual imaginary overlap relative to the
-    overlap magnitude (floored at 1e-3 so near-orthogonal pairs do not
-    inflate the ratio).  Returns ``(flag, witness)`` where the witness
-    holds the maximizing pair and its value.
+    and compares the largest imaginary overlap relative to the overlap
+    magnitude (floored at 1e-3 so near-orthogonal pairs do not inflate
+    it) with ``QUASI_PARALLEL_TOL``.  Returns ``(flag, witness)`` where
+    the witness holds the maximizing pair and its value.
 
     ``align=False`` skips the gauge fix and tests the family exactly as
     evaluated.  The two agree whenever the evaluated family is itself
@@ -226,7 +227,7 @@ def is_quasi_parallel(model, sample_thetas, tol=1e-6, align=True):
     removable phase twist that only the aligned test forgives.
     """
     thetas, states, aligned = sample_states(model, sample_thetas, align)
-    return quasi_parallel_states(thetas, aligned if align else states, tol)
+    return quasi_parallel_states(thetas, aligned if align else states)
 
 
 def sample_states(model, sample_thetas, align=True):
@@ -239,7 +240,7 @@ def sample_states(model, sample_thetas, align=True):
     return thetas, states, aligned
 
 
-def quasi_parallel_states(thetas, states, tol=1e-6):
+def quasi_parallel_states(thetas, states):
     """The pair scan of :func:`is_quasi_parallel` on ``states[k]``, the state
     at the float array ``thetas[k]``, evaluated (and aligned) by the caller."""
     worst = 0.0
@@ -255,4 +256,4 @@ def quasi_parallel_states(thetas, states, tol=1e-6):
         "pair": (worst_pair[0].tolist(), worst_pair[1].tolist()),
         "value": float(worst),
     }
-    return bool(worst < tol), witness
+    return bool(worst < QUASI_PARALLEL_TOL), witness

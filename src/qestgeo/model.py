@@ -15,7 +15,7 @@ ring threaded by flux, and the full spin-1/2 ray family).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -61,11 +61,7 @@ class PureStateModel:
     tangent_fn: object = None
     fd_step: float = DEFAULT_FD_STEP
     kind: str = "custom"
-    params: dict = field(default_factory=dict)
     sample_grid: tuple = ()
-
-    def contains(self, theta):
-        return self._inside(_as_theta(theta, self.m))
 
     def _inside(self, theta):
         return all(lo <= t <= hi for t, (lo, hi) in zip(theta.tolist(), self.domain))
@@ -139,9 +135,6 @@ class Curve:
         if len(pts) < 2:
             raise ValueError("a curve needs at least two points")
 
-    def states(self):
-        return [self.model.evaluate(p) for p in self.points]
-
 
 def _as_theta(theta, m):
     arr = np.asarray(theta, dtype=float)
@@ -182,7 +175,6 @@ def rephased(model, alpha, grad_alpha=None):
         tangent_fn=tangent_fn,
         fd_step=model.fd_step,
         kind=f"rephased:{model.kind}",
-        params=dict(model.params),
         sample_grid=model.sample_grid,
     )
 
@@ -358,7 +350,7 @@ def _position_shift(params):
 
     return PureStateModel(
         space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        kind="position_shift", params={"profile": profile.name},
+        kind="position_shift",
         sample_grid=tuple((t,) for t in np.linspace(-1.0, 1.0, 5)),
     )
 
@@ -379,7 +371,7 @@ def _momentum_shift(params):
 
     return PureStateModel(
         space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        kind="momentum_shift", params={"profile": profile.name},
+        kind="momentum_shift",
         sample_grid=tuple((t,) for t in np.linspace(-1.0, 1.0, 5)),
     )
 
@@ -406,7 +398,7 @@ def _position_momentum_shift(params):
     diag = np.linspace(-1.0, 1.0, 5)
     return PureStateModel(
         space=space, m=2, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        kind="position_momentum_shift", params={"profile": profile.name},
+        kind="position_momentum_shift",
         sample_grid=tuple((t, t) for t in diag),
     )
 
@@ -415,7 +407,10 @@ def _spin_jz(params):
     amp = np.asarray(params["amplitudes"], dtype=complex)
     if amp.ndim != 1 or amp.size < 2:
         raise ValueError("amplitudes must be a 1-d sequence of length >= 2")
-    amp = amp / np.linalg.norm(amp)
+    nrm = np.linalg.norm(amp)
+    if nrm == 0.0:
+        raise ValueError("amplitudes must not all be zero")
+    amp = amp / nrm
     d = amp.size
     total_spin = (d - 1) / 2.0
     m_values = np.arange(d) - total_spin
@@ -430,7 +425,6 @@ def _spin_jz(params):
     return PureStateModel(
         space=space, m=1, domain=((-np.inf, np.inf),), evaluate_fn=ev,
         tangent_fn=tangent_fn, kind="spin_jz",
-        params={"S": total_spin},
         sample_grid=tuple((t,) for t in np.linspace(0.0, 2.0, 5)),
     )
 
@@ -454,7 +448,7 @@ def _two_well(params):
 
     return PureStateModel(
         space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        kind="two_well", params={"alpha": alpha},
+        kind="two_well",
         sample_grid=tuple((t,) for t in np.linspace(-1.0, 1.0, 5)),
     )
 
@@ -482,7 +476,7 @@ def _ring_flux(params):
 
     return PureStateModel(
         space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        kind="ring_flux", params={"alpha": alpha},
+        kind="ring_flux",
         sample_grid=tuple((t,) for t in np.linspace(0.5, 5.5, 5)),
     )
 
@@ -510,7 +504,7 @@ def _bloch(params):
     az_line = np.linspace(0.0, 1.5, 5)
     return PureStateModel(
         space=space, m=2, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        kind="bloch", params={},
+        kind="bloch",
         sample_grid=tuple(zip(pol_line, az_line)),
     )
 

@@ -16,25 +16,27 @@ from . import hilbert
 from .errors import AnchorError, UnsupportedSpaceError
 from .holonomy import align_phases
 
+SPECTRAL_ZERO_TOL = 1e-10
+MOMENTUM_SYMMETRY_TOL = 1e-8
+INVARIANCE_TOL = 1e-8
+UNITARY_TOL = 1e-8
+
 
 class AntiunitaryOp:
     """Map v -> V conj(v) (coordinates); V must be unitary.
 
-    ``basis`` records the conjugation basis when the operator came from
-    one; ``post_phase`` records the momentum phase of a generalized
-    reversal.
+    ``post_phase`` records the momentum phase of a generalized reversal.
     """
 
-    def __init__(self, unitary_part, space, basis=None, post_phase=None):
+    def __init__(self, unitary_part, space, post_phase=None):
         v = np.asarray(unitary_part, dtype=complex)
         d = space.dim
         if v.shape != (d, d):
             raise ValueError(f"unitary part must be {d}x{d}")
-        if np.max(np.abs(v.conj().T @ v - np.eye(d))) > 1e-8:
-            raise ValueError("unitary part is not unitary within 1e-8")
+        if np.max(np.abs(v.conj().T @ v - np.eye(d))) > UNITARY_TOL:
+            raise ValueError(f"unitary part is not unitary within {UNITARY_TOL:.0e}")
         self.unitary_part = v
         self.space = space
-        self.basis = basis
         self.post_phase = post_phase
 
     def apply(self, state):
@@ -66,9 +68,9 @@ def conjugation_in_basis(basis):
             "complete it first"
         )
     gram = u.conj().T @ u
-    if np.max(np.abs(gram - np.eye(space.dim))) > 1e-8:
-        raise ValueError("basis is not orthonormal within 1e-8")
-    return AntiunitaryOp(u @ u.T, space, basis=tuple(basis))
+    if np.max(np.abs(gram - np.eye(space.dim))) > UNITARY_TOL:
+        raise ValueError(f"basis is not orthonormal within {UNITARY_TOL:.0e}")
+    return AntiunitaryOp(u @ u.T, space)
 
 
 def time_reversal(state):
@@ -131,56 +133,55 @@ def motion_reversal_op(space, alpha=None):
     return AntiunitaryOp(cols, space, post_phase=alpha)
 
 
-def matched_reversal_phase(state, zero_tol=1e-10):
+def matched_reversal_phase(state):
     """Phase alpha(p) = beta(p) + beta(-p) built from the state's own spectrum.
 
     With e^{i beta(p)} the phase of the momentum amplitude, the returned
     alpha makes :func:`generalized_time_reversal` fix the state whenever
     its momentum density is symmetric.  Spectral amplitudes below
-    ``zero_tol`` leave beta undefined and contribute zero phase.
+    ``SPECTRAL_ZERO_TOL`` leave beta undefined and contribute zero phase.
     """
     mom = hilbert.momentum_transform(state)
     amp = mom.amplitudes
-    beta = np.where(np.abs(amp) > zero_tol, np.angle(amp), 0.0)
+    beta = np.where(np.abs(amp) > SPECTRAL_ZERO_TOL, np.angle(amp), 0.0)
     return beta + _reverse_momentum(beta)
 
 
-def momentum_symmetry_check(state, tol=1e-8):
+def momentum_symmetry_check(state):
     """Is the momentum density symmetric under p -> -p?
 
-    Returns ``(flag, max_asymmetry)`` with the asymmetry measured
-    relative to the density peak.  The flag holds exactly when some
-    generalized reversal fixes the wave function, which in turn holds
-    exactly when the position-shift family built on it has real pairwise
-    overlaps as given (``is_quasi_parallel`` with ``align=False``); for
-    base functions with ``<psi|psi'> = 0`` that is the same as the
-    aligned quasi-parallel test.
+    Returns ``(flag, max_asymmetry)``, the asymmetry relative to the
+    density peak and the flag ``max_asymmetry < MOMENTUM_SYMMETRY_TOL``.
+    The flag holds exactly when some generalized reversal fixes the wave
+    function, which in turn holds exactly when the position-shift family
+    built on it has real pairwise overlaps as given
+    (``is_quasi_parallel`` with ``align=False``); for base functions with
+    ``<psi|psi'> = 0`` that is the same as the aligned quasi-parallel test.
     """
     if not isinstance(state.space, hilbert.GridSpace):
         raise UnsupportedSpaceError("momentum symmetry check needs a grid state")
     mom = hilbert.momentum_transform(state)
     dens = np.abs(mom.amplitudes) ** 2
     asym = float(np.max(np.abs(dens - _reverse_momentum(dens))) / np.max(dens))
-    return bool(asym < tol), asym
+    return bool(asym < MOMENTUM_SYMMETRY_TOL), asym
 
 
-def is_invariant(op, states, tol=1e-8, align=True):
-    """True when the operator fixes every state as a vector.
+def is_invariant(op, states):
+    """True when the operator moves no state by ``INVARIANCE_TOL`` or more.
 
-    The states are first phase-aligned with the shared anchor procedure
-    (set ``align=False`` to test the raw vectors), because invariance of
-    a lift family is a statement about one concrete phase gauge.  A
-    family with no valid anchor (mutually orthogonal vectors) is tested
-    as given.
+    The states are first phase-aligned with the shared anchor procedure,
+    because invariance of a lift family is a statement about one concrete
+    phase gauge.  A family with no valid anchor (mutually orthogonal
+    vectors) is tested as given.
     """
     states = list(states)
-    if align and len(states) > 1:
+    if len(states) > 1:
         try:
             states, _ = align_phases(states)
         except AnchorError:
             pass
     for s in states:
         delta = op.apply(s).amplitudes - s.amplitudes
-        if hilbert.StateVector(s.space, delta).norm() >= tol:
+        if hilbert.StateVector(s.space, delta).norm() >= INVARIANCE_TOL:
             return False
     return True
