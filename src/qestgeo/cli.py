@@ -19,10 +19,11 @@ or a table of states on a uniform 1-parameter grid
      "thetas": [0.0, 0.1, 0.2],
      "amplitudes": [[[re, im], ...], ...]}
 
-Grid sizes left out of a catalog spec default to the QESTGEO_GRID_N
-environment variable (512 when unset).  Output documents are JSON with
-floats printed to 17 significant digits and keys in fixed order, so
-identical invocations are byte-identical.
+A catalog ``grid`` object that omits ``n`` takes it from the
+QESTGEO_GRID_N environment variable (512 when unset); a spec without a
+``grid`` object keeps the model's own default grid.  Output documents
+are JSON with floats printed to 17 significant digits and keys in fixed
+order, so identical invocations are byte-identical.
 
 Exit codes: 0 success, 2 malformed input documents (including a loop
 marked closed whose end ray differs from its start ray), 3
@@ -203,7 +204,7 @@ def _parse_catalog_spec(doc):
         params["grid"] = grid
     try:
         built = model.catalog(name, params)
-    except (ValueError, KeyError, TypeError) as exc:
+    except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise SpecFormatError(f"invalid params for {name}: {exc}", path="params") from exc
     echo = {"kind": "catalog", "name": name, "params": _jsonable(params)}
     if "fd_step" in doc:
@@ -231,7 +232,7 @@ def _parse_space_spec(spec, path):
         if stype == "basis":
             return BasisSpace(int(_require(spec, "dimension", path)),
                               labels=spec.get("labels"))
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise SpecFormatError(f"invalid space: {exc}", path=path) from exc
     raise SpecFormatError(f"unknown space type {stype!r}", path=f"{path}.type")
 
@@ -382,6 +383,10 @@ def _parse_weight(text, m):
         if len(values) != m:
             raise SpecFormatError(
                 f"diag weight has {len(values)} entries, model expects {m}"
+            )
+        if not all(0.0 <= v < np.inf for v in values):
+            raise SpecFormatError(
+                f"diag weight entries must be finite and >= 0 in {text!r}"
             )
         return {"kind": "diag", "values": values}
     raise SpecFormatError(f"unknown weight spec {text!r} (use js or diag:...)")

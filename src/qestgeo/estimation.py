@@ -10,7 +10,6 @@ Fisher comparison free of finite-difference noise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 
 import numpy as np
 
@@ -185,17 +184,16 @@ def induced_distribution(povm, state_or_rho):
 class ClassicalFamily:
     """Outcome distribution p(w|theta) with its parameter derivatives.
 
-    ``node_fisher``, when present, maps (theta, dropped-outcome mask) to
-    the limit Fisher contribution of outcomes whose probability vanishes
-    quadratically at theta; measurement-induced families provide it,
-    plain probability tables cannot.
+    ``fisher_fn``, when present, maps theta to the Fisher matrix through
+    one horizontal lift (:func:`lift_fisher`); measurement-induced
+    families provide it, plain probability tables cannot.
     """
 
     m: int
     n_outcomes: int
     probabilities: object
     scores: object
-    node_fisher: object = None
+    fisher_fn: object = None
 
     @staticmethod
     def from_probability_fn(p_fn, m):
@@ -222,47 +220,40 @@ class ClassicalFamily:
 def measurement_family(model, povm):
     """Classical family induced by measuring a model with a fixed POVM."""
 
-    def probabilities(theta):
-        return induced_distribution(povm, model.evaluate(theta))
-
     def scores(theta):
         lift = model.horizontal_lift(theta)
         return povm.scores(lift.phi, lift.lifts)
 
-    def node_fisher(theta, mask):
-        lift = model.horizontal_lift(theta)
-        return povm.node_fisher(lift.lifts, mask)
-
     return ClassicalFamily(
         m=model.m,
         n_outcomes=povm.n_outcomes,
-        probabilities=probabilities,
+        probabilities=lambda theta: induced_distribution(povm, model.evaluate(theta)),
         scores=scores,
-        node_fisher=node_fisher,
+        fisher_fn=lambda theta: lift_fisher(povm, model.horizontal_lift(theta)),
     )
 
 
 def classical_fisher(family, theta):
     """Fisher matrix sum_w dp_i dp_j / p over the supported outcomes.
 
-    Outcomes below the probability clip must carry negligible derivative,
-    otherwise the family has a genuinely singular support and the
-    computation aborts.  When the family knows its measurement structure,
-    clipped outcomes whose probability vanishes quadratically (a state
-    node sitting exactly on the evaluation point) contribute their finite
-    limit Re <l_i|E|l_j> instead of being dropped, which is what the
-    chain-rule form 4 sum (da_i)^2 yields for real amplitude families.
+    A measurement-induced family takes its lift route: one evaluation
+    and ``m`` tangents per theta (:func:`lift_fisher`).  Outcomes below
+    the probability clip must carry negligible derivative, otherwise the
+    family has a genuinely singular support and the computation aborts.
     """
-    node = None if family.node_fisher is None else partial(family.node_fisher, theta)
-    return _fisher(family.probabilities(theta), family.scores(theta), node)
+    if family.fisher_fn is not None:
+        return family.fisher_fn(theta)
+    return _fisher(family.probabilities(theta), family.scores(theta), None)
 
 
 def lift_fisher(povm, lift):
     """Classical Fisher matrix of ``povm`` at the point of ``lift``.
 
-    Equals ``classical_fisher(measurement_family(model, povm), theta)``
-    but takes the state, the scores and the node-limit term from the
-    one lift instead of evaluating the model again for each of them.
+    The state, the scores and the node-limit term all come from the one
+    lift.  Clipped outcomes whose probability vanishes quadratically (a
+    state node sitting exactly on the evaluation point) contribute their
+    finite limit Re <l_i|E|l_j> instead of being dropped, which is what
+    the chain-rule form 4 sum (da_i)^2 yields for real amplitude families.
     """
     return _fisher(induced_distribution(povm, lift.phi),
                    povm.scores(lift.phi, lift.lifts),
@@ -270,14 +261,15 @@ def lift_fisher(povm, lift):
 
 
 def _fisher(p, s, node_fisher):
-    """Fisher core shared by :func:`classical_fisher` and :func:`lift_fisher`.
+    """Fisher core of :func:`classical_fisher` and :func:`lift_fisher`.
 
-    ``node_fisher(mask)``, when not None, gives the limit contribution of
-    the clipped outcomes.
+    The clip is relative to the outcome count, so the dropped mass stays
+    below ``PROB_CLIP`` however fine the grid.  ``node_fisher(mask)``,
+    when not None, gives the limit contribution of the clipped outcomes.
     """
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)
-    support = p > PROB_CLIP
+    support = p > PROB_CLIP / p.size
     dropped = ~support
     if np.any(dropped):
         bad = np.max(np.abs(s[:, dropped])) if s[:, dropped].size else 0.0

@@ -44,6 +44,8 @@ class WeightMatrix:
         g = np.array(self.matrix, dtype=float, copy=True)
         if g.ndim != 2 or g.shape[0] != g.shape[1]:
             raise ValueError("weight must be a square matrix")
+        if not np.all(np.isfinite(g)):
+            raise ValueError("weight entries must be finite")
         if np.max(np.abs(g - g.T)) > WEIGHT_TOL:
             raise ValueError(f"weight must be symmetric within {WEIGHT_TOL:.0e}")
         if np.min(np.linalg.eigvalsh(g)) < -WEIGHT_TOL:

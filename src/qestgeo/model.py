@@ -64,7 +64,9 @@ class PureStateModel:
     sample_grid: tuple = ()
 
     def _inside(self, theta):
-        return all(lo <= t <= hi for t, (lo, hi) in zip(theta.tolist(), self.domain))
+        # a non-finite component lies outside every domain, unbounded ones too
+        return all(lo <= t <= hi and math.isfinite(t)
+                   for t, (lo, hi) in zip(theta.tolist(), self.domain))
 
     def evaluate(self, theta):
         theta = _as_theta(theta, self.m)
@@ -75,7 +77,7 @@ class PureStateModel:
         state = StateVector(self.space, self.evaluate_fn(theta))
         nrm = np.sqrt(self.space.weight) * np.linalg.norm(state.amplitudes)
         drift = abs(nrm - 1.0)
-        if drift >= NORM_DRIFT_TOL:
+        if not drift < NORM_DRIFT_TOL:  # a NaN drift fails too
             raise ModelDefinitionError(
                 f"norm drift {drift:.3e} at theta {theta.tolist()} "
                 f"(limit {NORM_DRIFT_TOL:.0e}); check grid truncation"
@@ -230,34 +232,34 @@ def hermite_profile(n):
     return Profile(f"hermite(n={n})", f, df)
 
 
-def boosted_profile(base, p0):
-    """Multiply a profile by the plane-wave factor exp(i p0 x)."""
-    p0 = float(p0)
+def _phase_factor_profile(name, base, g, dg):
+    """Multiply a profile by exp(i g(x)); its derivative gains i g'(x) f."""
 
     def f(x):
-        return np.exp(1j * p0 * x) * base.f(x)
+        return np.exp(1j * g(x)) * base.f(x)
 
     df = None
     if base.df is not None:
 
         def df(x):
-            return np.exp(1j * p0 * x) * (base.df(x) + 1j * p0 * base.f(x))
+            return np.exp(1j * g(x)) * (base.df(x) + 1j * dg(x) * base.f(x))
 
-    return Profile(f"boosted(p0={p0:g},{base.name})", f, df)
+    return Profile(name, f, df)
+
+
+def boosted_profile(base, p0):
+    """Multiply a profile by the plane-wave factor exp(i p0 x)."""
+    p0 = float(p0)
+    return _phase_factor_profile(f"boosted(p0={p0:g},{base.name})", base,
+                                 lambda x: p0 * x, lambda x: p0)
 
 
 def chirped_profile(chirp, width=1.0):
     """Gaussian with quadratic phase exp(i c x^2)."""
     c = float(chirp)
-    base = gaussian_profile(width)
-
-    def f(x):
-        return np.exp(1j * c * x * x) * base.f(x)
-
-    def df(x):
-        return np.exp(1j * c * x * x) * (base.df(x) + 2j * c * x * base.f(x))
-
-    return Profile(f"chirped(c={c:g},width={width:g})", f, df)
+    return _phase_factor_profile(f"chirped(c={c:g},width={width:g})",
+                                 gaussian_profile(width),
+                                 lambda x: c * x * x, lambda x: 2.0 * c * x)
 
 
 def two_well_profile(alpha):
@@ -332,9 +334,8 @@ def _grid_norm_factor(profile, space):
     return 1.0 / nrm
 
 
-def _position_shift(params):
-    profile = make_profile(params.get("profile", "gaussian"))
-    space = _grid_from_params(params)
+def _shift_family(params, profile, space, kind):
+    """The family ``c f(x - theta)`` of a profile translated on its grid."""
     c = _grid_norm_factor(profile, space)
     domain = tuple(params.get("domain", ((-2.0, 2.0),)))
     x = space.points
@@ -350,9 +351,14 @@ def _position_shift(params):
 
     return PureStateModel(
         space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        kind="position_shift",
+        kind=kind,
         sample_grid=tuple((t,) for t in np.linspace(-1.0, 1.0, 5)),
     )
+
+
+def _position_shift(params):
+    return _shift_family(params, make_profile(params.get("profile", "gaussian")),
+                         _grid_from_params(params), "position_shift")
 
 
 def _momentum_shift(params):
@@ -430,27 +436,12 @@ def _spin_jz(params):
 
 
 def _two_well(params):
-    alpha = float(params.get("alpha", np.pi / 2))
-    profile = two_well_profile(alpha)
+    # the profile derivative is taken almost everywhere; the quartic node
+    # sits exactly on the phase step, so the step never contributes
+    profile = two_well_profile(float(params.get("alpha", np.pi / 2)))
     space = _grid_from_params(params, default_n=2048, default_lower=-8.0,
                               default_upper=8.0)
-    c = _grid_norm_factor(profile, space)
-    domain = tuple(params.get("domain", ((-2.0, 2.0),)))
-    x = space.points
-
-    def ev(theta):
-        return c * profile.f(x - theta[0])
-
-    def tangent_fn(theta, i):
-        # profile derivative taken almost everywhere; the quartic node
-        # sits exactly on the phase step, so the step never contributes
-        return -c * profile.df(x - theta[0])
-
-    return PureStateModel(
-        space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        kind="two_well",
-        sample_grid=tuple((t,) for t in np.linspace(-1.0, 1.0, 5)),
-    )
+    return _shift_family(params, profile, space, "two_well")
 
 
 def _ring_flux(params):

@@ -381,6 +381,48 @@ class TestLiftFisher:
         assert calls == {"evaluate": n, "tangent": n * base.m}
 
 
+class TestOneLiftRoute:
+    @pytest.mark.parametrize("name", ["bloch", "position_shift"])
+    def test_measurement_family_takes_one_lift_per_theta(self, name):
+        import dataclasses
+
+        if name == "bloch":
+            base, thetas = qg.catalog("bloch"), [(0.7, 0.2), (1.1, 4.0)]
+        else:
+            base = qg.catalog(name, {"grid": {"n": 256, "lower": -10, "upper": 10}})
+            thetas = [(0.0,), (0.3,)]
+        calls = {"evaluate": 0, "tangent": 0}
+
+        def ev(theta):
+            calls["evaluate"] += 1
+            return base.evaluate_fn(theta)
+
+        def tangent(theta, i):
+            calls["tangent"] += 1
+            return base.tangent_fn(theta, i)
+
+        povm = grid_pvm(base.space)
+        fam = measurement_family(dataclasses.replace(base, evaluate_fn=ev, tangent_fn=tangent),
+                                 povm)
+        for th in thetas:
+            calls.update(evaluate=0, tangent=0)
+            got = classical_fisher(fam, th)
+            assert calls == {"evaluate": 1, "tangent": base.m}
+            assert np.array_equal(got, est.lift_fisher(povm, base.horizontal_lift(th)))
+
+    @pytest.mark.parametrize("n", [512, 4096, 16384, 65536])
+    def test_grid_pvm_attains_js_at_every_grid_size(self, n):
+        # the clip is relative to the outcome count: however many tail
+        # cells fall below it, they drop less than PROB_CLIP of the mass
+        mod = qg.catalog("position_shift", {"grid": {"n": n, "lower": -10, "upper": 10}})
+        fam = measurement_family(mod, grid_pvm(mod.space))
+        for th in ((0.0,), (0.123456789,)):
+            j_c = classical_fisher(fam, th)
+            j_s = geometry.sld_fisher(mod.horizontal_lift(th))
+            assert j_s[0, 0] == pytest.approx(2.0, abs=1e-12)
+            assert abs(j_c[0, 0] - j_s[0, 0]) < 1e-12
+
+
 class TestStackedPovms:
     def test_matrix_povm_matches_elementwise(self):
         rng = np.random.default_rng(8)

@@ -192,6 +192,11 @@ class TestBounds:
             WeightMatrix(np.array([[-1.0, 0.0], [0.0, 1.0]]))
         WeightMatrix(np.diag([1.0, 0.0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_weight_matrix_rejects_non_finite_entries(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            WeightMatrix(np.array([[bad, 0.0], [0.0, 1.0]]))
+
     def test_attainable_cr_quasi_classical_is_m(self):
         for m in (1, 2, 3, 5):
             j_s = np.diag(np.arange(1.0, m + 1.0))

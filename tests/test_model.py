@@ -66,6 +66,23 @@ class TestEvaluate:
         with pytest.raises(ModelDefinitionError):
             bad.evaluate((0.5,))
 
+    def test_nan_drift_rejected(self):
+        bad = PureStateModel(
+            space=BasisSpace(2), m=1, domain=((-1.0, 1.0),),
+            evaluate_fn=lambda th: np.array([np.nan, 0.0], dtype=complex),
+        )
+        with pytest.raises(ModelDefinitionError, match="norm drift nan"):
+            bad.evaluate((0.0,))
+
+    @pytest.mark.parametrize("theta", [np.inf, -np.inf, np.nan])
+    def test_non_finite_theta_outside_an_unbounded_domain(self, theta):
+        mod = qg.catalog("spin_jz", {"amplitudes": [0.6, 0.8]})
+        assert mod.domain == ((-np.inf, np.inf),)
+        with pytest.raises(DomainError):
+            mod.evaluate((theta,))
+        with pytest.raises(DomainError):
+            mod.horizontal_lift((theta,))
+
 
 class TestTangent:
     def test_phase_only_analytic(self):

@@ -6,6 +6,7 @@ document too, and the valid documents the CLI tests use pass it.
 """
 
 import json
+import math
 from pathlib import Path
 
 import jsonschema
@@ -18,6 +19,7 @@ from test_cli import octahedral_povm_doc
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 
 BLOCH = {"kind": "catalog", "name": "bloch"}
+SPIN = {"kind": "catalog", "name": "spin_jz", "params": {"amplitudes": [0.6, 0.8]}}
 BASIS_2 = {"type": "basis", "dimension": 2}
 UP_ROWS = [[[1.0, 0.0], [0.0, 0.0]]] * 2
 
@@ -74,6 +76,34 @@ MALFORMED = [
     ("weight_not_numeric", None, None,
      ["report", "--model", "bloch.json", "--theta", "0.3,0.1", "--weight", "diag:1,x"],
      "non-numeric diag weight in 'diag:1,x'"),
+    ("weight_negative", None, None,
+     ["report", "--model", "bloch.json", "--theta", "0.3,0.1", "--weight", "diag:-1,-2"],
+     "diag weight entries must be finite and >= 0 in 'diag:-1,-2'"),
+    ("weight_nan", None, None,
+     ["report", "--model", "bloch.json", "--theta", "0.3,0.1", "--weight", "diag:nan,1"],
+     "diag weight entries must be finite and >= 0 in 'diag:nan,1'"),
+    # JSON has no complex numbers: spin_jz amplitudes are real
+    ("spin_amplitude_pairs", "model_spec",
+     {"kind": "catalog", "name": "spin_jz", "params": {"amplitudes": [[1, 0], [0, 1]]}},
+     ["report", "--model", "bad.json", "--theta", "0"],
+     "params: invalid params for spin_jz: amplitudes must be a 1-d sequence of length >= 2"),
+    # spin_jz has an unbounded domain, which still holds no infinite theta
+    ("theta_infinite", None, SPIN,
+     ["report", "--model", "bad.json", "--theta", "inf"],
+     "theta [inf] outside domain ((-inf, inf),)"),
+    ("theta_overflows", None, {**BLOCH, "params": {"domain": [[0, 3], [-math.inf, math.inf]]}},
+     ["report", "--model", "bad.json", "--theta", "0.3,1e400"],
+     "theta [0.3, inf] outside domain ([0, 3], [-inf, inf])"),
+    ("grid_n_infinite", "model_spec",
+     {"kind": "catalog", "name": "position_shift",
+      "params": {"grid": {"n": math.inf, "lower": -1, "upper": 1}}},
+     ["report", "--model", "bad.json", "--theta", "0"],
+     "params: invalid params for position_shift: cannot convert float infinity to integer"),
+    ("tabulated_space_n_infinite", "model_spec",
+     {"kind": "tabulated", "space": {"type": "grid", "n": math.inf, "lower": 0, "upper": 1},
+      "thetas": [0.0, 0.1], "amplitudes": UP_ROWS},
+     ["report", "--model", "bad.json", "--theta", "0"],
+     "space: invalid space: cannot convert float infinity to integer"),
 ]
 
 
@@ -93,6 +123,17 @@ def test_cli_reports_one_spec_error_line(capsys, tmp_path, schema, bad, argv, de
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"qestgeo: spec error: {detail}\n"
+
+
+def test_infinite_loop_point_is_outside_an_unbounded_domain(capsys, tmp_path):
+    (tmp_path / "spin.json").write_text(json.dumps(SPIN))
+    # 1e400 overflows to inf when the loop file is read
+    (tmp_path / "loop.json").write_text('{"thetas": [[0.1], [1e400], [0.3]]}')
+    assert main(["holonomy", "--model", str(tmp_path / "spin.json"),
+                 "--loop", str(tmp_path / "loop.json")]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qestgeo: spec error: theta [inf] outside domain ((-inf, inf),)\n"
 
 
 SCHEMA_CASES = [case for case in MALFORMED if case[1] is not None]
