@@ -212,7 +212,8 @@ def _parse_catalog_spec(doc):
         if step.shape or not 0.0 < step < np.inf:
             raise SpecFormatError(f"must be a positive number, got {doc['fd_step']!r}",
                                   path="fd_step")
-        built = dataclasses.replace(built, fd_step=float(step))
+        # a step selects central differences over the closed-form tangents
+        built = dataclasses.replace(built, tangent_fn=None, fd_step=float(step))
         echo["fd_step"] = float(step)
     return built, echo
 
@@ -492,7 +493,9 @@ def _momentum_symmetry_section(built):
     )
     if not applicable:
         return {"applicable": False, "flag": None, "max_asymmetry": None}
-    base = built.evaluate(np.zeros(built.m))
+    # the domain point nearest 0: translation leaves the momentum density as it is
+    lo, hi = np.asarray(built.domain, dtype=float).T
+    base = built.evaluate(np.clip(0.0, lo, hi))
     flag, asym = symmetry.momentum_symmetry_check(base)
     return {"applicable": True, "flag": flag, "max_asymmetry": asym}
 
@@ -500,7 +503,8 @@ def _momentum_symmetry_section(built):
 def _cmd_check(args):
     built, echo = _load_model(args.model)
     samples = parse_theta_list(args.samples, built.m)
-    thetas, states, aligned = holonomy.sample_states(built, samples)
+    thetas, states = holonomy.sample_states(built, samples)
+    aligned = holonomy.align_phases(states)[0]
     qp_flag, witness = holonomy.quasi_parallel_states(thetas, aligned)
     raw_flag, _ = holonomy.quasi_parallel_states(thetas, states)
     anti = {"constructed": False, "invariant": None, "max_residual": None,

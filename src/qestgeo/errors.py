@@ -45,8 +45,7 @@ class DomainError(QestgeoError):
 
 
 class ModelDefinitionError(QestgeoError):
-    """A model produced a state violating its own contract (norm drift,
-    non-orthogonal lift)."""
+    """A model produced a state violating its own contract (norm drift)."""
 
 
 class RankDeficiencyError(QestgeoError):

@@ -20,7 +20,7 @@ from .errors import (
     SingularSupportError,
     SpaceMismatchError,
 )
-from .holonomy import quasi_parallel_states, sample_states
+from .holonomy import align_phases, quasi_parallel_states, sample_states
 
 PSD_TOL = 1e-10
 RESOLUTION_TOL = 1e-8
@@ -298,7 +298,8 @@ def optimal_measurement_quasi_parallel(model, sample_thetas):
     to the quantum one at every sampled point, with a single measurement
     that never depends on the parameter.
     """
-    thetas, _, aligned = sample_states(model, sample_thetas)
+    thetas, states = sample_states(model, sample_thetas)
+    aligned = align_phases(states)[0]
     flag, witness = quasi_parallel_states(thetas, aligned)
     if not flag:
         raise NonRealOverlapError(

@@ -226,18 +226,15 @@ def is_quasi_parallel(model, sample_thetas, align=True):
     horizontal (``<phi|d phi> = 0``); a non-horizontal lift can carry a
     removable phase twist that only the aligned test forgives.
     """
-    thetas, states, aligned = sample_states(model, sample_thetas, align)
-    return quasi_parallel_states(thetas, aligned if align else states)
+    thetas, states = sample_states(model, sample_thetas)
+    return quasi_parallel_states(thetas, align_phases(states)[0] if align else states)
 
 
-def sample_states(model, sample_thetas, align=True):
-    """``(thetas, states, aligned)``: the samples as float arrays, the model
-    evaluated once at each, and :func:`align_phases` of those states (None,
-    and no :class:`AnchorError`, when ``align`` is False)."""
+def sample_states(model, sample_thetas):
+    """``(thetas, states)``: the samples as float arrays and the model
+    evaluated once at each."""
     thetas = [np.asarray(t, dtype=float) for t in sample_thetas]
-    states = [model.evaluate(t) for t in thetas]
-    aligned = align_phases(states)[0] if align else None
-    return thetas, states, aligned
+    return thetas, [model.evaluate(t) for t in thetas]
 
 
 def quasi_parallel_states(thetas, states):

@@ -25,8 +25,6 @@ from .hilbert import BasisSpace, GridSpace, StateVector
 
 NORM_DRIFT_TOL = 1e-6
 DEFAULT_FD_STEP = 1e-4
-LIFT_ORTHO_TOL_ANALYTIC = 1e-8
-LIFT_ORTHO_TOL_FD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -63,15 +61,22 @@ class PureStateModel:
     kind: str = "custom"
     sample_grid: tuple = ()
 
-    def _inside(self, theta):
+    def _point(self, theta):
+        """``theta`` as a float array of shape ``(m,)`` inside the domain;
+        :class:`DomainError` otherwise."""
+        arr = np.asarray(theta, dtype=float)
+        if arr.ndim == 0:
+            arr = arr.reshape(1)
+        if arr.shape != (self.m,):
+            raise DomainError(f"theta has shape {arr.shape}, model expects ({self.m},)")
         # a non-finite component lies outside every domain, unbounded ones too
-        return all(lo <= t <= hi and math.isfinite(t)
-                   for t, (lo, hi) in zip(theta.tolist(), self.domain))
+        for t, (lo, hi) in zip(arr.tolist(), self.domain):
+            if not (lo <= t <= hi and math.isfinite(t)):
+                raise DomainError(f"theta {arr.tolist()} outside domain {self.domain}")
+        return arr
 
     def evaluate(self, theta):
-        theta = _as_theta(theta, self.m)
-        if not self._inside(theta):
-            raise DomainError(f"theta {theta.tolist()} outside domain {self.domain}")
+        theta = self._point(theta)
         # the state owns its copy of the amplitudes, so it is normalized
         # in place, with the norm the drift check measured
         state = StateVector(self.space, self.evaluate_fn(theta))
@@ -87,7 +92,7 @@ class PureStateModel:
 
     def tangent(self, theta, i):
         """Unnormalized derivative d_i |phi> at theta."""
-        theta = _as_theta(theta, self.m)
+        theta = self._point(theta)
         if not 0 <= i < self.m:
             raise IndexError(f"component {i} out of range for m={self.m}")
         if self.tangent_fn is not None:
@@ -97,54 +102,41 @@ class PureStateModel:
         dn = theta.copy()
         up[i] += h
         dn[i] -= h
-        if not (self._inside(up) and self._inside(dn)):
+        try:
+            up, dn = self._point(up), self._point(dn)
+        except DomainError:
             raise DomainError(
                 f"finite-difference step {h:.1e} in component {i} leaves the "
                 f"domain at theta {theta.tolist()}"
-            )
+            ) from None
         amp = (self.evaluate(up).amplitudes - self.evaluate(dn).amplitudes) / (2.0 * h)
         return StateVector(self.space, amp)
 
     def horizontal_lift(self, theta):
-        theta = _as_theta(theta, self.m)
+        theta = self._point(theta)
         phi = self.evaluate(theta)
-        tol = LIFT_ORTHO_TOL_ANALYTIC if self.tangent_fn else LIFT_ORTHO_TOL_FD
         lifts = []
         for i in range(self.m):
             t = self.tangent(theta, i)
             l_amp = 2.0 * t.amplitudes - 2.0 * hilbert.inner(phi, t) * phi.amplitudes
-            lift = StateVector(self.space, l_amp)
-            overlap = abs(hilbert.inner(lift, phi))
-            if overlap >= tol:
-                raise ModelDefinitionError(
-                    f"lift {i} fails orthogonality: |<l|phi>| = {overlap:.3e}"
-                )
-            lifts.append(lift)
+            lifts.append(StateVector(self.space, l_amp))
         return HorizontalLift(theta=theta, phi=phi, lifts=tuple(lifts))
 
 
 @dataclass(frozen=True)
 class Curve:
-    """Ordered parameter points of a model, optionally closed as rays."""
+    """Ordered parameter points of a model, optionally closed as rays.
+
+    The model checks each point when the curve is evaluated.
+    """
 
     model: PureStateModel
     points: tuple
     closed: bool = False
 
     def __post_init__(self):
-        pts = tuple(_as_theta(p, self.model.m) for p in self.points)
-        object.__setattr__(self, "points", pts)
-        if len(pts) < 2:
+        if len(self.points) < 2:
             raise ValueError("a curve needs at least two points")
-
-
-def _as_theta(theta, m):
-    arr = np.asarray(theta, dtype=float)
-    if arr.ndim == 0:
-        arr = arr.reshape(1)
-    if arr.shape != (m,):
-        raise DomainError(f"theta has shape {arr.shape}, model expects ({m},)")
-    return arr
 
 
 def rephased(model, alpha, grad_alpha=None):
@@ -187,11 +179,11 @@ def rephased(model, alpha, grad_alpha=None):
 
 @dataclass(frozen=True)
 class Profile:
-    """Complex 1-d profile with an optional closed-form x-derivative."""
+    """Complex 1-d profile with its closed-form x-derivative."""
 
     name: str
     f: object
-    df: object = None
+    df: object
 
 
 def gaussian_profile(width=1.0, center=0.0):
@@ -238,11 +230,8 @@ def _phase_factor_profile(name, base, g, dg):
     def f(x):
         return np.exp(1j * g(x)) * base.f(x)
 
-    df = None
-    if base.df is not None:
-
-        def df(x):
-            return np.exp(1j * g(x)) * (base.df(x) + 1j * dg(x) * base.f(x))
+    def df(x):
+        return np.exp(1j * g(x)) * (base.df(x) + 1j * dg(x) * base.f(x))
 
     return Profile(name, f, df)
 
@@ -296,8 +285,6 @@ PROFILE_BUILDERS = {
 
 def make_profile(spec):
     """Profile from a name or a {'name': ..., params...} mapping."""
-    if isinstance(spec, Profile):
-        return spec
     if isinstance(spec, str):
         name, params = spec, {}
     else:
@@ -315,8 +302,6 @@ def make_profile(spec):
 def _grid_from_params(params, default_n=512, default_lower=-10.0, default_upper=10.0,
                       periodic=False):
     grid = params.get("grid", {})
-    if isinstance(grid, GridSpace):
-        return grid
     return GridSpace(
         int(grid.get("n", default_n)),
         float(grid.get("lower", default_lower)),
@@ -343,11 +328,8 @@ def _shift_family(params, profile, space, kind):
     def ev(theta):
         return c * profile.f(x - theta[0])
 
-    tangent_fn = None
-    if profile.df is not None:
-
-        def tangent_fn(theta, i):
-            return -c * profile.df(x - theta[0])
+    def tangent_fn(theta, i):
+        return -c * profile.df(x - theta[0])
 
     return PureStateModel(
         space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
@@ -361,25 +343,29 @@ def _position_shift(params):
                          _grid_from_params(params), "position_shift")
 
 
+def _phase_generator_family(space, domain, g, psi0, kind, sample_line):
+    """The family ``exp(-i theta g) psi0`` of a diagonal generator ``g``."""
+
+    def ev(theta):
+        return np.exp(-1j * theta[0] * g) * psi0
+
+    def tangent_fn(theta, i):
+        return -1j * g * np.exp(-1j * theta[0] * g) * psi0
+
+    return PureStateModel(
+        space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
+        kind=kind, sample_grid=tuple((t,) for t in sample_line),
+    )
+
+
 def _momentum_shift(params):
     profile = make_profile(params.get("profile", "gaussian"))
     space = _grid_from_params(params)
     c = _grid_norm_factor(profile, space)
-    domain = tuple(params.get("domain", ((-2.0, 2.0),)))
     x = space.points
-    base = c * profile.f(x)
-
-    def ev(theta):
-        return np.exp(1j * theta[0] * x) * base
-
-    def tangent_fn(theta, i):
-        return 1j * x * np.exp(1j * theta[0] * x) * base
-
-    return PureStateModel(
-        space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        kind="momentum_shift",
-        sample_grid=tuple((t,) for t in np.linspace(-1.0, 1.0, 5)),
-    )
+    return _phase_generator_family(
+        space, tuple(params.get("domain", ((-2.0, 2.0),))), -x, c * profile.f(x),
+        "momentum_shift", np.linspace(-1.0, 1.0, 5))
 
 
 def _position_momentum_shift(params):
@@ -392,14 +378,11 @@ def _position_momentum_shift(params):
     def ev(theta):
         return np.exp(1j * theta[1] * x) * c * profile.f(x - theta[0])
 
-    tangent_fn = None
-    if profile.df is not None:
-
-        def tangent_fn(theta, i):
-            plane = np.exp(1j * theta[1] * x)
-            if i == 0:
-                return -plane * c * profile.df(x - theta[0])
-            return 1j * x * plane * c * profile.f(x - theta[0])
+    def tangent_fn(theta, i):
+        plane = np.exp(1j * theta[1] * x)
+        if i == 0:
+            return -plane * c * profile.df(x - theta[0])
+        return 1j * x * plane * c * profile.f(x - theta[0])
 
     diag = np.linspace(-1.0, 1.0, 5)
     return PureStateModel(
@@ -420,19 +403,9 @@ def _spin_jz(params):
     d = amp.size
     total_spin = (d - 1) / 2.0
     m_values = np.arange(d) - total_spin
-    space = BasisSpace(d, labels=tuple(m_values))
-
-    def ev(theta):
-        return np.exp(-1j * theta[0] * m_values) * amp
-
-    def tangent_fn(theta, i):
-        return -1j * m_values * np.exp(-1j * theta[0] * m_values) * amp
-
-    return PureStateModel(
-        space=space, m=1, domain=((-np.inf, np.inf),), evaluate_fn=ev,
-        tangent_fn=tangent_fn, kind="spin_jz",
-        sample_grid=tuple((t,) for t in np.linspace(0.0, 2.0, 5)),
-    )
+    return _phase_generator_family(
+        BasisSpace(d, labels=tuple(m_values)), ((-np.inf, np.inf),), m_values, amp,
+        "spin_jz", np.linspace(0.0, 2.0, 5))
 
 
 def _two_well(params):

@@ -189,6 +189,26 @@ class TestCheck:
         assert doc["consistent"] is True
 
 
+    @pytest.mark.parametrize("name, grid", [
+        ("position_shift", {"n": 512, "lower": -10, "upper": 10}),
+        ("two_well", {"n": 2048, "lower": -8, "upper": 8}),
+    ])
+    def test_domain_without_zero(self, capsys, tmp_path, name, grid):
+        # the momentum section reads the base state at the domain point
+        # nearest 0, not at 0 itself
+        path = tmp_path / "shifted.json"
+        path.write_text(json.dumps({
+            "kind": "catalog", "name": name,
+            "params": {"grid": grid, "domain": [[0.5, 1.5]]},
+        }))
+        doc = run_to_doc(capsys, ["check", "--model", str(path), "--samples=0.6;1;1.4"])
+        momentum = doc["momentum_symmetry"]
+        assert momentum["applicable"] is True
+        assert momentum["flag"] is (name == "position_shift")
+        assert momentum["flag"] is doc["quasi_parallel"]["raw_flag"]
+        assert doc["consistent"] is True
+
+
 class TestHolonomy:
     def test_octant_loop(self, capsys, tmp_path):
         model_path = tmp_path / "bloch.json"
@@ -208,6 +228,49 @@ class TestHolonomy:
             "holonomy", "--model", str(model_path), "--loop", str(loop_path),
         ])
         assert abs(doc["result"]["gamma"]) == pytest.approx(np.pi / 4, abs=1e-3)
+
+
+class TestFastFamily:
+    def test_fast_tabulated_family_is_reported(self, capsys, tmp_path):
+        # rows (cos 5e9 theta, sin 5e9 theta): a lift of size 1e10 keeps a
+        # rounding-level overlap with phi of about 1e-7
+        thetas = [0.0, 1e-10, 2e-10]
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps({
+            "kind": "tabulated", "space": {"type": "basis", "dimension": 2},
+            "thetas": thetas,
+            "amplitudes": [[[np.cos(5e9 * t), 0.0], [np.sin(5e9 * t), 0.0]]
+                           for t in thetas],
+        }))
+        doc = run_to_doc(capsys, ["report", "--model", str(path), "--theta=1e-10"])
+        # the central difference of the table is 1e10 sin(0.5) (-sin 0.5,
+        # cos 0.5), which is horizontal, so J_S = 4 |t|^2
+        j_s = doc["entries"][0]["sld_fisher"][0][0]
+        assert j_s == pytest.approx(4e20 * np.sin(0.5) ** 2, rel=1e-6)
+
+
+class TestFdStep:
+    @pytest.fixture
+    def fd_spec(self, tmp_path):
+        path = tmp_path / "fd.json"
+        path.write_text(json.dumps({
+            "kind": "catalog", "name": "position_shift", "fd_step": 1e-5,
+            "params": {"grid": {"n": 256, "lower": -10, "upper": 10}},
+        }))
+        return str(path)
+
+    def test_fd_step_selects_central_differences(self, capsys, fd_spec):
+        built, echo = cli._load_model(fd_spec)
+        assert built.tangent_fn is None
+        assert built.fd_step == echo["fd_step"] == 1e-5
+        doc = run_to_doc(capsys, ["report", "--model", fd_spec, "--theta=0.3"])
+        j_s = doc["entries"][0]["sld_fisher"][0][0]
+        assert j_s == pytest.approx(2.0, abs=1e-8)
+        assert abs(j_s - 2.0) > 1e-12  # not the closed-form tangent
+
+    def test_fd_step_leaving_the_domain_is_a_spec_error(self, capsys, fd_spec):
+        assert main(["report", "--model", fd_spec, "--theta=2"]) == 2
+        assert "finite-difference step" in capsys.readouterr().err
 
 
 class TestFisherAndSample:

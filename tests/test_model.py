@@ -1,5 +1,7 @@
 """Model evaluation, tangents, lifts, and the example-family catalog."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -110,6 +112,16 @@ class TestTangent:
         m_values = np.array(mod.space.labels)
         expected = -1j * m_values * mod.evaluate(th).amplitudes
         assert np.allclose(mod.tangent(th, 0).amplitudes, expected)
+
+    @pytest.mark.parametrize("name, theta", [("position_shift", 5.0),
+                                             ("spin_jz", np.inf)])
+    def test_analytic_tangent_checks_the_point(self, battery, name, theta):
+        mod = battery[name]
+        assert mod.tangent_fn is not None
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(DomainError, match="outside domain"):
+                mod.tangent((theta,), 0)
 
     def test_fd_step_error_at_boundary(self):
         mod = qg.catalog("position_shift", {"grid": {"n": 128, "lower": -10, "upper": 10}})

@@ -1,6 +1,9 @@
 """Each verdict reads its tolerance from one module constant at call time."""
 
+import ast
+import importlib
 import json
+from pathlib import Path
 
 import pytest
 
@@ -66,3 +69,37 @@ def test_report_states_the_constants(monkeypatch, capsys, tmp_path):
         "quasi_parallel": holonomy.QUASI_PARALLEL_TOL,
         "beta_bound": geometry.BETA_BOUND_TOL,
     }
+
+
+def readme_tolerance_rows():
+    """``{constant: (module, value)}`` from the README "Tolerances" table."""
+    text = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## Tolerances\n", 1)[1].split("\n## ", 1)[0]
+    rows = {}
+    for line in section.splitlines():
+        cells = [c.strip().strip("`") for c in line.strip().strip("|").split("|")]
+        if line.startswith("| `"):
+            assert cells[0] not in rows, f"{cells[0]} has two rows"
+            rows[cells[0]] = (cells[1], float(cells[2]))
+    return rows
+
+
+def module_float_constants():
+    """``{(module, name)}`` of every module-level float constant."""
+    found = set()
+    for path in sorted(Path(qestgeo.__file__).parent.glob("*.py")):
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            if (isinstance(node, ast.Assign) and isinstance(node.value, ast.Constant)
+                    and isinstance(node.value.value, float)):
+                found.update((path.stem, t.id) for t in node.targets)
+    return found
+
+
+def test_readme_table_matches_the_constants():
+    rows = readme_tolerance_rows()
+    assert rows
+    for name, (module, value) in rows.items():
+        mod = importlib.import_module(f"qestgeo.{module}")
+        assert getattr(mod, name) == value, f"{module}.{name}"
+    assert module_float_constants() == {(module, name)
+                                        for name, (module, _) in rows.items()}
