@@ -33,7 +33,6 @@ numerical-contract violations, 64 usage errors.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -206,16 +205,13 @@ def _parse_catalog_spec(doc):
         built = model.catalog(name, params)
     except (ValueError, KeyError, TypeError, OverflowError) as exc:
         raise SpecFormatError(f"invalid params for {name}: {exc}", path="params") from exc
-    echo = {"kind": "catalog", "name": name, "params": _jsonable(params)}
     if "fd_step" in doc:
         step = _floats(doc["fd_step"], "fd_step")
         if step.shape or not 0.0 < step < np.inf:
             raise SpecFormatError(f"must be a positive number, got {doc['fd_step']!r}",
                                   path="fd_step")
-        # a step selects central differences over the closed-form tangents
-        built = dataclasses.replace(built, tangent_fn=None, fd_step=float(step))
-        echo["fd_step"] = float(step)
-    return built, echo
+        raise SpecFormatError("catalog families have closed-form tangents", path="fd_step")
+    return built, {"kind": "catalog", "name": name, "params": _jsonable(params)}
 
 
 def _parse_space_spec(spec, path):

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import hilbert
-from .errors import AnchorError, ClosureError, RefinementError, UndefinedPhaseError
+from .errors import AnchorError, ClosureError, DomainError, RefinementError, UndefinedPhaseError
 from .model import Curve
 
 MIN_OVERLAP = 1e-6
@@ -55,7 +55,12 @@ def _refined_states(model, thetas):
     still that small after ``MAX_REFINE_LEVELS`` levels raises
     :class:`RefinementError`.
     """
-    thetas = np.asarray(thetas, dtype=float)
+    try:
+        thetas = np.asarray(thetas, dtype=float)
+    except ValueError as exc:  # ragged or non-numeric points
+        raise DomainError(f"curve points are not {model.m}-vectors: {exc}") from None
+    if thetas.ndim == 1:  # scalar points of a one-parameter model
+        thetas = thetas[:, None]
     first = model.evaluate(thetas[0])
     space = first.space
     amps = np.empty((len(thetas), space.dim), dtype=complex)

@@ -127,7 +127,8 @@ class PureStateModel:
 class Curve:
     """Ordered parameter points of a model, optionally closed as rays.
 
-    The model checks each point when the curve is evaluated.
+    The points are checked when the curve is evaluated: a point of the
+    wrong shape or outside the domain raises :class:`DomainError` there.
     """
 
     model: PureStateModel

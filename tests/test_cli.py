@@ -249,30 +249,6 @@ class TestFastFamily:
         assert j_s == pytest.approx(4e20 * np.sin(0.5) ** 2, rel=1e-6)
 
 
-class TestFdStep:
-    @pytest.fixture
-    def fd_spec(self, tmp_path):
-        path = tmp_path / "fd.json"
-        path.write_text(json.dumps({
-            "kind": "catalog", "name": "position_shift", "fd_step": 1e-5,
-            "params": {"grid": {"n": 256, "lower": -10, "upper": 10}},
-        }))
-        return str(path)
-
-    def test_fd_step_selects_central_differences(self, capsys, fd_spec):
-        built, echo = cli._load_model(fd_spec)
-        assert built.tangent_fn is None
-        assert built.fd_step == echo["fd_step"] == 1e-5
-        doc = run_to_doc(capsys, ["report", "--model", fd_spec, "--theta=0.3"])
-        j_s = doc["entries"][0]["sld_fisher"][0][0]
-        assert j_s == pytest.approx(2.0, abs=1e-8)
-        assert abs(j_s - 2.0) > 1e-12  # not the closed-form tangent
-
-    def test_fd_step_leaving_the_domain_is_a_spec_error(self, capsys, fd_spec):
-        assert main(["report", "--model", fd_spec, "--theta=2"]) == 2
-        assert "finite-difference step" in capsys.readouterr().err
-
-
 class TestFisherAndSample:
     def test_fisher_grid_attains_on_two_well(self, capsys, two_well_spec):
         doc = run_to_doc(capsys, [

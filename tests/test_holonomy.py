@@ -5,7 +5,7 @@ import pytest
 
 import qestgeo as qg
 from qestgeo import holonomy
-from qestgeo.errors import AnchorError, RefinementError, UndefinedPhaseError
+from qestgeo.errors import AnchorError, DomainError, RefinementError, UndefinedPhaseError
 from qestgeo.hilbert import BasisSpace, GridSpace, StateVector, inner
 from qestgeo.holonomy import (
     align_phases,
@@ -246,6 +246,23 @@ class TestOpen:
         curve = Curve(bloch, ((0.0, 0.0), (np.pi, 0.0)), closed=False)
         with pytest.raises((UndefinedPhaseError, RefinementError)):
             berry_phase_open(curve)
+
+    def test_malformed_points_are_domain_errors(self, bloch):
+        for pts in (((0.3, 0.0), (0.4,)), ((0.3, 0.0, 0.1), (0.4, 0.0, 0.1))):
+            with pytest.raises(DomainError):
+                berry_phase_open(Curve(bloch, pts, closed=False))
+
+    def test_scalar_points_of_a_one_parameter_model(self):
+        # a jump the refinement cannot resolve; the segment holds 1-vectors
+        def ev(theta):
+            return np.array([1.0, 0.0]) if theta[0] < 0.5 else np.array([0.0, 1.0])
+
+        mod = PureStateModel(space=BasisSpace(2), m=1, domain=((0.0, 1.0),),
+                             evaluate_fn=ev)
+        with pytest.raises(RefinementError) as info:
+            berry_phase_open(Curve(mod, (0.0, 1.0), closed=False))
+        lo, hi = info.value.segment
+        assert len(lo) == len(hi) == 1 and lo[0] < 0.5 <= hi[0]
 
     def test_ring_flux_open_phase_is_nontrivial(self, battery):
         mod = battery["ring_flux"]

@@ -61,6 +61,18 @@ MALFORMED = [
     ("fd_step_zero", "model_spec", {**BLOCH, "fd_step": 0},
      ["report", "--model", "bad.json", "--theta", "0.3,0.1"],
      "fd_step: must be a positive number, got 0"),
+    # catalog families have closed-form tangents; central differences would
+    # straddle the phase step of ring_flux at theta 0
+    ("fd_step_catalog", "model_spec",
+     {"kind": "catalog", "name": "position_shift", "fd_step": 1e-5,
+      "params": {"grid": {"n": 256, "lower": -10, "upper": 10}}},
+     ["report", "--model", "bad.json", "--theta", "0.3"],
+     "fd_step: catalog families have closed-form tangents"),
+    ("fd_step_ring_flux", "model_spec",
+     {"kind": "catalog", "name": "ring_flux", "fd_step": 1e-4,
+      "params": {"grid": {"n": 256, "lower": 0, "upper": 2 * math.pi, "periodic": True}}},
+     ["report", "--model", "bad.json", "--theta", "0"],
+     "fd_step: catalog families have closed-form tangents"),
     ("params_list", "model_spec", {**BLOCH, "params": [1]},
      ["report", "--model", "bad.json", "--theta", "0.3,0.1"],
      "params: must be an object"),
