@@ -507,21 +507,15 @@ def _cmd_check(args):
             "reason": None}
     try:
         basis = hilbert.gram_schmidt_real(aligned)
-        residual = float(np.max(hilbert.conjugation_residuals(basis, aligned)))
-        anti = {
-            "constructed": True,
-            "invariant": bool(residual < CONJUGATION_RESIDUAL_TOL),
-            "max_residual": residual,
-            "reason": None,
-        }
     except NonRealOverlapError as exc:
         anti["reason"] = str(exc)
-    momentum = _momentum_symmetry_section(built)
-    consistent = True
-    if anti["constructed"]:
-        consistent = consistent and (anti["invariant"] == qp_flag)
     else:
-        consistent = consistent and (not qp_flag)
+        residual = float(np.max(hilbert.conjugation_residuals(basis, aligned)))
+        anti.update(constructed=True, max_residual=residual,
+                    invariant=bool(residual < CONJUGATION_RESIDUAL_TOL))
+    momentum = _momentum_symmetry_section(built)
+    # gram_schmidt_real passes exactly when qp_flag holds: one rule, one matrix
+    consistent = not qp_flag or anti["invariant"]
     if momentum["applicable"]:
         # the momentum flag matches the overlap reality of the family as
         # given; alignment can only forgive non-horizontal phase twists
@@ -604,9 +598,14 @@ def _cmd_sample(args):
     thetas = parse_theta_list(args.theta, built.m)
     if len(thetas) != 1:
         raise SpecFormatError("sample takes exactly one theta point")
-    samples = [thetas[0]]
-    povm, povm_echo = _make_povm(args.povm, built, samples)
-    state = built.evaluate(thetas[0])
+    if args.povm == "schmidt":
+        # the sampled state is the one construction sample: evaluate it once
+        state = built.evaluate(thetas[0])
+        povm = estimation.schmidt_povm([state])
+        povm_echo = {"kind": "schmidt", "n_samples": 1}
+    else:
+        povm, povm_echo = _make_povm(args.povm, built, thetas)
+        state = built.evaluate(thetas[0])
     outcomes = estimation.sample_outcomes(povm, state, args.n, args.seed)
     values, counts = np.unique(outcomes, return_counts=True)
     return {

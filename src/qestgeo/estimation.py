@@ -16,11 +16,10 @@ import numpy as np
 from . import hilbert
 from .errors import (
     MeasurementDefinitionError,
-    NonRealOverlapError,
     SingularSupportError,
     SpaceMismatchError,
 )
-from .holonomy import align_phases, quasi_parallel_states, sample_states
+from .holonomy import align_phases, sample_states
 
 PSD_TOL = 1e-10
 RESOLUTION_TOL = 1e-8
@@ -243,7 +242,7 @@ def classical_fisher(family, theta):
     """
     if family.fisher_fn is not None:
         return family.fisher_fn(theta)
-    return _fisher(family.probabilities(theta), family.scores(theta), None)
+    return _fisher(family.probabilities(theta), family.scores(theta), None, None)
 
 
 def lift_fisher(povm, lift):
@@ -256,16 +255,18 @@ def lift_fisher(povm, lift):
     the chain-rule form 4 sum (da_i)^2 yields for real amplitude families.
     """
     return _fisher(induced_distribution(povm, lift.phi),
-                   povm.scores(lift.phi, lift.lifts),
-                   lambda mask: povm.node_fisher(lift.lifts, mask))
+                   povm.scores(lift.phi, lift.lifts), povm, lift.lifts)
 
 
-def _fisher(p, s, node_fisher):
+def _fisher(p, s, povm, lifts):
     """Fisher core of :func:`classical_fisher` and :func:`lift_fisher`.
 
     The clip is relative to the outcome count, so the dropped mass stays
-    below ``PROB_CLIP`` however fine the grid.  ``node_fisher(mask)``,
-    when not None, gives the limit contribution of the clipped outcomes.
+    below ``PROB_CLIP`` however fine the grid.  A clipped outcome may carry
+    a score of at most ``SUPPORT_SCORE_TOL`` times the largest norm of the
+    ``lifts`` behind the scores, which bounds it by Cauchy-Schwarz; the scale
+    is floored at 1, the scale of a plain probability table.  With lifts,
+    ``povm.node_fisher`` gives the limit contribution of the clipped outcomes.
     """
     p = np.asarray(p, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -273,7 +274,9 @@ def _fisher(p, s, node_fisher):
     dropped = ~support
     if np.any(dropped):
         bad = np.max(np.abs(s[:, dropped])) if s[:, dropped].size else 0.0
-        if bad > SUPPORT_SCORE_TOL:
+        # the lift norms are needed only past the floor
+        if bad > SUPPORT_SCORE_TOL and (
+                lifts is None or bad > SUPPORT_SCORE_TOL * max(l.norm() for l in lifts)):
             raise SingularSupportError(
                 f"outcome with p < {PROB_CLIP:.0e} carries score {bad:.2e}"
             )
@@ -284,32 +287,28 @@ def _fisher(p, s, node_fisher):
         )
     w = s[:, support] / np.sqrt(p[support])
     j = w @ w.T
-    if np.any(dropped) and node_fisher is not None:
-        j = j + np.asarray(node_fisher(dropped), dtype=float)
+    if np.any(dropped) and lifts is not None:
+        j = j + np.asarray(povm.node_fisher(lifts, dropped), dtype=float)
     return 0.5 * (j + j.T)
 
 
 def optimal_measurement_quasi_parallel(model, sample_thetas):
     """Fixed projective measurement attaining the quantum Fisher matrix.
 
-    Requires the family to pass :func:`is_quasi_parallel` on the samples.
-    The sample states are phase-aligned and orthonormalized over the
-    reals; measuring in that basis gives a classical Fisher matrix equal
-    to the quantum one at every sampled point, with a single measurement
-    that never depends on the parameter.
+    Requires the family to pass :func:`is_quasi_parallel` on the samples;
+    :class:`NonRealOverlapError` otherwise.  The sample states are
+    phase-aligned and orthonormalized over the reals; measuring in that
+    basis gives a classical Fisher matrix equal to the quantum one at every
+    sampled point, with a single measurement that never depends on the
+    parameter.
     """
-    thetas, states = sample_states(model, sample_thetas)
-    aligned = align_phases(states)[0]
-    flag, witness = quasi_parallel_states(thetas, aligned)
-    if not flag:
-        raise NonRealOverlapError(
-            "family is not quasi-parallel on the samples "
-            f"(witness {witness['value']:.3e} at pair {witness['pair']})",
-            pair=tuple(witness["pair"]),
-            imag=witness["value"],
-        )
-    basis = hilbert.gram_schmidt_real(aligned)
-    return ProjectorPovm(basis)
+    return schmidt_povm(sample_states(model, sample_thetas)[1])
+
+
+def schmidt_povm(states):
+    """The construction of :func:`optimal_measurement_quasi_parallel` on
+    sample states evaluated by the caller."""
+    return ProjectorPovm(hilbert.gram_schmidt_real(align_phases(states)[0]))
 
 
 def sample_outcomes(povm, state_or_rho, n, seed):

@@ -151,6 +151,20 @@ def assert_normalized(state):
         raise ValueError(f"state norm drifts from 1 by {drift:.3e} (tol {NORM_TOL:.1e})")
 
 
+def overlap_matrix(vectors):
+    """``G[a, b] = <v_a|v_b>`` of vectors on one space: :func:`inner` on and
+    above the diagonal, conjugates below."""
+    k = len(vectors)
+    g = np.empty((k, k), dtype=complex)
+    for a, u in enumerate(vectors):
+        if u.space != vectors[0].space:
+            raise SpaceMismatchError(f"vector {a} lives on a different space")
+        for b in range(a, k):
+            g[a, b] = u.space.weight * np.vdot(u.amplitudes, vectors[b].amplitudes)
+            g[b, a] = np.conj(g[a, b])
+    return g
+
+
 def gram_schmidt_real(vectors):
     """Orthonormalize vectors whose pairwise overlaps are real.
 
@@ -162,40 +176,38 @@ def gram_schmidt_real(vectors):
     Raises
     ------
     NonRealOverlapError
-        If some pairwise overlap has ``|Im| >= GRAM_SCHMIDT_TOL``; the
-        exception carries the offending index pair.  Reality of the *input*
-        overlaps is the hypothesis under which real coefficients are
-        guaranteed, so it is what gets checked.
+        If the inputs fail the quasi-parallel verdict of
+        :func:`holonomy.quasi_parallel_states`, the hypothesis under which
+        real coefficients are guaranteed; the exception carries the first
+        failing index pair and the imaginary part of its overlap.
     """
+    from . import holonomy  # call time: holonomy imports this module
+
     vecs = list(vectors)
     if not vecs:
         return []
+    g = overlap_matrix(vecs)
+    failing = np.argwhere(~(holonomy.pair_ratios(g) < holonomy.QUASI_PARALLEL_TOL))
+    if failing.size:
+        a, b = (int(i) for i in failing[0])
+        raise NonRealOverlapError(
+            f"overlap of inputs {a} and {b} has Im = {g[a, b].imag:.3e}",
+            pair=(a, b), imag=float(g[a, b].imag))
     space = vecs[0].space
-    for k, v in enumerate(vecs):
-        if v.space != space:
-            raise SpaceMismatchError(f"vector {k} lives on a different space")
-    for a in range(len(vecs)):
-        for b in range(a + 1, len(vecs)):
-            ov = inner(vecs[a], vecs[b])
-            if abs(ov.imag) >= GRAM_SCHMIDT_TOL:
-                raise NonRealOverlapError(
-                    f"overlap of inputs {a} and {b} has Im = {ov.imag:.3e}",
-                    pair=(a, b),
-                    imag=ov.imag,
-                )
+    w = space.weight
     skip_scale = max(v.norm() for v in vecs)
     basis = []
     for v in vecs:
         resid = v.amplitudes.copy()
         # two orthogonalization passes: classic fix for near-dependent inputs
         for _ in range(2):
-            for b in basis:
-                resid -= inner(b, StateVector(space, resid)) * b.amplitudes
-        rnorm = StateVector(space, resid).norm()
+            for e in basis:
+                resid -= complex(w * np.vdot(e, resid)) * e
+        rnorm = float(np.sqrt(w) * np.linalg.norm(resid))
         if rnorm < GRAM_SCHMIDT_TOL * skip_scale:
             continue
-        basis.append(StateVector(space, resid / rnorm))
-    return basis
+        basis.append(resid / rnorm)
+    return [StateVector(space, e) for e in basis]
 
 
 def conjugation_residuals(basis, states):

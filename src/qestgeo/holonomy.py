@@ -199,22 +199,20 @@ def curvature_check(model, theta, i, j, eps, n_sub=8):
 def align_phases(states):
     """Rotate each state so its overlap with a common anchor is real.
 
-    Tries each state as the anchor until one overlaps every other state
-    above ``MIN_OVERLAP``; raises :class:`AnchorError` when none does.
-    Returns ``(aligned_states, anchor_index)``.
+    The anchor is the first row of :func:`hilbert.overlap_matrix` whose
+    entries all exceed ``MIN_OVERLAP`` in magnitude, and the phases come
+    from that row; :class:`AnchorError` when no row qualifies.  Returns
+    ``(aligned_states, anchor_index)``.
     """
-    n = len(states)
-    for anchor in range(n):
-        ovs = [hilbert.inner(states[anchor], s) for s in states]
-        if all(abs(ov) > MIN_OVERLAP for ov in ovs):
-            aligned = [
-                s.with_amplitudes(np.exp(-1j * np.angle(ov)) * s.amplitudes)
-                for s, ov in zip(states, ovs)
-            ]
-            return aligned, anchor
-    raise AnchorError(
-        "no sample overlaps every other sample; cannot phase-align the family"
-    )
+    g = hilbert.overlap_matrix(states)
+    anchors = np.flatnonzero(np.all(np.hypot(g.real, g.imag) > MIN_OVERLAP, axis=1))
+    if anchors.size == 0:
+        raise AnchorError(
+            "no sample overlaps every other sample; cannot phase-align the family"
+        )
+    anchor = int(anchors[0])
+    return [s.with_amplitudes(np.exp(-1j * np.angle(ov)) * s.amplitudes)
+            for s, ov in zip(states, g[anchor])], anchor
 
 
 def is_quasi_parallel(model, sample_thetas, align=True):
@@ -242,20 +240,20 @@ def sample_states(model, sample_thetas):
     return thetas, [model.evaluate(t) for t in thetas]
 
 
+def pair_ratios(gram):
+    """``R[a, b]``: the ratio of :func:`is_quasi_parallel` for the pair
+    ``a < b`` of an overlap matrix, 0 on and below the diagonal.  In row
+    order the first entry is ``(0, 0)``, so one state has a verdict too."""
+    # hypot, as abs() of one complex: numpy's complex abs rounds differently
+    hyp = np.hypot(gram.real, gram.imag)
+    return np.triu(np.abs(gram.imag) / np.maximum(hyp, 1e-3), 1)
+
+
 def quasi_parallel_states(thetas, states):
-    """The pair scan of :func:`is_quasi_parallel` on ``states[k]``, the state
+    """The verdict of :func:`is_quasi_parallel` on ``states[k]``, the state
     at the float array ``thetas[k]``, evaluated (and aligned) by the caller."""
-    worst = 0.0
-    worst_pair = (thetas[0], thetas[0])
-    for a in range(len(states)):
-        for b in range(a + 1, len(states)):
-            ov = hilbert.inner(states[a], states[b])
-            ratio = abs(ov.imag) / max(abs(ov), 1e-3)
-            if ratio > worst:
-                worst = ratio
-                worst_pair = (thetas[a], thetas[b])
-    witness = {
-        "pair": (worst_pair[0].tolist(), worst_pair[1].tolist()),
-        "value": float(worst),
-    }
-    return bool(worst < QUASI_PARALLEL_TOL), witness
+    ratios = pair_ratios(hilbert.overlap_matrix(states))
+    a, b = np.unravel_index(np.argmax(ratios), ratios.shape)
+    witness = {"pair": (thetas[a].tolist(), thetas[b].tolist()),
+               "value": float(ratios[a, b])}
+    return bool(ratios[a, b] < QUASI_PARALLEL_TOL), witness

@@ -15,6 +15,7 @@ ring threaded by flux, and the full spin-1/2 ray family).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -311,6 +312,24 @@ def _grid_from_params(params, default_n=512, default_lower=-10.0, default_upper=
     )
 
 
+def _domain(params, default):
+    """``params["domain"]`` as given, else ``default``: ``len(default)``
+    pairs ``[lo, hi]`` of numbers with ``lo <= hi``; ValueError otherwise."""
+    domain = params.get("domain", default)
+
+    def is_pair(pair):
+        return (isinstance(pair, (list, tuple)) and len(pair) == 2
+                and all(isinstance(v, numbers.Real) and not isinstance(v, bool)
+                        for v in pair)
+                and pair[0] <= pair[1])
+
+    if not (isinstance(domain, (list, tuple)) and len(domain) == len(default)
+            and all(map(is_pair, domain))):
+        raise ValueError(f"domain must be {len(default)} pair(s) [lo, hi] of numbers "
+                         f"with lo <= hi, got {domain!r}")
+    return tuple(domain)
+
+
 def _grid_norm_factor(profile, space):
     """Normalization constant on the model's own grid, computed once."""
     raw = StateVector(space, profile.f(space.points))
@@ -323,7 +342,7 @@ def _grid_norm_factor(profile, space):
 def _shift_family(params, profile, space, kind):
     """The family ``c f(x - theta)`` of a profile translated on its grid."""
     c = _grid_norm_factor(profile, space)
-    domain = tuple(params.get("domain", ((-2.0, 2.0),)))
+    domain = _domain(params, ((-2.0, 2.0),))
     x = space.points
 
     def ev(theta):
@@ -365,7 +384,7 @@ def _momentum_shift(params):
     c = _grid_norm_factor(profile, space)
     x = space.points
     return _phase_generator_family(
-        space, tuple(params.get("domain", ((-2.0, 2.0),))), -x, c * profile.f(x),
+        space, _domain(params, ((-2.0, 2.0),)), -x, c * profile.f(x),
         "momentum_shift", np.linspace(-1.0, 1.0, 5))
 
 
@@ -373,7 +392,7 @@ def _position_momentum_shift(params):
     profile = make_profile(params.get("profile", "gaussian"))
     space = _grid_from_params(params)
     c = _grid_norm_factor(profile, space)
-    domain = tuple(params.get("domain", ((-2.0, 2.0), (-2.0, 2.0))))
+    domain = _domain(params, ((-2.0, 2.0), (-2.0, 2.0)))
     x = space.points
 
     def ev(theta):
@@ -427,7 +446,7 @@ def _ring_flux(params):
     omega = space.points
     raw = StateVector(space, (2.0 - np.cos(omega)) + 0j)
     c = 1.0 / raw.norm()
-    domain = tuple(params.get("domain", ((-2.0 * np.pi, 4.0 * np.pi),)))
+    domain = _domain(params, ((-2.0 * np.pi, 4.0 * np.pi),))
 
     def ev(theta):
         s = np.mod(omega - theta[0], 2.0 * np.pi)
@@ -448,7 +467,7 @@ def _ring_flux(params):
 
 def _bloch(params):
     space = BasisSpace(2, labels=("up", "down"))
-    domain = tuple(params.get("domain", ((0.0, np.pi), (-4.0 * np.pi, 4.0 * np.pi))))
+    domain = _domain(params, ((0.0, np.pi), (-4.0 * np.pi, 4.0 * np.pi)))
 
     def ev(theta):
         pol, az = theta

@@ -249,6 +249,72 @@ class TestFastFamily:
         assert j_s == pytest.approx(4e20 * np.sin(0.5) ** 2, rel=1e-6)
 
 
+    def test_fast_tabulated_schmidt_fisher(self, capsys, tmp_path):
+        # a dropped outcome's score of about 1.7e-7 is rounding on lifts of
+        # size 1e10: the support test is relative to the lift norm
+        thetas = [0.0, 1e-10, 2e-10]
+        path = tmp_path / "fast.json"
+        path.write_text(json.dumps({
+            "kind": "tabulated", "space": {"type": "basis", "dimension": 2},
+            "thetas": thetas,
+            "amplitudes": [[[np.cos(5e9 * t), 0.0], [np.sin(5e9 * t), 0.0]]
+                           for t in thetas],
+        }))
+        doc = run_to_doc(capsys, ["fisher", "--model", str(path), "--povm", "schmidt",
+                                  "--theta=1e-10", "--samples=1e-10"])
+        entry = doc["entries"][0]
+        j_s = entry["sld_fisher"][0][0]
+        assert j_s == pytest.approx(4e20 * np.sin(0.5) ** 2, rel=1e-6)
+        assert entry["classical_fisher"][0][0] == pytest.approx(j_s, rel=1e-10)
+
+
+def twisted_spec(tmp_path):
+    """Three basis states, thetas 0, 0.1, 0.2, with real overlaps except one
+    twisted by the phase 2e-7: Im 8.2e-8, a ratio of 1e-7 to the overlap."""
+    s3 = 3 ** -0.5
+    rows = [[1.0, 0.0, 0.0], [2 ** -0.5, 2 ** -0.5, 0.0],
+            [s3, s3 * np.exp(2e-7j), s3]]
+    path = tmp_path / "twisted.json"
+    path.write_text(json.dumps({
+        "kind": "tabulated", "space": {"type": "basis", "dimension": 3},
+        "thetas": [0.0, 0.1, 0.2],
+        "amplitudes": [[[complex(a).real, complex(a).imag] for a in row] for row in rows],
+    }))
+    return str(path)
+
+
+class TestOneRealityRule:
+    """The quasi-parallel verdict and real Gram-Schmidt read one rule."""
+
+    SAMPLES = "--samples=0;0.1;0.2"
+
+    def test_twisted_family_is_classified_consistently(self, capsys, tmp_path):
+        doc = run_to_doc(capsys, ["check", "--model", twisted_spec(tmp_path),
+                                  self.SAMPLES])
+        qp = doc["quasi_parallel"]
+        assert 1e-8 < qp["witness"]["value"] < qp["tolerance"]
+        assert qp["flag"] is True
+        assert doc["antiunitary"]["constructed"] is True
+        assert doc["consistent"] is True
+
+    def test_twisted_family_schmidt_fisher(self, capsys, tmp_path):
+        doc = run_to_doc(capsys, ["fisher", "--model", twisted_spec(tmp_path),
+                                  "--povm", "schmidt", "--theta=0.1", self.SAMPLES])
+        assert doc["entries"][0]["max_relative_gap"] < 1e-10
+
+    def test_constructed_equals_flag_on_the_catalog(self, capsys, monkeypatch, battery):
+        flags = set()
+        for name, mod in battery.items():
+            monkeypatch.setattr(cli, "_load_model",
+                                lambda path, mod=mod, name=name: (mod, {"kind": name}))
+            samples = ";".join(",".join(repr(float(c)) for c in t) for t in mod.sample_grid)
+            doc = run_to_doc(capsys, ["check", "--model", "-", f"--samples={samples}"])
+            flag = doc["quasi_parallel"]["flag"]
+            assert doc["antiunitary"]["constructed"] is flag, name
+            flags.add(flag)
+        assert flags == {True, False}
+
+
 class TestFisherAndSample:
     def test_fisher_grid_attains_on_two_well(self, capsys, two_well_spec):
         doc = run_to_doc(capsys, [
@@ -567,6 +633,15 @@ class TestEvaluationCounts:
         assert echo == {"kind": "schmidt", "n_samples": 5}
         assert povm.n_outcomes == 6  # five basis vectors and the complement
         assert len(calls) == 5
+
+    def test_sample_schmidt_evaluates_its_theta_once(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr(cli, "_load_model",
+                            lambda path: (counting_model(calls), {"kind": "test"}))
+        doc = run_to_doc(capsys, ["sample", "--model", "-", "--povm", "schmidt",
+                                  "--theta=0.3", "--n", "100", "--seed", "1"])
+        assert doc["povm"] == {"kind": "schmidt", "n_samples": 1}
+        assert calls == [(0.3,)]
 
     def test_check_without_an_anchor_is_a_numerical_error(self, capsys, tmp_path):
         # far-apart gaussians overlap nowhere: alignment finds no anchor

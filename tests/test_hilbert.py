@@ -23,6 +23,8 @@ from qestgeo.hilbert import (
     projector,
 )
 
+from qestgeo.holonomy import quasi_parallel_states
+
 from conftest import random_state
 
 
@@ -155,6 +157,72 @@ class TestGramSchmidtReal:
         for v in vecs:
             coeffs = [inner(b, v) for b in out]
             assert max(abs(c.imag) for c in coeffs) < 1e-8
+
+    def test_reality_is_relative_to_the_overlap(self):
+        # Im 8.2e-8 on an overlap of 0.82 is a ratio of 1e-7, below the
+        # quasi-parallel tolerance: the inputs count as real
+        space = BasisSpace(3)
+        s3 = 3 ** -0.5
+        vecs = [basis_state(space, 0),
+                StateVector(space, np.array([1, 1, 0]) / np.sqrt(2) + 0j),
+                StateVector(space, np.array([s3, s3 * np.exp(2e-7j), s3]))]
+        assert abs(inner(vecs[1], vecs[2]).imag) > 1e-8
+        assert len(gram_schmidt_real(vecs)) == 3
+
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**31), log_twist=st.floats(-9.0, -4.0))
+    def test_precondition_is_the_quasi_parallel_verdict(self, seed, log_twist):
+        rng = np.random.default_rng(seed)
+        space = BasisSpace(5)
+        vecs = [rng.normal(size=5) + 0j for _ in range(4)]
+        vecs[-1][1] *= np.exp(1j * 10.0 ** log_twist)
+        states = [StateVector(space, v, normalize=True) for v in vecs]
+        thetas = [np.array([float(k)]) for k in range(4)]
+        flag, _ = quasi_parallel_states(thetas, states)
+        try:
+            gram_schmidt_real(states)
+        except NonRealOverlapError:
+            assert not flag
+        else:
+            assert flag
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**31), n=st.integers(1, 6))
+    def test_matches_the_state_vector_loop(self, seed, n):
+        # amplitude arrays in place of StateVectors change no bit
+        rng = np.random.default_rng(seed)
+        space = GridSpace(12, -1.0, 2.0)
+        q, _ = np.linalg.qr(rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
+        vecs = [StateVector(space, q @ rng.normal(size=12)) for _ in range(n)]
+        vecs.append(StateVector(space, vecs[0].amplitudes * 2.0))  # dependent
+        skip_scale = max(v.norm() for v in vecs)
+        want = []
+        for v in vecs:
+            resid = v.amplitudes.copy()
+            for _ in range(2):
+                for b in want:
+                    resid -= inner(b, StateVector(space, resid)) * b.amplitudes
+            rnorm = StateVector(space, resid).norm()
+            if rnorm >= hilbert.GRAM_SCHMIDT_TOL * skip_scale:
+                want.append(StateVector(space, resid / rnorm))
+        got = gram_schmidt_real(vecs)
+        assert len(got) == len(want) == n
+        for a, b in zip(got, want):
+            assert np.array_equal(a.amplitudes, b.amplitudes)
+
+    def test_overlap_matrix_is_the_inner_products(self):
+        rng = np.random.default_rng(5)
+        space = GridSpace(16, -2.0, 2.0)
+        vecs = [random_state(space, rng) for _ in range(4)]
+        g = hilbert.overlap_matrix(vecs)
+        for a in range(4):
+            for b in range(4):
+                if a <= b:
+                    assert g[a, b] == inner(vecs[a], vecs[b])
+                else:
+                    assert g[a, b] == np.conj(g[b, a])
+        with pytest.raises(SpaceMismatchError):
+            hilbert.overlap_matrix([vecs[0], basis_state(BasisSpace(16), 0)])
 
     def test_complete_basis_preserves_inputs(self):
         space = BasisSpace(5)

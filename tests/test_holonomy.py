@@ -381,6 +381,42 @@ class TestQuasiParallel:
         with pytest.raises(AnchorError):
             is_quasi_parallel(mod, [(0.0,), (1.0,)])
 
+    def test_matrix_reads_match_the_pair_loops(self, battery):
+        # one overlap matrix gives the anchor, the phases, the verdict and
+        # the witness of one hilbert.inner call per pair, to the last bit
+        space = BasisSpace(3)
+        # state 0 is orthogonal to state 2, so state 1 is the anchor and
+        # the phase of state 0 comes from below the diagonal
+        skew = [StateVector(space, np.exp(1j * phase) * np.array(amp), normalize=True)
+                for phase, amp in ((0.3, [1, 0, 0.0]), (1.1, [1, 1, 1j]),
+                                   (-0.4, [0, 1, 2j]))]
+        families = [(np.arange(3.0)[:, None], skew)]
+        families += [holonomy.sample_states(mod, mod.sample_grid)
+                     for mod in battery.values()]
+        for thetas, states in families:
+            aligned, anchor = align_phases(states)
+            ref_anchor = next(a for a in range(len(states))
+                              if all(abs(inner(states[a], s)) > holonomy.MIN_OVERLAP
+                                     for s in states))
+            assert anchor == ref_anchor
+            for s, got in zip(states, aligned):
+                ov = inner(states[anchor], s)
+                want = np.exp(-1j * np.angle(ov)) * s.amplitudes
+                assert np.array_equal(got.amplitudes, want)
+            for family in (states, aligned):
+                worst, pair = 0.0, (thetas[0], thetas[0])
+                for a in range(len(family)):
+                    for b in range(a + 1, len(family)):
+                        ov = inner(family[a], family[b])
+                        ratio = abs(ov.imag) / max(abs(ov), 1e-3)
+                        if ratio > worst:
+                            worst, pair = ratio, (thetas[a], thetas[b])
+                flag, witness = holonomy.quasi_parallel_states(thetas, family)
+                assert witness == {"pair": (pair[0].tolist(), pair[1].tolist()),
+                                   "value": worst}
+                assert flag is (worst < holonomy.QUASI_PARALLEL_TOL)
+        assert align_phases(skew)[1] == 1
+
     def test_alignment_keeps_anchor_overlaps_real(self, battery):
         mod = battery["ring_flux"]
         states = [mod.evaluate(t) for t in mod.sample_grid]

@@ -22,6 +22,18 @@ BLOCH = {"kind": "catalog", "name": "bloch"}
 SPIN = {"kind": "catalog", "name": "spin_jz", "params": {"amplitudes": [0.6, 0.8]}}
 BASIS_2 = {"type": "basis", "dimension": 2}
 UP_ROWS = [[[1.0, 0.0], [0.0, 0.0]]] * 2
+CHECK_SHIFTED = ["check", "--model", "bad.json", "--samples=0.6;1"]
+
+
+def ps_domain(domain):
+    return {"kind": "catalog", "name": "position_shift",
+            "params": {"grid": {"n": 64, "lower": -10, "upper": 10}, "domain": domain}}
+
+
+def domain_detail(given):
+    return ("params: invalid params for position_shift: domain must be 1 pair(s) "
+            f"[lo, hi] of numbers with lo <= hi, got {given}")
+
 
 # (id, schema of bad.json or None, bad.json, argv, stderr detail); argv names
 # the files bloch.json and bad.json by these names
@@ -106,6 +118,25 @@ MALFORMED = [
     ("theta_overflows", None, {**BLOCH, "params": {"domain": [[0, 3], [-math.inf, math.inf]]}},
      ["report", "--model", "bad.json", "--theta", "0.3,1e400"],
      "theta [0.3, inf] outside domain ([0, 3], [-inf, inf])"),
+    # a catalog domain is m pairs [lo, hi] of numbers with lo <= hi; the
+    # schema cannot count the pairs or order their ends
+    ("domain_short_pair", "model_spec", ps_domain([[0.5]]), CHECK_SHIFTED,
+     domain_detail("[[0.5]]")),
+    ("domain_strings", "model_spec", ps_domain([["a", "b"]]), CHECK_SHIFTED,
+     domain_detail("[['a', 'b']]")),
+    ("domain_flat", "model_spec", ps_domain([0.5, 1.5]), CHECK_SHIFTED,
+     domain_detail("[0.5, 1.5]")),
+    # with no pair at all, theta 7 used to pass unbounded
+    ("domain_empty", None, ps_domain([]),
+     ["report", "--model", "bad.json", "--theta=7"], domain_detail("[]")),
+    ("domain_pair_count", None, ps_domain([[0, 1], [0, 1]]), CHECK_SHIFTED,
+     domain_detail("[[0, 1], [0, 1]]")),
+    ("domain_reversed", None, ps_domain([[1, -1]]), CHECK_SHIFTED,
+     domain_detail("[[1, -1]]")),
+    ("bloch_domain_pair_count", None, {**BLOCH, "params": {"domain": [[0, 3]]}},
+     ["report", "--model", "bad.json", "--theta", "0.3,0.1"],
+     "params: invalid params for bloch: domain must be 2 pair(s) [lo, hi] of "
+     "numbers with lo <= hi, got [[0, 3]]"),
     ("grid_n_infinite", "model_spec",
      {"kind": "catalog", "name": "position_shift",
       "params": {"grid": {"n": math.inf, "lower": -1, "upper": 1}}},

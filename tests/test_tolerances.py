@@ -8,7 +8,8 @@ from pathlib import Path
 import pytest
 
 import qestgeo
-from qestgeo import cli, geometry, holonomy
+from qestgeo import cli, geometry, hilbert, holonomy
+from qestgeo.errors import NonRealOverlapError
 from test_cli import run_to_doc
 
 SAMPLES = "--samples=-1;-0.5;0;0.5;1"
@@ -46,6 +47,20 @@ def test_quasi_parallel_tol_decides_library_and_check(monkeypatch, capsys, gauss
     assert doc["quasi_parallel"]["flag"] is False
     assert doc["quasi_parallel"]["raw_flag"] is False
     assert doc["quasi_parallel"]["tolerance"] == 0.0
+
+
+def test_quasi_parallel_tol_decides_gram_schmidt(monkeypatch, capsys, gauss_spec):
+    # the real-overlap precondition of Gram-Schmidt is the quasi-parallel
+    # verdict, read at call time: no second, absolute reality tolerance
+    model = qestgeo.catalog("position_shift",
+                            {"grid": {"n": 256, "lower": -10, "upper": 10}})
+    states = [model.evaluate((t,)) for t in (-1.0, 0.0, 1.0)]
+    assert len(hilbert.gram_schmidt_real(states)) == 3
+    monkeypatch.setattr(holonomy, "QUASI_PARALLEL_TOL", 0.0)
+    with pytest.raises(NonRealOverlapError):
+        hilbert.gram_schmidt_real(states)
+    doc = run_to_doc(capsys, ["check", "--model", gauss_spec, SAMPLES])
+    assert doc["antiunitary"]["constructed"] is doc["quasi_parallel"]["flag"] is False
 
 
 def test_conjugation_residual_tol_decides_invariance(monkeypatch, capsys, gauss_spec):
