@@ -84,9 +84,9 @@ def _beta_spectrum(j_s, j_tilde):
     """Singular values of the metric-whitened curvature, one per pair.
 
     One ``eigh`` of J_S serves both the rank test and J_S^{-1/2}, and one
-    SVD of the whitened curvature gives the spectrum.  Raises
-    :class:`RankDeficiencyError` before the SVD when the metric is
-    singular.
+    SVD of the whitened curvature gives the betas above
+    ``QUASI_CLASSICAL_TOL``.  Raises :class:`RankDeficiencyError` before
+    the SVD when the metric is singular.
     """
     eigvals, eigvecs = np.linalg.eigh(j_s)
     if _is_singular(eigvals):
@@ -100,19 +100,18 @@ def _beta_spectrum(j_s, j_tilde):
     k = 0.5 * (k - k.T)
     svals = np.linalg.svd(k, compute_uv=False)
     # antisymmetric real: singular values pair up as (b, b); keep one of each
-    betas = svals[0::2]
-    return [float(b) for b in betas if b > RANK_TOL * max(1.0, svals[0] if len(svals) else 1.0)]
+    return [float(b) for b in svals[0::2] if b > QUASI_CLASSICAL_TOL]
 
 
 def d_transform(j_s, j_tilde):
     """Metric-adjoint of the curvature: D = J_S^{-1} J_tilde.
 
-    Returns ``(D, betas)`` with betas the nonzero pair magnitudes of the
-    spectrum +-i beta_j, sorted descending.  The spectrum is extracted
-    from the symmetrized J_S^{-1/2} J_tilde J_S^{-1/2}, which is exactly
-    antisymmetric in the metric frame, so the pairing is numerically
-    guaranteed.  Raises :class:`RankDeficiencyError` when the metric is
-    singular at relative tolerance ``RANK_TOL``.
+    Returns ``(D, betas)`` with betas the pair magnitudes of the spectrum
+    +-i beta_j above ``QUASI_CLASSICAL_TOL``, sorted descending.  The
+    spectrum comes from the symmetrized J_S^{-1/2} J_tilde J_S^{-1/2},
+    exactly antisymmetric in the metric frame, so the pairing is
+    numerically guaranteed.  Raises :class:`RankDeficiencyError` when the
+    metric is singular at relative tolerance ``RANK_TOL``.
     """
     j_s = np.asarray(j_s, dtype=float)
     j_tilde = np.asarray(j_tilde, dtype=float)
@@ -192,11 +191,18 @@ def attainable_cr_js(j_s, j_tilde):
     return _cr_from_betas(j_s.shape[0], betas)
 
 
-def is_quasi_classical(j_tilde, j_s):
-    """True when the curvature vanishes relative to the metric scale."""
-    j_tilde = np.asarray(j_tilde, dtype=float)
+def _curvature_below_scale(j_tilde, j_s):
     scale = max(1.0, float(np.max(np.abs(j_s))))
     return bool(np.max(np.abs(j_tilde)) < QUASI_CLASSICAL_TOL * scale)
+
+
+def is_quasi_classical(j_tilde, j_s):
+    """No beta left, as in ``analyze``; at a singular metric, where none
+    exists, ``max abs J_tilde < QUASI_CLASSICAL_TOL * max(1, max abs J_S)``."""
+    try:
+        return not _beta_spectrum(np.asarray(j_s, float), np.asarray(j_tilde, float))
+    except RankDeficiencyError:
+        return _curvature_below_scale(j_tilde, j_s)
 
 
 @dataclass(frozen=True)
@@ -230,7 +236,8 @@ def analyze(model, theta):
 
     Rank deficiency of the metric is reported as a flag here; only the
     bound computations (``sld_bound``, ``cr_js``) treat it as an error,
-    so the corresponding fields come back as None.
+    so the corresponding fields come back as None.  ``quasi_classical`` is
+    the verdict of :func:`is_quasi_classical`, from the same spectral pass.
     """
     lift = model.horizontal_lift(theta)
     j_s, j_t = _metric_and_curvature(_gram(lift))
@@ -252,6 +259,6 @@ def analyze(model, theta):
         d_matrix=d_matrix,
         betas=betas,
         cr_js=cr,
-        quasi_classical=is_quasi_classical(j_t, j_s),
+        quasi_classical=_curvature_below_scale(j_t, j_s) if deficient else not betas,
         rank_deficient=deficient,
     )

@@ -424,8 +424,8 @@ def _spin_jz(params):
     total_spin = (d - 1) / 2.0
     m_values = np.arange(d) - total_spin
     return _phase_generator_family(
-        BasisSpace(d, labels=tuple(m_values)), ((-np.inf, np.inf),), m_values, amp,
-        "spin_jz", np.linspace(0.0, 2.0, 5))
+        BasisSpace(d, labels=tuple(m_values)), _domain(params, ((-np.inf, np.inf),)),
+        m_values, amp, "spin_jz", np.linspace(0.0, 2.0, 5))
 
 
 def _two_well(params):

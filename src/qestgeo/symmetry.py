@@ -12,13 +12,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import hilbert
+from . import hilbert, holonomy
 from .errors import AnchorError, UnsupportedSpaceError
-from .holonomy import align_phases
 
 SPECTRAL_ZERO_TOL = 1e-10
-MOMENTUM_SYMMETRY_TOL = 1e-8
-INVARIANCE_TOL = 1e-8
+INVARIANCE_TOL = 1e-6  # = cli.CONJUGATION_RESIDUAL_TOL: one displacement bound
 UNITARY_TOL = 1e-8
 
 
@@ -151,11 +149,11 @@ def momentum_symmetry_check(state):
     """Is the momentum density symmetric under p -> -p?
 
     Returns ``(flag, max_asymmetry)``, the asymmetry relative to the
-    density peak and the flag ``max_asymmetry < MOMENTUM_SYMMETRY_TOL``.
-    The flag holds exactly when some generalized reversal fixes the wave
-    function, which in turn holds exactly when the position-shift family
-    built on it has real pairwise overlaps as given
-    (``is_quasi_parallel`` with ``align=False``); for base functions with
+    density peak and ``max_asymmetry < holonomy.QUASI_PARALLEL_TOL``.  The
+    flag holds exactly when some generalized reversal fixes the wave
+    function, which holds exactly when the position-shift family built on
+    it has real pairwise overlaps as given (``is_quasi_parallel`` with
+    ``align=False``, on the same tolerance); for base functions with
     ``<psi|psi'> = 0`` that is the same as the aligned quasi-parallel test.
     """
     if not isinstance(state.space, hilbert.GridSpace):
@@ -163,11 +161,12 @@ def momentum_symmetry_check(state):
     mom = hilbert.momentum_transform(state)
     dens = np.abs(mom.amplitudes) ** 2
     asym = float(np.max(np.abs(dens - _reverse_momentum(dens))) / np.max(dens))
-    return bool(asym < MOMENTUM_SYMMETRY_TOL), asym
+    return bool(asym < holonomy.QUASI_PARALLEL_TOL), asym
 
 
 def is_invariant(op, states):
-    """True when the operator moves no state by ``INVARIANCE_TOL`` or more.
+    """True when the operator moves no state by ``INVARIANCE_TOL`` or more,
+    the bound that ``check`` puts on its O(n k) conjugation residual.
 
     The states are first phase-aligned with the shared anchor procedure,
     because invariance of a lift family is a statement about one concrete
@@ -177,7 +176,7 @@ def is_invariant(op, states):
     states = list(states)
     if len(states) > 1:
         try:
-            states, _ = align_phases(states)
+            states, _ = holonomy.align_phases(states)
         except AnchorError:
             pass
     for s in states:

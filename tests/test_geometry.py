@@ -377,3 +377,55 @@ class TestSpectralPass:
             assert rep.betas == tuple(betas)
             assert rep.cr_js == attainable_cr_js(j_s, j_t)
             assert rep.sld_bound(np.eye(3)) == sld_bound(np.eye(3), j_s)
+
+
+def tilted_family(eps, s):
+    """``psi ~ (1, t0 + i eps s t1, s t1)`` with closed-form tangents: at
+    ``(0, 0)`` its one beta is ``eps`` for every scale ``s``, while the raw
+    curvature ``eps s`` shrinks with ``s``."""
+
+    def vec(t):
+        return np.array([1.0, t[0] + 1j * eps * s * t[1], s * t[1]])
+
+    def ev(t):
+        v = vec(t)
+        return v / np.linalg.norm(v)
+
+    def tangent(t, i):
+        v = vec(t)
+        dv = np.array([0, 1, 0], complex) if i == 0 else np.array([0, 1j * eps * s, s])
+        n = np.linalg.norm(v)
+        return dv / n - v * np.real(np.vdot(v, dv)) / n**3
+
+    return PureStateModel(space=BasisSpace(3), m=2, domain=((-1, 1), (-1, 1)),
+                          evaluate_fn=ev, tangent_fn=tangent)
+
+
+class TestOneQuasiClassicalRule:
+    """At a regular metric the flag is read off the betas: one tolerance."""
+
+    @pytest.mark.parametrize("eps", np.logspace(-12, -5, 57))
+    def test_flag_is_no_betas_at_every_scale(self, eps):
+        flags = set()
+        for s in (1.0, 0.01):
+            rep = qg.analyze(tilted_family(eps, s), (0.0, 0.0))
+            assert not rep.rank_deficient
+            assert rep.quasi_classical == (rep.betas == ())
+            assert is_quasi_classical(rep.berry_curvature, rep.sld_fisher) == rep.quasi_classical
+            flags.add(rep.quasi_classical)
+        assert len(flags) == 1
+
+    def test_beta_above_the_tolerance_is_not_quasi_classical(self):
+        for s in (1.0, 0.01):
+            rep = qg.analyze(tilted_family(1e-7, s), (0.0, 0.0))
+            assert rep.betas == pytest.approx((1e-7,), rel=1e-9)
+            assert rep.quasi_classical is False
+
+    def test_singular_metric_falls_back_to_the_raw_curvature(self):
+        j_s = np.diag([1.0, 0.0])
+        j_t = np.array([[0.0, 1e-9], [-1e-9, 0.0]])
+        assert is_quasi_classical(j_t, j_s)
+        assert not is_quasi_classical(100 * j_t, j_s)
+        rep = qg.analyze(qg.catalog("bloch"), (0.0, 0.3))
+        assert rep.rank_deficient
+        assert rep.quasi_classical == is_quasi_classical(rep.berry_curvature, rep.sld_fisher)

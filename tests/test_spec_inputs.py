@@ -247,3 +247,13 @@ def test_valid_documents_pass_their_schema(schema):
     check = validator(schema)
     for doc in VALID[schema]:
         check.validate(json.loads(json.dumps(doc)))
+
+
+def test_spin_jz_honours_its_domain(capsys, tmp_path):
+    spec = {**SPIN, "params": {**SPIN["params"], "domain": [[0, 1]]}}
+    (tmp_path / "spin.json").write_text(json.dumps(spec))
+    assert main(["report", "--model", str(tmp_path / "spin.json"), "--theta=5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "qestgeo: spec error: theta [5.0] outside domain ([0, 1],)\n"
+    assert main(["report", "--model", str(tmp_path / "spin.json"), "--theta=0.5"]) == 0

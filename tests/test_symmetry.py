@@ -1,5 +1,7 @@
 """Antiunitary operators, motion reversal, and the symmetry classification."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,7 @@ from qestgeo.symmetry import (
 )
 
 from conftest import random_state
+from test_cli import run_to_doc, twisted_spec
 
 
 def basis_state(space, k):
@@ -261,6 +264,19 @@ class TestIsInvariant:
         basis = gram_schmidt_real(aligned)
         op = conjugation_in_basis(complete_basis(basis))
         assert is_invariant(op, states)
+
+    def test_dense_verdict_matches_check_on_a_twisted_family(self, capsys, tmp_path):
+        # dense displacement and O(n k) residual are both 2.31e-7 here:
+        # one threshold gives one verdict
+        doc = run_to_doc(capsys, ["check", "--model", twisted_spec(tmp_path),
+                                  "--samples=0;0.1;0.2"])
+        rows = json.loads((tmp_path / "twisted.json").read_text())["amplitudes"]
+        states = [StateVector(BasisSpace(3), np.array([complex(*a) for a in row]))
+                  for row in rows]
+        aligned, _ = holonomy.align_phases(states)
+        op = conjugation_in_basis(complete_basis(gram_schmidt_real(aligned)))
+        assert doc["antiunitary"]["max_residual"] == pytest.approx(2.31e-7, rel=1e-2)
+        assert is_invariant(op, aligned) is doc["antiunitary"]["invariant"] is True
 
 
 class TestEquivalenceTheorems:

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import qestgeo
-from qestgeo import cli, geometry, hilbert, holonomy
+from qestgeo import cli, geometry, hilbert, holonomy, symmetry
 from qestgeo.errors import NonRealOverlapError
 from test_cli import run_to_doc
 
@@ -118,3 +118,26 @@ def test_readme_table_matches_the_constants():
         assert getattr(mod, name) == value, f"{module}.{name}"
     assert module_float_constants() == {(module, name)
                                         for name, (module, _) in rows.items()}
+
+
+def test_quasi_parallel_tol_decides_momentum_symmetry(monkeypatch, capsys, tmp_path):
+    # p0 = 1e-7: asymmetry 1.7e-7 and raw overlap ratio 2.0e-7, both real
+    # within the one tolerance that check compares them on
+    path = tmp_path / "boosted.json"
+    path.write_text(json.dumps({
+        "kind": "catalog", "name": "position_shift",
+        "params": {"profile": {"name": "boosted_gaussian", "p0": 1e-7},
+                   "grid": {"n": 1024, "lower": -10, "upper": 10}},
+    }))
+    spec = str(path)
+    doc = run_to_doc(capsys, ["check", "--model", spec, SAMPLES])
+    assert doc["quasi_parallel"]["raw_flag"] is True
+    assert doc["momentum_symmetry"]["flag"] is True
+    assert doc["consistent"] is True
+    monkeypatch.setattr(holonomy, "QUASI_PARALLEL_TOL", 0.0)
+    doc = run_to_doc(capsys, ["check", "--model", spec, SAMPLES])
+    assert doc["momentum_symmetry"]["flag"] is False
+
+
+def test_one_invariance_threshold():
+    assert symmetry.INVARIANCE_TOL == cli.CONJUGATION_RESIDUAL_TOL
