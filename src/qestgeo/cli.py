@@ -606,8 +606,7 @@ def _cmd_sample(args):
     else:
         povm, povm_echo = _make_povm(args.povm, built, thetas)
         state = built.evaluate(thetas[0])
-    outcomes = estimation.sample_outcomes(povm, state, args.n, args.seed)
-    values, counts = np.unique(outcomes, return_counts=True)
+    counts = estimation.sample_counts(povm, state, args.n, args.seed)
     return {
         "tool": _tool_header("sample"),
         "model": echo,
@@ -615,7 +614,7 @@ def _cmd_sample(args):
         "theta": [float(t) for t in thetas[0]],
         "n": int(args.n),
         "seed": int(args.seed),
-        "counts": [[int(v), int(c)] for v, c in zip(values, counts)],
+        "counts": [[int(v), int(counts[v])] for v in np.flatnonzero(counts)],
     }
 
 

@@ -27,6 +27,8 @@ PROB_CLIP = 1e-12
 SUPPORT_MASS_TOL = 1e-10
 SUPPORT_SCORE_TOL = 1e-8
 SCORE_FD_STEP = 1e-6
+# uniforms sorted at once by sample_counts
+SAMPLE_CHUNK = 1 << 18
 
 
 class Povm:
@@ -140,6 +142,8 @@ def MatrixPovm(elements, space=None):
     for k, e in enumerate(elements):
         if e.shape != (d, d):
             raise MeasurementDefinitionError(f"element {k} is not {d}x{d}")
+        if not np.all(np.isfinite(e)):
+            raise MeasurementDefinitionError(f"element {k} has a non-finite entry")
     stack = np.stack(elements)
     adjoint = stack.conj().transpose(0, 2, 1)
     vals, vecs = np.linalg.eigh(0.5 * (stack + adjoint))
@@ -166,13 +170,14 @@ def induced_distribution(povm, state_or_rho):
         p = povm.probabilities(state_or_rho)
     else:
         p = povm.rho_probabilities(np.asarray(state_or_rho, dtype=complex))
-    if np.min(p) < -PSD_TOL:
+    # written so that a NaN fails each test
+    if not (-np.min(p) <= PSD_TOL):
         raise MeasurementDefinitionError(
             f"induced probability {np.min(p):.2e} is negative beyond tolerance"
         )
     p = np.clip(p, 0.0, None)
     total = float(np.sum(p))
-    if abs(total - 1.0) > RESOLUTION_TOL:
+    if not (abs(total - 1.0) <= RESOLUTION_TOL):
         raise MeasurementDefinitionError(
             f"induced probabilities sum to {total:.12f}, not 1"
         )
@@ -311,14 +316,46 @@ def schmidt_povm(states):
     return ProjectorPovm(hilbert.gram_schmidt_real(align_phases(states)[0]))
 
 
-def sample_outcomes(povm, state_or_rho, n, seed):
-    """n i.i.d. outcome indices; identical seeds give identical draws."""
+def _inverse_cdf(povm, state_or_rho, n):
+    """Normalised CDF of the induced distribution: the uniform ``u`` draws
+    outcome ``w`` when ``cdf[w-1] <= u < cdf[w]``."""
     if n < 1:
         raise ValueError("need n >= 1 draws")
     p = induced_distribution(povm, state_or_rho)
-    p = p / np.sum(p)
+    cdf = np.cumsum(p / np.sum(p))
+    cdf /= cdf[-1]
+    return cdf
+
+
+def sample_outcomes(povm, state_or_rho, n, seed):
+    """n i.i.d. outcome indices; identical seeds give identical draws.
+
+    Inverse-transform sampling of ``default_rng(seed).random(n)``, the
+    draws ``Generator.choice(W, size=n, p=p)`` makes for the same seed.
+    """
+    cdf = _inverse_cdf(povm, state_or_rho, n)
+    return np.searchsorted(cdf, np.random.default_rng(seed).random(int(n)), side="right")
+
+
+def sample_counts(povm, state_or_rho, n, seed):
+    """Outcome counts of :func:`sample_outcomes` with the same arguments.
+
+    The same uniforms are drawn ``SAMPLE_CHUNK`` at a time into one buffer
+    and sorted; each ``cdf[w]`` then splits a chunk at the number of its
+    draws with outcome ``<= w``.  O(n log chunk + W) time and O(chunk + W)
+    memory for ``W`` outcomes.
+    """
+    cdf = _inverse_cdf(povm, state_or_rho, n)
     rng = np.random.default_rng(seed)
-    return rng.choice(len(p), size=int(n), p=p)
+    n = int(n)
+    at_most = np.zeros(cdf.size, dtype=np.int64)
+    buf = np.empty(min(n, SAMPLE_CHUNK))
+    for start in range(0, n, buf.size):
+        u = buf[: min(buf.size, n - start)]
+        rng.random(out=u)
+        u.sort()
+        at_most += np.searchsorted(u, cdf, side="left")
+    return np.diff(at_most, prepend=0)
 
 
 def split_seeds(seed, n_streams):

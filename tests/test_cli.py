@@ -12,7 +12,7 @@ import pytest
 from referencing import Registry, Resource
 
 import qestgeo
-from qestgeo import cli
+from qestgeo import cli, estimation
 from qestgeo.cli import main, parse_model_spec, render_document
 from qestgeo.errors import SpecFormatError
 
@@ -333,6 +333,19 @@ class TestFisherAndSample:
         assert doc1["counts"] == doc2["counts"]
         assert sum(c for _, c in doc1["counts"]) == 2000
 
+    @pytest.mark.parametrize("povm_kind", ["grid", "schmidt"])
+    def test_sample_counts_are_the_unique_outcomes(self, capsys, pm_spec, povm_kind):
+        theta = (0.1, 0.2)
+        doc = run_to_doc(capsys, ["sample", "--model", pm_spec, "--povm", povm_kind,
+                                  "--theta", "0.1,0.2", "--n", "3000", "--seed", "4"])
+        built = parse_model_spec(json.loads(Path(pm_spec).read_text()))[0]
+        state = built.evaluate(theta)
+        povm = (estimation.grid_pvm(built.space) if povm_kind == "grid"
+                else estimation.schmidt_povm([state]))
+        values, counts = np.unique(estimation.sample_outcomes(povm, state, 3000, 4),
+                                   return_counts=True)
+        assert doc["counts"] == [[int(v), int(c)] for v, c in zip(values, counts)]
+
     def test_schmidt_povm_on_parallel_family(self, capsys, tmp_path):
         path = tmp_path / "spin.json"
         path.write_text(json.dumps({
@@ -583,6 +596,30 @@ class TestPovmFileSize:
         assert code == 2
         assert captured.out == ""
         assert captured.err == "qestgeo: spec error: invalid POVM: element 0 is not 2x2\n"
+
+
+class TestNonFinitePovm:
+    """A POVM file with a NaN or infinite entry is a spec error."""
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("command", [
+        ["fisher", "--theta", "0.3,0.1"],
+        ["sample", "--theta", "0.3,0.1", "--n", "10", "--seed", "1"],
+    ])
+    def test_non_finite_entry_is_a_spec_error(self, capsys, tmp_path, command, bad):
+        bloch = tmp_path / "bloch.json"
+        bloch.write_text(json.dumps({"kind": "catalog", "name": "bloch"}))
+        doc = octahedral_povm_doc()
+        doc["elements"][2][0][1][0] = bad
+        povm = tmp_path / "bad.json"
+        povm.write_text(json.dumps(doc))
+        code = main([command[0], "--model", str(bloch), "--povm", str(povm),
+                     *command[1:]])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "qestgeo: spec error: invalid POVM: element 2 has a non-finite entry\n")
 
 
 class TestSampleArguments:

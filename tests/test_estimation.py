@@ -1,5 +1,7 @@
 """Measurements, induced families, Fisher comparisons, Monte Carlo."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -22,6 +24,7 @@ from qestgeo.estimation import (
     induced_distribution,
     measurement_family,
     optimal_measurement_quasi_parallel,
+    sample_counts,
     sample_outcomes,
     split_seeds,
 )
@@ -63,6 +66,19 @@ class TestInducedDistribution:
             MatrixPovm([np.diag([1.0, 0.0]), np.diag([0.0, 0.5])])
         with pytest.raises(MeasurementDefinitionError):
             MatrixPovm([np.diag([1.5, 1.0]), np.diag([-0.5, 0.0])])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_matrix_povm_rejects_non_finite_entries(self, bad):
+        elements = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
+        elements[1][0, 1] = bad
+        with pytest.raises(MeasurementDefinitionError, match="element 1 has a non-finite"):
+            MatrixPovm(elements)
+
+    def test_nan_probability_fails_the_checks(self):
+        rho = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        rho[2, 2] = np.nan
+        with pytest.raises(MeasurementDefinitionError):
+            induced_distribution(CellPovm(BasisSpace(3)), rho)
 
     def test_accepts_density_matrix(self):
         space = BasisSpace(3)
@@ -189,6 +205,48 @@ class TestSampling:
         b = sample_outcomes(CellPovm(space), s, 1000, seed=9)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [0, 9, 20260808])
+    def test_outcomes_are_the_generator_choice_draws(self, seed):
+        mod = qg.catalog("position_shift", {"grid": {"n": 512, "lower": -10, "upper": 10}})
+        povm = grid_pvm(mod.space)
+        state = mod.evaluate((0.3,))
+        p = induced_distribution(povm, state)
+        want = np.random.default_rng(seed).choice(p.size, size=5000, p=p / np.sum(p))
+        got = sample_outcomes(povm, state, 5000, seed)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", ["grid", "schmidt_complement", "octahedral", "zeros"])
+    @pytest.mark.parametrize("n, chunk", [(1, est.SAMPLE_CHUNK), (1000, 64), (4096, 1024)])
+    def test_counts_are_the_bincount_of_the_outcomes(self, monkeypatch, case, n, chunk):
+        povm, state = sampling_case(case)
+        want = np.bincount(sample_outcomes(povm, state, n, 5), minlength=povm.n_outcomes)
+        monkeypatch.setattr(est, "SAMPLE_CHUNK", chunk)
+        got = sample_counts(povm, state, n, 5)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+
+    def test_counts_memory_is_one_chunk(self, monkeypatch):
+        chunk = 1 << 15
+        monkeypatch.setattr(est, "SAMPLE_CHUNK", chunk)
+        space = BasisSpace(64)
+        povm = CellPovm(space)
+        state = StateVector(space, np.full(64, 1 / 8, dtype=complex))
+        sample_counts(povm, state, 10, 1)  # lazy set-up outside the trace
+
+        def peak(n):
+            tracemalloc.start()
+            try:
+                sample_counts(povm, state, n, 1)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        buffer_bytes = 8 * chunk
+        one, eight = peak(chunk), peak(8 * chunk)
+        assert eight < 2 * buffer_bytes + 100 * 8 * space.dim
+        assert eight < 1.1 * one
+
     def test_split_seeds_are_distinct(self):
         seeds = split_seeds(7, 4)
         assert len(set(int(s) for s in seeds)) == 4
@@ -284,6 +342,26 @@ def octahedral_elements():
     s = 2**-0.5
     kets = [(1, 0), (0, 1), (s, s), (s, -s), (s, 1j * s), (s, -1j * s)]
     return [np.outer(v, np.conj(v)) / 3.0 for v in np.asarray(kets, dtype=complex)]
+
+
+def sampling_case(name):
+    """A POVM and a state for the sampling tests."""
+    if name == "grid":
+        mod = qg.catalog("position_shift", {"grid": {"n": 256, "lower": -10, "upper": 10}})
+        return grid_pvm(mod.space), mod.evaluate((0.3,))
+    if name == "schmidt_complement":
+        # three sample states of 256 dimensions: the complement outcome carries mass
+        mod = qg.catalog("position_shift", {"grid": {"n": 256, "lower": -10, "upper": 10}})
+        povm = optimal_measurement_quasi_parallel(mod, [(-1.0,), (0.0,), (1.0,)])
+        assert povm.has_complement
+        return povm, mod.evaluate((0.5,))
+    if name == "octahedral":
+        bloch = qg.catalog("bloch")
+        povm = MatrixPovm(octahedral_elements(), space=bloch.space)
+        assert povm.rank == 2
+        return povm, bloch.evaluate((0.7, 0.2))
+    space = BasisSpace(7)
+    return grid_pvm(space), StateVector(space, np.array([0, 0.6, 0, 0, 0.8, 0, 0]) + 0j)
 
 
 def node_case():
