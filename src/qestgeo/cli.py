@@ -299,7 +299,9 @@ def _tabulated_model(space, thetas, table):
         k = row_index(theta)
         if k == 0 or k == len(table) - 1:
             raise DomainError("finite differences need an interior table point")
-        return (table[k + 1].amplitudes - table[k - 1].amplitudes) / (2.0 * step)
+        return model._transported_difference(space, table[k].amplitudes,
+                                             table[k + 1].amplitudes,
+                                             table[k - 1].amplitudes, step)
 
     interior = tuple((float(t),) for t in thetas[1:-1])
     return PureStateModel(
@@ -453,22 +455,12 @@ def _cmd_holonomy(args):
     raw = loop_doc["thetas"]
     if not isinstance(raw, list) or len(raw) < 2:
         raise SpecFormatError("must be a list of at least two points", path="thetas")
-    try:
-        # no per-point error path: loops run to thousands of points
-        points = [np.atleast_1d(np.asarray(p, dtype=float)) for p in raw]
-    except (TypeError, ValueError) as exc:
-        raise SpecFormatError(f"not numeric: {exc}", path="thetas") from exc
-    for k, p in enumerate(points):
-        if len(p) != built.m:
-            raise SpecFormatError(
-                f"loop point {k} has {len(p)} components, model expects {built.m}",
-                path=f"thetas[{k}]",
-            )
+    points = _loop_points(raw, built.m)
     closed = loop_doc.get("closed", False)
     if not isinstance(closed, bool):
         raise SpecFormatError(f"must be true or false, got {closed!r}", path="closed")
     closed = closed or args.closed
-    curve = Curve(built, tuple(points), closed=closed)
+    curve = Curve(built, points, closed=closed)
     result = (holonomy.berry_phase_loop(curve) if closed
               else holonomy.berry_phase_open(curve))
     return {
@@ -481,6 +473,34 @@ def _cmd_holonomy(args):
             "min_overlap": result.min_overlap,
         },
     }
+
+
+def _loop_points(raw, m):
+    """The loop points as one float array, ``(k, m)`` when well formed.
+
+    Loops run to thousands of points, so they are converted in one call;
+    only a list that does not convert to ``(k, m)`` is gone through point by
+    point, for the spec error that names the first bad point.
+    """
+    try:
+        points = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        points = None  # ragged or non-numeric
+    else:
+        if points.ndim == 1:  # scalar points of a one-parameter model
+            points = points[:, None]
+        if points.shape[1:] == (m,):
+            return points
+    try:
+        per_point = [np.atleast_1d(np.asarray(p, dtype=float)) for p in raw]
+    except (TypeError, ValueError) as exc:
+        raise SpecFormatError(f"not numeric: {exc}", path="thetas") from exc
+    for k, p in enumerate(per_point):
+        if len(p) != m:
+            raise SpecFormatError(f"loop point {k} has {len(p)} components, "
+                                  f"model expects {m}", path=f"thetas[{k}]")
+    # points of m components that still differ in shape: transport names them
+    return per_point if points is None else points
 
 
 def _momentum_symmetry_section(built):
@@ -500,13 +520,17 @@ def _cmd_check(args):
     built, echo = _load_model(args.model)
     samples = parse_theta_list(args.samples, built.m)
     thetas, states = holonomy.sample_states(built, samples)
-    aligned = holonomy.align_phases(states)[0]
-    qp_flag, witness = holonomy.quasi_parallel_states(thetas, aligned)
-    raw_flag, _ = holonomy.quasi_parallel_states(thetas, states)
+    # two overlap matrices: the raw one aligns and gives the raw verdict,
+    # the aligned one gives the verdict and the Gram-Schmidt precondition
+    raw = hilbert.overlap_matrix(states)
+    aligned = holonomy.align_phases(states, gram=raw)[0]
+    gram = hilbert.overlap_matrix(aligned)
+    qp_flag, witness = holonomy.quasi_parallel_states(thetas, aligned, gram=gram)
+    raw_flag, _ = holonomy.quasi_parallel_states(thetas, states, gram=raw)
     anti = {"constructed": False, "invariant": None, "max_residual": None,
             "reason": None}
     try:
-        basis = hilbert.gram_schmidt_real(aligned)
+        basis = hilbert.gram_schmidt_real(aligned, gram=gram)
     except NonRealOverlapError as exc:
         anti["reason"] = str(exc)
     else:
@@ -570,9 +594,8 @@ def _cmd_fisher(args):
     samples = parse_theta_list(args.samples, built.m) if args.samples else thetas
     povm, povm_echo = _make_povm(args.povm, built, samples)
     entries = []
-    for theta in thetas:
-        # one lift per point: state, scores, node term and J_S all come from it
-        lift = built.horizontal_lift(theta)
+    # one lift per point: state, scores, node term and J_S all come from it
+    for theta, lift in zip(thetas, built.horizontal_lifts(thetas)):
         j_c = estimation.lift_fisher(povm, lift)
         j_s = geometry.sld_fisher(lift)
         gap = j_s - j_c

@@ -170,11 +170,10 @@ def induced_distribution(povm, state_or_rho):
         p = povm.probabilities(state_or_rho)
     else:
         p = povm.rho_probabilities(np.asarray(state_or_rho, dtype=complex))
-    # written so that a NaN fails each test
-    if not (-np.min(p) <= PSD_TOL):
-        raise MeasurementDefinitionError(
-            f"induced probability {np.min(p):.2e} is negative beyond tolerance"
-        )
+    low = np.min(p)
+    if not (-low <= PSD_TOL):  # a NaN fails too
+        fault = "is negative beyond tolerance" if np.isfinite(low) else "is non-finite"
+        raise MeasurementDefinitionError(f"induced probability {low:.2e} {fault}")
     p = np.clip(p, 0.0, None)
     total = float(np.sum(p))
     if not (abs(total - 1.0) <= RESOLUTION_TOL):

@@ -113,6 +113,15 @@ class StateVector:
         self.space = space
         self.amplitudes = amp
 
+    @classmethod
+    def _adopt(cls, space, amplitudes):
+        """A vector over ``amplitudes`` itself: a complex ``(dim,)`` array,
+        fresh from the caller and written by no one else, so neither copied
+        nor checked."""
+        vec = cls.__new__(cls)
+        vec.space, vec.amplitudes = space, amplitudes
+        return vec
+
     @property
     def coords(self):
         """Coordinates in the orthonormal basis induced by the quadrature."""
@@ -165,13 +174,15 @@ def overlap_matrix(vectors):
     return g
 
 
-def gram_schmidt_real(vectors):
+def gram_schmidt_real(vectors, gram=None):
     """Orthonormalize vectors whose pairwise overlaps are real.
 
     Returns an orthonormal list spanning the same subspace over the
     reals, so every input has real coefficients in the output basis.
     Inputs linearly dependent on their predecessors (residual below
     ``GRAM_SCHMIDT_TOL`` times the largest input norm) are skipped silently.
+    ``gram`` is the :func:`overlap_matrix` of the inputs when the caller
+    has built it.
 
     Raises
     ------
@@ -186,7 +197,7 @@ def gram_schmidt_real(vectors):
     vecs = list(vectors)
     if not vecs:
         return []
-    g = overlap_matrix(vecs)
+    g = overlap_matrix(vecs) if gram is None else gram
     failing = np.argwhere(~(holonomy.pair_ratios(g) < holonomy.QUASI_PARALLEL_TOL))
     if failing.size:
         a, b = (int(i) for i in failing[0])

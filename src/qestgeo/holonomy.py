@@ -35,10 +35,26 @@ class PhaseResult:
     min_overlap: float
 
 
-def _evaluate_rows(model, thetas, amps):
-    """Fill ``amps[k]`` with the amplitudes of ``thetas[k]``."""
-    for k, theta in enumerate(thetas):
-        amps[k] = model.evaluate(theta).amplitudes
+def _as_points(model, thetas):
+    """``thetas`` as one float array; scalar points stand for 1-vectors."""
+    try:
+        thetas = np.asarray(thetas, dtype=float)
+    except ValueError as exc:  # ragged or non-numeric points
+        raise DomainError(f"points are not {model.m}-vectors: {exc}") from None
+    return thetas[:, None] if thetas.ndim == 1 else thetas
+
+
+def _evaluate(model, points):
+    """``(space, amps)``: the space of the states of ``model`` at the rows of
+    ``points`` and their ``(k, dim)`` amplitudes.
+
+    A model without ``evaluate_many`` (any object with ``m`` and
+    ``evaluate``) is evaluated row by row here, and nowhere else.
+    """
+    if hasattr(model, "evaluate_many"):
+        return model.space, model.evaluate_many(points)
+    states = [model.evaluate(theta) for theta in points]
+    return states[0].space, np.array([s.amplitudes for s in states])
 
 
 def _overlaps(space, amps):
@@ -55,17 +71,8 @@ def _refined_states(model, thetas):
     still that small after ``MAX_REFINE_LEVELS`` levels raises
     :class:`RefinementError`.
     """
-    try:
-        thetas = np.asarray(thetas, dtype=float)
-    except ValueError as exc:  # ragged or non-numeric points
-        raise DomainError(f"curve points are not {model.m}-vectors: {exc}") from None
-    if thetas.ndim == 1:  # scalar points of a one-parameter model
-        thetas = thetas[:, None]
-    first = model.evaluate(thetas[0])
-    space = first.space
-    amps = np.empty((len(thetas), space.dim), dtype=complex)
-    amps[0] = first.amplitudes
-    _evaluate_rows(model, thetas[1:], amps[1:])
+    thetas = _as_points(model, thetas)
+    space, amps = _evaluate(model, thetas)
     for level in range(MAX_REFINE_LEVELS + 1):
         mags = np.abs(_overlaps(space, amps))
         bad = np.flatnonzero(mags <= MIN_OVERLAP)
@@ -81,22 +88,36 @@ def _refined_states(model, thetas):
                 overlap=ov,
             )
         mids = 0.5 * (thetas[bad] + thetas[bad + 1])
-        mid_amps = np.empty((len(mids), space.dim), dtype=complex)
-        _evaluate_rows(model, mids, mid_amps)
+        mid_amps = _evaluate(model, mids)[1]
         thetas = np.insert(thetas, bad + 1, mids, axis=0)
         amps = np.insert(amps, bad + 1, mid_amps, axis=0)
     return space, amps
 
 
+def unit_links(overlaps):
+    """``(overlaps / |overlaps|, |overlaps|)``: the unit links that transport
+    a phase across each overlap, and the overlap magnitudes.
+
+    A magnitude at most ``MIN_OVERLAP`` leaves its link's phase undefined
+    and raises :class:`RefinementError`.
+    """
+    mags = np.abs(overlaps)
+    bad = np.flatnonzero(mags <= MIN_OVERLAP)
+    if bad.size:
+        ov = float(mags[bad[0]])
+        raise RefinementError(f"link {int(bad[0])} is near-orthogonal "
+                              f"(|overlap| = {ov:.2e})", overlap=ov)
+    return overlaps / mags, mags
+
+
 def _chain(space, amps, closing=1.0):
     """Phase of the consecutive overlaps times a unit ``closing`` factor.
 
-    The product runs over the unit overlaps ``<phi_k|phi_{k+1}>/|...|``;
+    The product runs over the :func:`unit_links` ``<phi_k|phi_{k+1}>/|...|``;
     ``min_overlap`` is the smallest overlap magnitude of the chain.
     """
-    ovs = _overlaps(space, amps)
-    mags = np.abs(ovs)
-    prod = complex(np.prod(ovs / mags)) * closing
+    links, mags = unit_links(_overlaps(space, amps))
+    prod = complex(np.prod(links)) * closing
     return PhaseResult(
         gamma=float(np.angle(prod)),
         n_segments=len(amps) - 1,
@@ -196,15 +217,16 @@ def curvature_check(model, theta, i, j, eps, n_sub=8):
     return float(measured), float(predicted)
 
 
-def align_phases(states):
+def align_phases(states, gram=None):
     """Rotate each state so its overlap with a common anchor is real.
 
-    The anchor is the first row of :func:`hilbert.overlap_matrix` whose
-    entries all exceed ``MIN_OVERLAP`` in magnitude, and the phases come
-    from that row; :class:`AnchorError` when no row qualifies.  Returns
+    The anchor is the first row of the overlap matrix ``gram`` (by
+    default :func:`hilbert.overlap_matrix` of ``states``) whose entries
+    all exceed ``MIN_OVERLAP`` in magnitude, and the phases come from that
+    row; :class:`AnchorError` when no row qualifies.  Returns
     ``(aligned_states, anchor_index)``.
     """
-    g = hilbert.overlap_matrix(states)
+    g = hilbert.overlap_matrix(states) if gram is None else gram
     anchors = np.flatnonzero(np.all(np.hypot(g.real, g.imag) > MIN_OVERLAP, axis=1))
     if anchors.size == 0:
         raise AnchorError(
@@ -237,7 +259,8 @@ def sample_states(model, sample_thetas):
     """``(thetas, states)``: the samples as float arrays and the model
     evaluated once at each."""
     thetas = [np.asarray(t, dtype=float) for t in sample_thetas]
-    return thetas, [model.evaluate(t) for t in thetas]
+    space, amps = _evaluate(model, _as_points(model, thetas))
+    return thetas, [hilbert.StateVector._adopt(space, a) for a in amps]
 
 
 def pair_ratios(gram):
@@ -249,10 +272,11 @@ def pair_ratios(gram):
     return np.triu(np.abs(gram.imag) / np.maximum(hyp, 1e-3), 1)
 
 
-def quasi_parallel_states(thetas, states):
+def quasi_parallel_states(thetas, states, gram=None):
     """The verdict of :func:`is_quasi_parallel` on ``states[k]``, the state
-    at the float array ``thetas[k]``, evaluated (and aligned) by the caller."""
-    ratios = pair_ratios(hilbert.overlap_matrix(states))
+    at the float array ``thetas[k]``, evaluated (and aligned) by the caller;
+    ``gram`` is their overlap matrix when the caller has built it."""
+    ratios = pair_ratios(hilbert.overlap_matrix(states) if gram is None else gram)
     a, b = np.unravel_index(np.argmax(ratios), ratios.shape)
     witness = {"pair": (thetas[a].tolist(), thetas[b].tolist()),
                "value": float(ratios[a, b])}

@@ -17,15 +17,17 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from . import hilbert
-from .errors import DomainError, ModelDefinitionError
+from .errors import DomainError, ModelDefinitionError, SpaceMismatchError
 from .hilbert import BasisSpace, GridSpace, StateVector
 
 NORM_DRIFT_TOL = 1e-6
 DEFAULT_FD_STEP = 1e-4
+# amplitudes per evaluate_many_fn call: each broadcast temporary stays at 256 kB
+EVALUATE_BLOCK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -47,10 +49,15 @@ class PureStateModel:
 
     ``evaluate_fn`` must return amplitudes already normalized up to a
     drift below 1e-6 (catalog constructors cache their normalization
-    constants to guarantee this).  ``tangent_fn(theta, i)``, when given,
-    returns the closed-form derivative amplitudes; otherwise central
-    differences with per-component step ``fd_step * max(1, |theta_i|)``
-    are used.
+    constants to guarantee this).  ``evaluate_many_fn``, when given, is
+    the same formula written to broadcast over leading axes: a ``(k, m)``
+    theta array gives ``(k, dim)`` amplitudes; without it rows are
+    evaluated one by one.  Every evaluation goes through it, so a copy
+    that swaps ``evaluate_fn`` (``dataclasses.replace``) swaps or clears
+    it too.  ``tangent_fn(theta, i)``, when given, returns
+    the closed-form derivative amplitudes; otherwise central differences
+    with per-component step ``fd_step * max(1, |theta_i|)`` are used, of
+    neighbours rephased onto the state (:func:`_transported_difference`).
     """
 
     space: object
@@ -61,79 +68,153 @@ class PureStateModel:
     fd_step: float = DEFAULT_FD_STEP
     kind: str = "custom"
     sample_grid: tuple = ()
+    evaluate_many_fn: object = None
 
-    def _point(self, theta):
-        """``theta`` as a float array of shape ``(m,)`` inside the domain;
-        :class:`DomainError` otherwise."""
-        arr = np.asarray(theta, dtype=float)
-        if arr.ndim == 0:
-            arr = arr.reshape(1)
-        if arr.shape != (self.m,):
-            raise DomainError(f"theta has shape {arr.shape}, model expects ({self.m},)")
-        # a non-finite component lies outside every domain, unbounded ones too
-        for t, (lo, hi) in zip(arr.tolist(), self.domain):
-            if not (lo <= t <= hi and math.isfinite(t)):
-                raise DomainError(f"theta {arr.tolist()} outside domain {self.domain}")
+    def _points(self, thetas):
+        """``thetas`` as a float array of shape ``(k, m)`` inside the domain;
+        :class:`DomainError` naming the first bad row otherwise."""
+        arr = np.asarray(thetas, dtype=float)
+        if arr.shape[1:] != (self.m,):
+            raise DomainError(f"theta has shape {arr.shape[1:]}, model expects ({self.m},)")
+        lo, hi = self._bounds
+        inside = (lo <= arr) & (arr <= hi)
+        if np.count_nonzero(inside) != inside.size:  # not .all(): slow on one row
+            row = arr[np.flatnonzero(~inside.all(axis=1))[0]]
+            raise DomainError(f"theta {row.tolist()} outside domain {self.domain}")
         return arr
 
+    @cached_property
+    def _bounds(self):
+        """The domain's ends as arrays, an infinite end replaced by the
+        largest float: a non-finite component then lies outside every
+        domain, unbounded ones too."""
+        lo, hi = np.asarray(self.domain, dtype=float).T
+        big = np.finfo(float).max
+        return np.maximum(lo, -big), np.minimum(hi, big)
+
+    def _states(self, points):
+        """Normalized ``(k, dim)`` amplitudes at checked ``points``.
+
+        ``evaluate_many_fn`` takes at most ``EVALUATE_BLOCK`` amplitudes a
+        call.  Each norm is ``sqrt(re.re + im.im)`` of its own row, one BLAS
+        dot per row as in ``np.linalg.norm``, so a row does not depend on
+        its batch.
+        """
+        dim = self.space.dim
+        out = np.empty((len(points), dim), dtype=complex)
+        many = self.evaluate_many_fn
+        rows = max(1, EVALUATE_BLOCK // dim) if many is not None else 1
+        root_w = math.sqrt(self.space.weight)
+        for start in range(0, len(points), rows):
+            block = points[start:start + rows]
+            amps = np.asarray(many(block) if many is not None
+                              else [self.evaluate_fn(block[0])], dtype=complex)
+            if amps.shape != (len(block), dim):
+                raise SpaceMismatchError(f"amplitudes have shape {amps.shape[1:]}, "
+                                         f"space has dimension {dim}")
+            re, im = amps.real, amps.imag
+            nrm = root_w * np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+            drift = np.abs(nrm - 1.0)
+            ok = drift < NORM_DRIFT_TOL  # a NaN drift fails too
+            if np.count_nonzero(ok) != len(ok):
+                k = np.flatnonzero(~ok)[0]
+                raise ModelDefinitionError(
+                    f"norm drift {drift[k]:.3e} at theta {block[k].tolist()} "
+                    f"(limit {NORM_DRIFT_TOL:.0e}); check grid truncation"
+                )
+            np.divide(amps, nrm[:, None], out=out[start:start + len(block)])
+        return out
+
+    def evaluate_many(self, thetas):
+        """Normalized amplitudes, shape ``(k, dim)``, at the rows of a
+        ``(k, m)`` theta array."""
+        return self._states(self._points(thetas))
+
     def evaluate(self, theta):
-        theta = self._point(theta)
-        # the state owns its copy of the amplitudes, so it is normalized
-        # in place, with the norm the drift check measured
-        state = StateVector(self.space, self.evaluate_fn(theta))
-        nrm = np.sqrt(self.space.weight) * np.linalg.norm(state.amplitudes)
-        drift = abs(nrm - 1.0)
-        if not drift < NORM_DRIFT_TOL:  # a NaN drift fails too
-            raise ModelDefinitionError(
-                f"norm drift {drift:.3e} at theta {theta.tolist()} "
-                f"(limit {NORM_DRIFT_TOL:.0e}); check grid truncation"
-            )
-        state.amplitudes /= nrm
-        return state
+        return StateVector._adopt(self.space, self.evaluate_many(_row(theta))[0])
 
     def tangent(self, theta, i):
         """Unnormalized derivative d_i |phi> at theta."""
-        theta = self._point(theta)
+        theta = self._points(_row(theta))[0]
         if not 0 <= i < self.m:
             raise IndexError(f"component {i} out of range for m={self.m}")
+        phi = None if self.tangent_fn is not None else self._states(theta[None])[0]
+        return self._tangent(theta, i, phi)
+
+    def _tangent(self, theta, i, phi):
+        """Tangent at a checked ``theta``; ``phi``, the amplitudes of the
+        state there, gauges the finite differences."""
         if self.tangent_fn is not None:
             return StateVector(self.space, self.tangent_fn(theta, i))
         h = self.fd_step * max(1.0, abs(theta[i]))
-        up = theta.copy()
-        dn = theta.copy()
-        up[i] += h
-        dn[i] -= h
+        steps = np.array([theta, theta])
+        steps[0, i] += h
+        steps[1, i] -= h
         try:
-            up, dn = self._point(up), self._point(dn)
+            steps = self._points(steps)
         except DomainError:
             raise DomainError(
                 f"finite-difference step {h:.1e} in component {i} leaves the "
                 f"domain at theta {theta.tolist()}"
             ) from None
-        amp = (self.evaluate(up).amplitudes - self.evaluate(dn).amplitudes) / (2.0 * h)
-        return StateVector(self.space, amp)
+        up, dn = self._states(steps)
+        return StateVector(self.space, _transported_difference(self.space, phi, up, dn, h))
 
     def horizontal_lift(self, theta):
-        theta = self._point(theta)
-        phi = self.evaluate(theta)
-        lifts = []
-        for i in range(self.m):
-            t = self.tangent(theta, i)
-            l_amp = 2.0 * t.amplitudes - 2.0 * hilbert.inner(phi, t) * phi.amplitudes
-            lifts.append(StateVector(self.space, l_amp))
-        return HorizontalLift(theta=theta, phi=phi, lifts=tuple(lifts))
+        return self.horizontal_lifts(_row(theta))[0]
+
+    def horizontal_lifts(self, thetas):
+        """:meth:`horizontal_lift` at each row of a ``(k, m)`` theta array;
+        the ``k`` states come from one batched evaluation."""
+        points = self._points(thetas)
+        phis = [StateVector._adopt(self.space, amps) for amps in self._states(points)]
+        out = []
+        for theta, phi in zip(points, phis):
+            lifts = []
+            for i in range(self.m):
+                t = self._tangent(theta, i, phi.amplitudes).amplitudes
+                # hilbert.inner without its space check: t and phi share the model's
+                ov = complex(self.space.weight * np.vdot(phi.amplitudes, t))
+                lifts.append(StateVector(self.space, 2.0 * t - 2.0 * ov * phi.amplitudes))
+            out.append(HorizontalLift(theta=theta, phi=phi, lifts=tuple(lifts)))
+        return out
+
+
+def _row(theta):
+    """One theta as a ``(1, ...)`` array; a scalar is a 1-vector."""
+    arr = np.asarray(theta, dtype=float)
+    return arr.reshape(1, 1) if arr.ndim == 0 else arr[None]
+
+
+def _transported_difference(space, phi, up, dn, h):
+    """Central difference ``(up - dn) / 2h`` of the neighbours of the state
+    ``phi`` after rephasing each by its unit link ``<phi|nbr> / |<phi|nbr>|``.
+
+    A neighbour's phase gauge would scale the lift by the cosine of the
+    phase gap; the rephased pair is in the gauge parallel to ``phi``, so the
+    lift does not see it.  A link of magnitude at most ``MIN_OVERLAP``
+    raises :class:`RefinementError` (:func:`holonomy.unit_links`).
+    """
+    from .holonomy import unit_links  # call time: holonomy imports this module
+
+    links, _ = unit_links(space.weight * np.array([np.vdot(phi, up), np.vdot(phi, dn)]))
+    diff = np.conj(links[0]) * up  # in place from here: no more (dim,) temporaries
+    diff -= np.conj(links[1]) * dn
+    diff /= 2.0 * h
+    return diff
 
 
 @dataclass(frozen=True)
 class Curve:
     """Ordered parameter points of a model, optionally closed as rays.
 
-    The points are checked when the curve is evaluated: a point of the
-    wrong shape or outside the domain raises :class:`DomainError` there.
+    ``points`` is a sequence of points or one ``(k, m)`` array.  They are
+    checked when the curve is evaluated: a point of the wrong shape or
+    outside the domain raises :class:`DomainError` there.
     """
 
     model: PureStateModel
-    points: tuple
+    points: object
     closed: bool = False
 
     def __post_init__(self):
@@ -346,14 +427,14 @@ def _shift_family(params, profile, space, kind):
     x = space.points
 
     def ev(theta):
-        return c * profile.f(x - theta[0])
+        return c * profile.f(x - theta[..., 0, None])
 
     def tangent_fn(theta, i):
         return -c * profile.df(x - theta[0])
 
     return PureStateModel(
         space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        kind=kind,
+        evaluate_many_fn=ev, kind=kind,
         sample_grid=tuple((t,) for t in np.linspace(-1.0, 1.0, 5)),
     )
 
@@ -367,14 +448,14 @@ def _phase_generator_family(space, domain, g, psi0, kind, sample_line):
     """The family ``exp(-i theta g) psi0`` of a diagonal generator ``g``."""
 
     def ev(theta):
-        return np.exp(-1j * theta[0] * g) * psi0
+        return np.exp(-1j * theta[..., 0, None] * g) * psi0
 
     def tangent_fn(theta, i):
         return -1j * g * np.exp(-1j * theta[0] * g) * psi0
 
     return PureStateModel(
         space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        kind=kind, sample_grid=tuple((t,) for t in sample_line),
+        evaluate_many_fn=ev, kind=kind, sample_grid=tuple((t,) for t in sample_line),
     )
 
 
@@ -396,7 +477,7 @@ def _position_momentum_shift(params):
     x = space.points
 
     def ev(theta):
-        return np.exp(1j * theta[1] * x) * c * profile.f(x - theta[0])
+        return np.exp(1j * theta[..., 1, None] * x) * c * profile.f(x - theta[..., 0, None])
 
     def tangent_fn(theta, i):
         plane = np.exp(1j * theta[1] * x)
@@ -407,7 +488,7 @@ def _position_momentum_shift(params):
     diag = np.linspace(-1.0, 1.0, 5)
     return PureStateModel(
         space=space, m=2, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        kind="position_momentum_shift",
+        evaluate_many_fn=ev, kind="position_momentum_shift",
         sample_grid=tuple((t, t) for t in diag),
     )
 
@@ -449,8 +530,9 @@ def _ring_flux(params):
     domain = _domain(params, ((-2.0 * np.pi, 4.0 * np.pi),))
 
     def ev(theta):
-        s = np.mod(omega - theta[0], 2.0 * np.pi)
-        return c * (2.0 - np.cos(s)) * np.exp(1j * alpha * (s + theta[0]))
+        t = theta[..., 0, None]
+        s = np.mod(omega - t, 2.0 * np.pi)
+        return c * (2.0 - np.cos(s)) * np.exp(1j * alpha * (s + t))
 
     def tangent_fn(theta, i):
         # theta-derivative of the transported profile, taken away from
@@ -460,7 +542,7 @@ def _ring_flux(params):
 
     return PureStateModel(
         space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        kind="ring_flux",
+        evaluate_many_fn=ev, kind="ring_flux",
         sample_grid=tuple((t,) for t in np.linspace(0.5, 5.5, 5)),
     )
 
@@ -470,10 +552,11 @@ def _bloch(params):
     domain = _domain(params, ((0.0, np.pi), (-4.0 * np.pi, 4.0 * np.pi)))
 
     def ev(theta):
-        pol, az = theta
-        return np.array(
-            [np.cos(pol / 2.0), np.exp(1j * az) * np.sin(pol / 2.0)], dtype=complex
-        )
+        half = theta[..., 0] / 2.0
+        amps = np.empty(theta.shape[:-1] + (2,), dtype=complex)
+        amps[..., 0] = np.cos(half)
+        amps[..., 1] = np.exp(1j * theta[..., 1]) * np.sin(half)
+        return amps
 
     def tangent_fn(theta, i):
         pol, az = theta
@@ -488,7 +571,7 @@ def _bloch(params):
     az_line = np.linspace(0.0, 1.5, 5)
     return PureStateModel(
         space=space, m=2, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        kind="bloch",
+        evaluate_many_fn=ev, kind="bloch",
         sample_grid=tuple(zip(pol_line, az_line)),
     )
 

@@ -12,7 +12,7 @@ import pytest
 from referencing import Registry, Resource
 
 import qestgeo
-from qestgeo import cli, estimation
+from qestgeo import cli, estimation, hilbert
 from qestgeo.cli import main, parse_model_spec, render_document
 from qestgeo.errors import SpecFormatError
 
@@ -638,7 +638,8 @@ class TestSampleArguments:
 
 
 def counting_model(calls):
-    """position_shift n=256 whose evaluate_fn counts its calls."""
+    """position_shift n=256 that records each theta it evaluates, whether
+    through evaluate_fn or through the row-broadcasting evaluate_many_fn."""
     import dataclasses
 
     base = qestgeo.catalog("position_shift", {"grid": {"n": 256, "lower": -10, "upper": 10}})
@@ -647,7 +648,11 @@ def counting_model(calls):
         calls.append(tuple(theta))
         return base.evaluate_fn(theta)
 
-    return dataclasses.replace(base, evaluate_fn=ev)
+    def ev_many(thetas):
+        calls.extend(tuple(t) for t in thetas)
+        return base.evaluate_many_fn(thetas)
+
+    return dataclasses.replace(base, evaluate_fn=ev, evaluate_many_fn=ev_many)
 
 
 class TestEvaluationCounts:
@@ -662,6 +667,23 @@ class TestEvaluationCounts:
         # five samples plus the momentum section's base state
         assert len(calls) == 6
         assert len(set(calls[:5])) == 5
+
+    def test_check_builds_two_overlap_matrices(self, capsys, monkeypatch):
+        # one of the raw samples (alignment, raw verdict) and one of the
+        # aligned samples (verdict, Gram-Schmidt precondition)
+        built = []
+        overlap_matrix = hilbert.overlap_matrix
+
+        def counted(vectors):
+            built.append(len(vectors))
+            return overlap_matrix(vectors)
+
+        monkeypatch.setattr(hilbert, "overlap_matrix", counted)
+        monkeypatch.setattr(cli, "_load_model",
+                            lambda path: (counting_model([]), {"kind": "test"}))
+        doc = run_to_doc(capsys, ["check", "--model", "-", self.SAMPLES])
+        assert doc["antiunitary"]["constructed"] is True
+        assert built == [5, 5]
 
     def test_schmidt_construction_evaluates_each_sample_once(self):
         calls = []

@@ -47,6 +47,16 @@ MALFORMED = [
     ("loop_point_string", "loop_spec", {"thetas": [[0.3, "a"], [0.8, 0.0]]},
      ["holonomy", "--model", "bloch.json", "--loop", "bad.json"],
      "thetas: not numeric: could not convert string to float: 'a'"),
+    # the schema cannot count a point's components against the model
+    ("loop_point_short", None, {"thetas": [[0.3, 0.0], [0.8], [0.9, 0.1]]},
+     ["holonomy", "--model", "bloch.json", "--loop", "bad.json"],
+     "thetas[1]: loop point 1 has 1 components, model expects 2"),
+    ("loop_points_long", None, {"thetas": [[0.3, 0.0, 1.0], [0.8, 0.1, 1.0]]},
+     ["holonomy", "--model", "bloch.json", "--loop", "bad.json"],
+     "thetas[0]: loop point 0 has 3 components, model expects 2"),
+    ("loop_scalar_points", None, {"thetas": [0.3, 0.8]},
+     ["holonomy", "--model", "bloch.json", "--loop", "bad.json"],
+     "thetas[0]: loop point 0 has 1 components, model expects 2"),
     ("loop_closed_string", "loop_spec",
      {"thetas": [[0.3, 0.0], [0.8, 0.0]], "closed": "no"},
      ["holonomy", "--model", "bloch.json", "--loop", "bad.json"],
