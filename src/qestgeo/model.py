@@ -26,7 +26,7 @@ from .hilbert import BasisSpace, GridSpace, StateVector
 
 NORM_DRIFT_TOL = 1e-6
 DEFAULT_FD_STEP = 1e-4
-# amplitudes per evaluate_many_fn call: each broadcast temporary stays at 256 kB
+# amplitudes per call of a broadcasting evaluate_fn: temporaries stay at 256 kB
 EVALUATE_BLOCK = 1 << 14
 
 
@@ -49,12 +49,9 @@ class PureStateModel:
 
     ``evaluate_fn`` must return amplitudes already normalized up to a
     drift below 1e-6 (catalog constructors cache their normalization
-    constants to guarantee this).  ``evaluate_many_fn``, when given, is
-    the same formula written to broadcast over leading axes: a ``(k, m)``
-    theta array gives ``(k, dim)`` amplitudes; without it rows are
-    evaluated one by one.  Every evaluation goes through it, so a copy
-    that swaps ``evaluate_fn`` (``dataclasses.replace``) swaps or clears
-    it too.  ``tangent_fn(theta, i)``, when given, returns
+    constants to guarantee this).  It is called on one ``(m,)`` point at a
+    time, or on blocks of a ``(k, m)`` array when marked :func:`broadcasting`.
+    ``tangent_fn(theta, i)``, when given, returns
     the closed-form derivative amplitudes; otherwise central differences
     with per-component step ``fd_step * max(1, |theta_i|)`` are used, of
     neighbours rephased onto the state (:func:`_transported_difference`).
@@ -68,7 +65,6 @@ class PureStateModel:
     fd_step: float = DEFAULT_FD_STEP
     kind: str = "custom"
     sample_grid: tuple = ()
-    evaluate_many_fn: object = None
 
     def _points(self, thetas):
         """``thetas`` as a float array of shape ``(k, m)`` inside the domain;
@@ -95,25 +91,26 @@ class PureStateModel:
     def _states(self, points):
         """Normalized ``(k, dim)`` amplitudes at checked ``points``.
 
-        ``evaluate_many_fn`` takes at most ``EVALUATE_BLOCK`` amplitudes a
-        call.  Each norm is ``sqrt(re.re + im.im)`` of its own row, one BLAS
-        dot per row as in ``np.linalg.norm``, so a row does not depend on
-        its batch.
+        A :func:`broadcasting` ``evaluate_fn`` takes :meth:`_block_rows` rows
+        a call.  Each norm is ``sqrt(re.re + im.im)`` of its own row: a
+        ``(1, dim) @ (dim, 1)`` matmul is the BLAS dot ``np.linalg.norm``
+        takes, so a row does not depend on its batch.
         """
         dim = self.space.dim
         out = np.empty((len(points), dim), dtype=complex)
-        many = self.evaluate_many_fn
-        rows = max(1, EVALUATE_BLOCK // dim) if many is not None else 1
+        batched = getattr(self.evaluate_fn, "broadcasts", False)
+        rows = self._block_rows() if batched else 1
         root_w = math.sqrt(self.space.weight)
         for start in range(0, len(points), rows):
             block = points[start:start + rows]
-            amps = np.asarray(many(block) if many is not None
+            amps = np.asarray(self.evaluate_fn(block) if batched
                               else [self.evaluate_fn(block[0])], dtype=complex)
             if amps.shape != (len(block), dim):
                 raise SpaceMismatchError(f"amplitudes have shape {amps.shape[1:]}, "
                                          f"space has dimension {dim}")
-            re, im = amps.real, amps.imag
-            nrm = root_w * np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))
+            re, im = amps.real[:, None], amps.imag[:, None]
+            sq = re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)
+            nrm = root_w * np.sqrt(sq[:, 0, 0])
             drift = np.abs(nrm - 1.0)
             ok = drift < NORM_DRIFT_TOL  # a NaN drift fails too
             if np.count_nonzero(ok) != len(ok):
@@ -124,6 +121,10 @@ class PureStateModel:
                 )
             np.divide(amps, nrm[:, None], out=out[start:start + len(block)])
         return out
+
+    def _block_rows(self):
+        """Rows per block: ``EVALUATE_BLOCK`` amplitudes, at least one row."""
+        return max(1, EVALUATE_BLOCK // self.space.dim)
 
     def evaluate_many(self, thetas):
         """Normalized amplitudes, shape ``(k, dim)``, at the rows of a
@@ -161,29 +162,42 @@ class PureStateModel:
         return StateVector(self.space, _transported_difference(self.space, phi, up, dn, h))
 
     def horizontal_lift(self, theta):
-        return self.horizontal_lifts(_row(theta))[0]
+        return next(self.horizontal_lifts(_row(theta)))
 
     def horizontal_lifts(self, thetas):
-        """:meth:`horizontal_lift` at each row of a ``(k, m)`` theta array;
-        the ``k`` states come from one batched evaluation."""
+        """:meth:`horizontal_lift` at each row of a ``(k, m)`` theta array,
+        yielded in order.  The states of one block of :meth:`_block_rows`
+        points come from one batched evaluation, so memory does not grow
+        with ``k``."""
         points = self._points(thetas)
-        phis = [StateVector._adopt(self.space, amps) for amps in self._states(points)]
-        out = []
-        for theta, phi in zip(points, phis):
-            lifts = []
-            for i in range(self.m):
-                t = self._tangent(theta, i, phi.amplitudes).amplitudes
-                # hilbert.inner without its space check: t and phi share the model's
-                ov = complex(self.space.weight * np.vdot(phi.amplitudes, t))
-                lifts.append(StateVector(self.space, 2.0 * t - 2.0 * ov * phi.amplitudes))
-            out.append(HorizontalLift(theta=theta, phi=phi, lifts=tuple(lifts)))
-        return out
+        rows = self._block_rows()
+        for start in range(0, len(points), rows):
+            block = points[start:start + rows]
+            for theta, amps in zip(block, self._states(block)):
+                phi = StateVector._adopt(self.space, amps)
+                lifts = []
+                for i in range(self.m):
+                    t = self._tangent(theta, i, amps).amplitudes
+                    # hilbert.inner without its space check: t and phi share the model's
+                    ov = complex(self.space.weight * np.vdot(amps, t))
+                    lifts.append(StateVector(self.space, 2.0 * t - 2.0 * ov * amps))
+                yield HorizontalLift(theta=theta, phi=phi, lifts=tuple(lifts))
 
 
 def _row(theta):
     """One theta as a ``(1, ...)`` array; a scalar is a 1-vector."""
     arr = np.asarray(theta, dtype=float)
     return arr.reshape(1, 1) if arr.ndim == 0 else arr[None]
+
+
+def broadcasting(evaluate_fn):
+    """Mark ``evaluate_fn`` as written over leading axes: a ``(k, m)`` theta
+    array gives the ``(k, dim)`` amplitudes of its rows, each as the
+    ``(m,)`` call would.  :meth:`PureStateModel.evaluate_many` then calls it
+    on blocks of rows; an unmarked function is called one point at a time.
+    """
+    evaluate_fn.broadcasts = True
+    return evaluate_fn
 
 
 def _transported_difference(space, phi, up, dn, h):
@@ -426,6 +440,7 @@ def _shift_family(params, profile, space, kind):
     domain = _domain(params, ((-2.0, 2.0),))
     x = space.points
 
+    @broadcasting
     def ev(theta):
         return c * profile.f(x - theta[..., 0, None])
 
@@ -434,7 +449,7 @@ def _shift_family(params, profile, space, kind):
 
     return PureStateModel(
         space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        evaluate_many_fn=ev, kind=kind,
+        kind=kind,
         sample_grid=tuple((t,) for t in np.linspace(-1.0, 1.0, 5)),
     )
 
@@ -447,6 +462,7 @@ def _position_shift(params):
 def _phase_generator_family(space, domain, g, psi0, kind, sample_line):
     """The family ``exp(-i theta g) psi0`` of a diagonal generator ``g``."""
 
+    @broadcasting
     def ev(theta):
         return np.exp(-1j * theta[..., 0, None] * g) * psi0
 
@@ -455,7 +471,7 @@ def _phase_generator_family(space, domain, g, psi0, kind, sample_line):
 
     return PureStateModel(
         space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        evaluate_many_fn=ev, kind=kind, sample_grid=tuple((t,) for t in sample_line),
+        kind=kind, sample_grid=tuple((t,) for t in sample_line),
     )
 
 
@@ -476,6 +492,7 @@ def _position_momentum_shift(params):
     domain = _domain(params, ((-2.0, 2.0), (-2.0, 2.0)))
     x = space.points
 
+    @broadcasting
     def ev(theta):
         return np.exp(1j * theta[..., 1, None] * x) * c * profile.f(x - theta[..., 0, None])
 
@@ -488,7 +505,7 @@ def _position_momentum_shift(params):
     diag = np.linspace(-1.0, 1.0, 5)
     return PureStateModel(
         space=space, m=2, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        evaluate_many_fn=ev, kind="position_momentum_shift",
+        kind="position_momentum_shift",
         sample_grid=tuple((t, t) for t in diag),
     )
 
@@ -529,6 +546,7 @@ def _ring_flux(params):
     c = 1.0 / raw.norm()
     domain = _domain(params, ((-2.0 * np.pi, 4.0 * np.pi),))
 
+    @broadcasting
     def ev(theta):
         t = theta[..., 0, None]
         s = np.mod(omega - t, 2.0 * np.pi)
@@ -542,7 +560,7 @@ def _ring_flux(params):
 
     return PureStateModel(
         space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        evaluate_many_fn=ev, kind="ring_flux",
+        kind="ring_flux",
         sample_grid=tuple((t,) for t in np.linspace(0.5, 5.5, 5)),
     )
 
@@ -551,6 +569,7 @@ def _bloch(params):
     space = BasisSpace(2, labels=("up", "down"))
     domain = _domain(params, ((0.0, np.pi), (-4.0 * np.pi, 4.0 * np.pi)))
 
+    @broadcasting
     def ev(theta):
         half = theta[..., 0] / 2.0
         amps = np.empty(theta.shape[:-1] + (2,), dtype=complex)
@@ -571,7 +590,7 @@ def _bloch(params):
     az_line = np.linspace(0.0, 1.5, 5)
     return PureStateModel(
         space=space, m=2, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        evaluate_many_fn=ev, kind="bloch",
+        kind="bloch",
         sample_grid=tuple(zip(pol_line, az_line)),
     )
 

@@ -14,6 +14,7 @@ import math
 import re
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +26,7 @@ import qestgeo as qg
 from qestgeo import cli, geometry, holonomy, model
 from qestgeo.errors import DomainError, ModelDefinitionError, RefinementError
 from qestgeo.hilbert import BasisSpace
-from qestgeo.model import Curve, PureStateModel, rephased
+from qestgeo.model import Curve, PureStateModel, broadcasting, rephased
 
 from conftest import catalog_battery
 from test_cli import run_to_doc
@@ -55,8 +56,9 @@ class TestEvaluateMany:
         thetas = random_points(mod, min(per_block, 200) + 3, np.random.default_rng(4))
         many = mod.evaluate_many(thetas)
         one_by_one = np.array([mod.evaluate(t).amplitudes for t in thetas])
-        # the formula on one (m,) point at a time, as evaluate_fn
-        unbatched = dataclasses.replace(mod, evaluate_many_fn=None).evaluate_many(thetas)
+        # the formula on one (m,) point at a time: an unmarked evaluate_fn
+        unbatched = dataclasses.replace(mod, evaluate_fn=lambda t: mod.evaluate_fn(t))
+        unbatched = unbatched.evaluate_many(thetas)
         # each row divided by its own np.linalg.norm, as a single state is
         reference = []
         for t in thetas:
@@ -102,7 +104,7 @@ class TestEvaluateMany:
             return amps
 
         bad = PureStateModel(space=BasisSpace(2), m=1, domain=((-1.0, 1.0),),
-                             evaluate_fn=drifting, evaluate_many_fn=drifting)
+                             evaluate_fn=broadcasting(drifting))
         with pytest.raises(ModelDefinitionError) as one:
             bad.evaluate((0.5,))
         with pytest.raises(ModelDefinitionError) as many:
@@ -117,13 +119,14 @@ class TestEvaluateMany:
         base = BATTERY["bloch"]
         calls = []
 
+        @broadcasting
         def counted(thetas):
             calls.append(len(thetas))
-            return base.evaluate_many_fn(thetas)
+            return base.evaluate_fn(thetas)
 
         pts = [(1.1, 2.0 * np.pi * j / 2000) for j in range(2001)]
         got = holonomy.berry_phase_loop(
-            Curve(dataclasses.replace(base, evaluate_many_fn=counted), pts, closed=True))
+            Curve(dataclasses.replace(base, evaluate_fn=counted), pts, closed=True))
         rows = max(1, model.EVALUATE_BLOCK // 2)
         assert len(calls) == math.ceil(2001 / rows)
         assert max(calls) == min(rows, 2001)
@@ -134,13 +137,46 @@ class TestEvaluateMany:
         base = qg.catalog("position_shift", {"grid": {"n": 65536}})
         calls = []
 
+        @broadcasting
         def counted(thetas):
             calls.append(len(thetas))
-            return base.evaluate_many_fn(thetas)
+            return base.evaluate_fn(thetas)
 
-        dataclasses.replace(base, evaluate_many_fn=counted).evaluate_many([[0.0], [0.1],
-                                                                           [0.2]])
+        dataclasses.replace(base, evaluate_fn=counted).evaluate_many([[0.0], [0.1], [0.2]])
         assert calls == [1, 1, 1]
+
+    def test_a_replaced_evaluate_fn_is_called_one_point_at_a_time(self):
+        base = BATTERY["bloch"]
+        calls = []
+
+        def counted(theta):
+            calls.append(theta.shape)
+            return base.evaluate_fn(theta)
+
+        got = dataclasses.replace(base, evaluate_fn=counted).evaluate_many(
+            random_points(base, 7, np.random.default_rng(6)))
+        assert calls == [(2,)] * 7
+        assert got.shape == (7, 2)
+
+    def test_lift_memory_does_not_grow_with_the_number_of_points(self):
+        mod = qg.catalog("position_shift", {"grid": {"n": 4096}})  # 4 rows a block
+
+        def peak(k):
+            thetas = np.linspace(-1.0, 1.0, k)[:, None]
+            tracemalloc.start()
+            try:
+                for lift in mod.horizontal_lifts(thetas):
+                    del lift
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a block of states and the formula's temporaries of the same size;
+        # all 200 lifts at once would take 200 * 2 * 64 kB
+        block_bytes = 16 * model.EVALUATE_BLOCK
+        few, many = peak(8), peak(200)
+        assert many < 8 * block_bytes
+        assert many < 1.1 * few
 
 
 class EvaluateOnly:

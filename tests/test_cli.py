@@ -638,8 +638,7 @@ class TestSampleArguments:
 
 
 def counting_model(calls):
-    """position_shift n=256 that records each theta it evaluates, whether
-    through evaluate_fn or through the row-broadcasting evaluate_many_fn."""
+    """position_shift n=256 whose evaluate_fn counts its calls."""
     import dataclasses
 
     base = qestgeo.catalog("position_shift", {"grid": {"n": 256, "lower": -10, "upper": 10}})
@@ -648,11 +647,7 @@ def counting_model(calls):
         calls.append(tuple(theta))
         return base.evaluate_fn(theta)
 
-    def ev_many(thetas):
-        calls.extend(tuple(t) for t in thetas)
-        return base.evaluate_many_fn(thetas)
-
-    return dataclasses.replace(base, evaluate_fn=ev, evaluate_many_fn=ev_many)
+    return dataclasses.replace(base, evaluate_fn=ev)
 
 
 class TestEvaluationCounts:

@@ -438,16 +438,11 @@ class TestLiftFisher:
             calls["evaluate"] += 1
             return base.evaluate_fn(theta)
 
-        def ev_many(thetas):
-            calls["evaluate"] += len(thetas)
-            return base.evaluate_many_fn(thetas)
-
         def tangent(theta, i):
             calls["tangent"] += 1
             return base.tangent_fn(theta, i)
 
-        counted = dataclasses.replace(base, evaluate_fn=ev, evaluate_many_fn=ev_many,
-                                      tangent_fn=tangent)
+        counted = dataclasses.replace(base, evaluate_fn=ev, tangent_fn=tangent)
         monkeypatch.setattr(cli, "_load_model", lambda path: (counted, {"kind": "test"}))
         make_povm = cli._make_povm
 
@@ -481,18 +476,13 @@ class TestOneLiftRoute:
             calls["evaluate"] += 1
             return base.evaluate_fn(theta)
 
-        def ev_many(thetas):
-            calls["evaluate"] += len(thetas)
-            return base.evaluate_many_fn(thetas)
-
         def tangent(theta, i):
             calls["tangent"] += 1
             return base.tangent_fn(theta, i)
 
         povm = grid_pvm(base.space)
-        fam = measurement_family(dataclasses.replace(base, evaluate_fn=ev,
-                                                     evaluate_many_fn=ev_many,
-                                                     tangent_fn=tangent), povm)
+        fam = measurement_family(dataclasses.replace(base, evaluate_fn=ev, tangent_fn=tangent),
+                                 povm)
         for th in thetas:
             calls.update(evaluate=0, tangent=0)
             got = classical_fisher(fam, th)
