@@ -12,6 +12,6 @@ __version__ = "0.1.0"
 
 from . import estimation, geometry, hilbert, holonomy, model, symmetry  # noqa: F401
 from .errors import QestgeoError  # noqa: F401
-from .geometry import GeometryReport, WeightMatrix, analyze  # noqa: F401
+from .geometry import GeometryReport, WeightMatrix, analyze, analyze_many  # noqa: F401
 from .hilbert import BasisSpace, GridSpace, StateVector, inner  # noqa: F401
 from .model import Curve, HorizontalLift, PureStateModel, catalog  # noqa: F401

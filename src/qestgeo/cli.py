@@ -33,6 +33,7 @@ numerical-contract violations, 64 usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -403,28 +404,29 @@ def _cmd_report(args):
     built, echo = _load_model(args.model)
     thetas = parse_theta_list(args.theta, built.m)
     weight = _parse_weight(args.weight, built.m)
+    reports = geometry.analyze_many(built, thetas)
+    metrics = [rep.sld_fisher for rep in reports]
+    js_bounds = geometry.sld_bounds(reports, metrics)
+    if weight is not None:
+        weighted = geometry.sld_bounds(
+            reports, metrics if weight["kind"] == "js"
+            else [np.diag(weight["values"])] * len(reports))
     entries = []
     max_beta = None
-    for theta in thetas:
-        rep = geometry.analyze(built, theta)
+    for r, (theta, rep) in enumerate(zip(thetas, reports)):
         entry = {
             "theta": [float(t) for t in theta],
             "sld_fisher": _matrix(rep.sld_fisher),
             "berry_curvature": _matrix(rep.berry_curvature),
             "d_transform": None if rep.d_matrix is None else _matrix(rep.d_matrix),
             "betas": [float(b) for b in rep.betas],
-            "sld_bound_js": None if rep.rank_deficient
-            else rep.sld_bound(rep.sld_fisher),
+            "sld_bound_js": js_bounds[r],
             "attainable_cr_js": rep.cr_js,
             "quasi_classical": rep.quasi_classical,
             "rank_deficient": rep.rank_deficient,
         }
-        if weight is not None and not rep.rank_deficient:
-            g = (rep.sld_fisher if weight["kind"] == "js"
-                 else np.diag(weight["values"]))
-            entry["sld_bound_weight"] = rep.sld_bound(g)
-        elif weight is not None:
-            entry["sld_bound_weight"] = None
+        if weight is not None:
+            entry["sld_bound_weight"] = weighted[r]
         for b in rep.betas:
             max_beta = b if max_beta is None else max(max_beta, b)
         entries.append(entry)
@@ -593,21 +595,23 @@ def _cmd_fisher(args):
     thetas = parse_theta_list(args.theta, built.m)
     samples = parse_theta_list(args.samples, built.m) if args.samples else thetas
     povm, povm_echo = _make_povm(args.povm, built, samples)
-    entries = []
     # one lift per point: state, scores, node term and J_S all come from it
-    for theta, lift in zip(thetas, built.horizontal_lifts(thetas)):
-        j_c = estimation.lift_fisher(povm, lift)
-        j_s = geometry.sld_fisher(lift)
-        gap = j_s - j_c
-        entries.append({
-            "theta": [float(t) for t in theta],
-            "classical_fisher": _matrix(j_c),
-            "sld_fisher": _matrix(j_s),
-            "max_relative_gap": float(
-                np.max(np.abs(gap)) / max(np.max(np.abs(j_s)), 1e-300)
-            ),
-            "min_psd_eigenvalue": float(np.min(np.linalg.eigvalsh(gap))),
-        })
+    j_c, j_s = [], []
+    for lift in built.horizontal_lifts(thetas):
+        j_c.append(estimation.lift_fisher(povm, lift))
+        j_s.append(geometry.sld_fisher(lift))
+    j_c, j_s = np.array(j_c), np.array(j_s)
+    gaps = j_s - j_c
+    rel_gaps = (np.max(np.abs(gaps), axis=(1, 2))
+                / np.maximum(np.max(np.abs(j_s), axis=(1, 2)), 1e-300))
+    min_eigs = np.min(np.linalg.eigvalsh(gaps), axis=1)
+    entries = [{
+        "theta": [float(t) for t in theta],
+        "classical_fisher": _matrix(j_c[r]),
+        "sld_fisher": _matrix(j_s[r]),
+        "max_relative_gap": float(rel_gaps[r]),
+        "min_psd_eigenvalue": float(min_eigs[r]),
+    } for r, theta in enumerate(thetas)]
     return {
         "tool": _tool_header("fisher"),
         "model": echo,
@@ -717,9 +721,14 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The one parser of the process: building one costs more than a parse."""
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         doc = args.func(args)
     except (SpecFormatError, DomainError, ClosureError) as exc:

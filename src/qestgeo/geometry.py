@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficiencyError, SpectralConsistencyError
+from .model import _dots, _row
 
 RANK_TOL = 1e-10
 METRIC_SCALE_FLOOR = 1e-12
@@ -28,10 +29,11 @@ WEIGHT_TOL = 1e-12
 
 
 def _is_singular(eigvals):
-    # relative rank test, with an absolute floor so the all-zero metric
-    # (pure-gauge directions) is caught as well
-    largest = float(eigvals[-1])
-    return largest <= METRIC_SCALE_FLOOR or eigvals[0] <= RANK_TOL * largest
+    # relative rank test over the last axis of ascending eigenvalues, with an
+    # absolute floor so the all-zero metric (pure-gauge directions) is caught
+    # as well
+    largest = eigvals[..., -1]
+    return (largest <= METRIC_SCALE_FLOOR) | (eigvals[..., 0] <= RANK_TOL * largest)
 
 
 @dataclass(frozen=True)
@@ -54,53 +56,82 @@ class WeightMatrix:
         object.__setattr__(self, "matrix", g)
 
 
-def _gram(lift):
-    vecs = [l.coords for l in lift.lifts]
-    m = len(vecs)
-    g = np.empty((m, m), dtype=complex)
-    for a in range(m):
-        for b in range(a, m):
-            g[a, b] = np.vdot(vecs[a], vecs[b])
-            g[b, a] = np.conj(g[a, b])
+def _gram(coords):
+    """``G[..., a, b] = <c_a|c_b>`` of orthonormal coordinates ``(..., m, dim)``.
+
+    The entries are one stacked product of BLAS dots (``model._dots``), so a
+    row does not depend on its batch; below the diagonal they are replaced
+    by the conjugates of the entries above it, so ``G`` is exactly Hermitian.
+    """
+    g = _dots(coords[..., :, None, :], coords[..., None, :, :])
+    below = np.tril_indices(coords.shape[-2], -1)
+    g[..., below[0], below[1]] = np.conj(g[..., below[1], below[0]])
     return g
+
+
+def _lift_gram(lift):
+    space = lift.phi.space
+    return _gram(np.sqrt(space.weight) * np.array([l.amplitudes for l in lift.lifts]))
 
 
 def _metric_and_curvature(gram):
     re, im = gram.real, gram.imag
-    return 0.5 * (re + re.T), 0.5 * (im - im.T)
+    return 0.5 * (re + np.swapaxes(re, -1, -2)), 0.5 * (im - np.swapaxes(im, -1, -2))
 
 
 def sld_fisher(lift):
     """Real part of the lift Gram matrix; symmetric PSD."""
-    return _metric_and_curvature(_gram(lift))[0]
+    return _metric_and_curvature(_lift_gram(lift))[0]
 
 
 def berry_curvature(lift):
     """Imaginary part of the lift Gram matrix; antisymmetric."""
-    return _metric_and_curvature(_gram(lift))[1]
+    return _metric_and_curvature(_lift_gram(lift))[1]
 
 
-def _beta_spectrum(j_s, j_tilde):
-    """Singular values of the metric-whitened curvature, one per pair.
+def _spectra(j_s, j_tilde):
+    """The spectral pass over ``(k, m, m)`` stacks of metrics and curvatures.
 
-    One ``eigh`` of J_S serves both the rank test and J_S^{-1/2}, and one
-    SVD of the whitened curvature gives the betas above
-    ``QUASI_CLASSICAL_TOL``.  Raises :class:`RankDeficiencyError` before
-    the SVD when the metric is singular.
+    One ``eigh`` of the metrics gives the rank verdicts and J_S^{-1/2}, and
+    one SVD of the whitened curvatures of the regular rows their singular
+    values; no SVD runs when no row is regular.  Returns ``(eigvals,
+    eigvecs, regular, svals)`` with one ``svals`` row per regular row.
     """
     eigvals, eigvecs = np.linalg.eigh(j_s)
-    if _is_singular(eigvals):
+    regular = ~_is_singular(eigvals)
+    if not regular.any():
+        return eigvals, eigvecs, regular, None
+    vecs = eigvecs[regular]
+    scale = np.zeros_like(vecs)
+    diag = np.arange(scale.shape[-1])
+    scale[:, diag, diag] = eigvals[regular] ** -0.5
+    inv_sqrt = vecs @ scale @ np.swapaxes(vecs, -1, -2)
+    k = inv_sqrt @ j_tilde[regular] @ inv_sqrt
+    k = 0.5 * (k - np.swapaxes(k, -1, -2))
+    return eigvals, eigvecs, regular, np.linalg.svd(k, compute_uv=False)
+
+
+def _betas(svals):
+    """Per row of singular values, the betas: one per pair (antisymmetric
+    real matrices pair theirs as (b, b)) above ``QUASI_CLASSICAL_TOL``."""
+    return [[b for b in row if b > QUASI_CLASSICAL_TOL] for row in svals[:, 0::2].tolist()]
+
+
+def _single(j_s, j_tilde):
+    """``j_s``, ``j_tilde`` as float ``(m, m)`` arrays and their spectral
+    pass; :class:`RankDeficiencyError` right after the ``eigh`` when the
+    metric is singular."""
+    j_s = np.asarray(j_s, dtype=float)
+    j_tilde = np.asarray(j_tilde, dtype=float)
+    eigvals, eigvecs, regular, svals = _spectra(j_s[None], j_tilde[None])
+    if not regular[0]:
+        eigvals, eigvecs = eigvals[0], eigvecs[0]
         null = eigvals <= max(RANK_TOL * eigvals[-1], METRIC_SCALE_FLOOR)
         raise RankDeficiencyError(
             f"metric is singular: eigenvalues {eigvals.tolist()}",
             null_directions=eigvecs[:, null],
         )
-    inv_sqrt = eigvecs @ np.diag(eigvals**-0.5) @ eigvecs.T
-    k = inv_sqrt @ j_tilde @ inv_sqrt
-    k = 0.5 * (k - k.T)
-    svals = np.linalg.svd(k, compute_uv=False)
-    # antisymmetric real: singular values pair up as (b, b); keep one of each
-    return [float(b) for b in svals[0::2] if b > QUASI_CLASSICAL_TOL]
+    return j_s, j_tilde, svals
 
 
 def d_transform(j_s, j_tilde):
@@ -113,11 +144,8 @@ def d_transform(j_s, j_tilde):
     numerically guaranteed.  Raises :class:`RankDeficiencyError` when the
     metric is singular at relative tolerance ``RANK_TOL``.
     """
-    j_s = np.asarray(j_s, dtype=float)
-    j_tilde = np.asarray(j_tilde, dtype=float)
-    betas = _beta_spectrum(j_s, j_tilde)
-    d = np.linalg.solve(j_s, j_tilde)
-    return d, betas
+    j_s, j_tilde, svals = _single(j_s, j_tilde)
+    return np.linalg.solve(j_s, j_tilde), _betas(svals)[0]
 
 
 def d_via_projection(lift, x):
@@ -149,9 +177,14 @@ def d_via_projection(lift, x):
     return coeffs
 
 
+def _weighted_traces(g, j_s):
+    """``Tr G J_S^{-1}`` over ``(k, m, m)`` stacks: one ``solve``."""
+    return np.trace(np.linalg.solve(j_s, g), axis1=-2, axis2=-1).tolist()
+
+
 def _weighted_trace(weight, j_s):
     g = weight.matrix if isinstance(weight, WeightMatrix) else np.asarray(weight, float)
-    return float(np.trace(np.linalg.solve(j_s, g)))
+    return _weighted_traces(g[None], np.asarray(j_s)[None])[0]
 
 
 def sld_bound(weight, j_s):
@@ -165,17 +198,27 @@ def sld_bound(weight, j_s):
     return _weighted_trace(weight, j_s)
 
 
-def _cr_from_betas(m, betas):
-    for b in betas:
-        if b > 1.0 + BETA_BOUND_TOL:
-            raise SpectralConsistencyError(
-                f"beta = {b:.8f} exceeds 1 beyond tolerance {BETA_BOUND_TOL:.0e}; "
-                "the inputs are not the metric and curvature of a pure-state family"
-            )
-    clamped = [min(b, 1.0) for b in betas]
-    paired = sum(4.0 / (1.0 + np.sqrt(1.0 - b * b)) for b in clamped)
-    unpaired = m - 2 * len(clamped)
-    return float(paired + unpaired)
+def _cr_from_svals(m, svals):
+    """``CR(J_S)`` per row of singular values (:func:`_betas`).
+
+    Raises :class:`SpectralConsistencyError` at the first row, in order,
+    with a beta above 1 beyond ``BETA_BOUND_TOL``.
+    """
+    pairs = svals[:, 0::2]
+    over = np.argwhere(pairs > 1.0 + BETA_BOUND_TOL)
+    if over.size:
+        raise SpectralConsistencyError(
+            f"beta = {pairs[tuple(over[0])]:.8f} exceeds 1 beyond tolerance "
+            f"{BETA_BOUND_TOL:.0e}; "
+            "the inputs are not the metric and curvature of a pure-state family"
+        )
+    kept = pairs > QUASI_CLASSICAL_TOL
+    clamped = np.minimum(pairs, 1.0)
+    terms = np.where(kept, 4.0 / (1.0 + np.sqrt(1.0 - clamped * clamped)), 0.0)
+    paired = np.zeros(len(pairs))
+    for column in terms.T:  # in order, as the betas are summed one by one
+        paired = paired + column
+    return (paired + (m - 2 * np.count_nonzero(kept, axis=1))).tolist()
 
 
 def attainable_cr_js(j_s, j_tilde):
@@ -186,23 +229,24 @@ def attainable_cr_js(j_s, j_tilde):
     is also the beta -> 0 limit of half a pair.  The total is >= m with
     equality exactly when the curvature vanishes.
     """
-    j_s = np.asarray(j_s, dtype=float)
-    betas = _beta_spectrum(j_s, np.asarray(j_tilde, dtype=float))
-    return _cr_from_betas(j_s.shape[0], betas)
+    j_s, _, svals = _single(j_s, j_tilde)
+    return _cr_from_svals(j_s.shape[0], svals)[0]
 
 
 def _curvature_below_scale(j_tilde, j_s):
-    scale = max(1.0, float(np.max(np.abs(j_s))))
-    return bool(np.max(np.abs(j_tilde)) < QUASI_CLASSICAL_TOL * scale)
+    """``max abs J_tilde < QUASI_CLASSICAL_TOL * max(1, max abs J_S)`` over
+    the last two axes."""
+    scale = np.maximum(1.0, np.max(np.abs(j_s), axis=(-2, -1)))
+    return np.max(np.abs(j_tilde), axis=(-2, -1)) < QUASI_CLASSICAL_TOL * scale
 
 
 def is_quasi_classical(j_tilde, j_s):
     """No beta left, as in ``analyze``; at a singular metric, where none
     exists, ``max abs J_tilde < QUASI_CLASSICAL_TOL * max(1, max abs J_S)``."""
     try:
-        return not _beta_spectrum(np.asarray(j_s, float), np.asarray(j_tilde, float))
+        return not _betas(_single(j_s, j_tilde)[2])[0]
     except RankDeficiencyError:
-        return _curvature_below_scale(j_tilde, j_s)
+        return bool(_curvature_below_scale(j_tilde, j_s))
 
 
 @dataclass(frozen=True)
@@ -232,33 +276,69 @@ class GeometryReport:
 
 
 def analyze(model, theta):
-    """Geometry report of ``model`` at ``theta``.
+    """Geometry report of ``model`` at ``theta``: :func:`analyze_many` on
+    one row.
 
     Rank deficiency of the metric is reported as a flag here; only the
     bound computations (``sld_bound``, ``cr_js``) treat it as an error,
     so the corresponding fields come back as None.  ``quasi_classical`` is
     the verdict of :func:`is_quasi_classical`, from the same spectral pass.
     """
-    lift = model.horizontal_lift(theta)
-    j_s, j_t = _metric_and_curvature(_gram(lift))
-    # one eigh, one SVD and one solve per point: d_transform shares its
-    # spectral pass with the bound and reports a singular metric by raising
-    # right after the eigh
-    try:
-        d_matrix, beta_list = d_transform(j_s, j_t)
-    except RankDeficiencyError:
-        d_matrix, betas, cr, deficient = None, (), None, True
-    else:
-        betas = tuple(beta_list)
-        cr = _cr_from_betas(j_s.shape[0], beta_list)
-        deficient = False
-    return GeometryReport(
-        theta=lift.theta,
-        sld_fisher=j_s,
-        berry_curvature=j_t,
-        d_matrix=d_matrix,
-        betas=betas,
-        cr_js=cr,
-        quasi_classical=_curvature_below_scale(j_t, j_s) if deficient else not betas,
-        rank_deficient=deficient,
-    )
+    return analyze_many(model, _row(theta))[0]
+
+
+def analyze_many(model, thetas):
+    """:func:`analyze` at each row of a ``(k, m)`` theta array, as a list.
+
+    The lifts come one block of points at a time
+    (``PureStateModel._lift_blocks``), and only their ``(m, m)`` Gram
+    matrices are kept.  One ``eigh`` over all rows, one SVD and one
+    ``solve`` over the regular rows then serve every point, and each row is
+    bitwise the row :func:`analyze` gives alone.
+    """
+    points = model._points(thetas)
+    if not len(points):
+        return []
+    m, root_w = model.m, np.sqrt(model.space.weight)
+    # the lifts are scaled to coordinates in place: one block-sized temporary
+    # less; a stand-in for _gram may give a one-row block as (m, m)
+    grams = [np.reshape(_gram(np.multiply(lifts, root_w, out=lifts)), (len(block), m, m))
+             for block, _, lifts in model._lift_blocks(points)]
+    j_s, j_t = _metric_and_curvature(np.concatenate(grams))
+    _, _, regular, svals = _spectra(j_s, j_t)
+    regular_rows = np.flatnonzero(regular).tolist()
+    d_matrix, betas, cr = [None] * len(points), [()] * len(points), [None] * len(points)
+    if regular_rows:
+        # D before the beta check, so a rejected point costs the same calls
+        d = np.linalg.solve(j_s[regular], j_t[regular])
+        for r, d_r, betas_r, cr_r in zip(regular_rows, d, _betas(svals),
+                                         _cr_from_svals(m, svals)):
+            d_matrix[r], betas[r], cr[r] = d_r, tuple(betas_r), cr_r
+    below = _curvature_below_scale(j_t, j_s).tolist()
+    return [
+        GeometryReport(
+            theta=points[r],
+            sld_fisher=j_s[r],
+            berry_curvature=j_t[r],
+            d_matrix=d_matrix[r],
+            betas=betas[r],
+            cr_js=cr[r],
+            quasi_classical=not betas[r] if ok else below[r],
+            rank_deficient=not ok,
+        )
+        for r, ok in enumerate(regular.tolist())
+    ]
+
+
+def sld_bounds(reports, weights):
+    """``Tr G J_S^{-1}`` of each report with its weight ``G``, one ``(m, m)``
+    matrix per report: None on a rank-deficient report, and one stacked
+    ``solve`` over the others."""
+    rows = [r for r, rep in enumerate(reports) if not rep.rank_deficient]
+    bounds = [None] * len(reports)
+    if rows:
+        g = np.array([np.asarray(weights[r], dtype=float) for r in rows])
+        j_s = np.array([reports[r].sld_fisher for r in rows])
+        for r, value in zip(rows, _weighted_traces(g, j_s)):
+            bounds[r] = value
+    return bounds

@@ -99,13 +99,14 @@ def unit_links(overlaps):
     a phase across each overlap, and the overlap magnitudes.
 
     A magnitude at most ``MIN_OVERLAP`` leaves its link's phase undefined
-    and raises :class:`RefinementError`.
+    and raises :class:`RefinementError`, which names the link by its index
+    along the last axis.
     """
     mags = np.abs(overlaps)
     bad = np.flatnonzero(mags <= MIN_OVERLAP)
     if bad.size:
-        ov = float(mags[bad[0]])
-        raise RefinementError(f"link {int(bad[0])} is near-orthogonal "
+        ov = float(mags.flat[bad[0]])
+        raise RefinementError(f"link {int(bad[0]) % mags.shape[-1]} is near-orthogonal "
                               f"(|overlap| = {ov:.2e})", overlap=ov)
     return overlaps / mags, mags
 

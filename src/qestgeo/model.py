@@ -26,7 +26,8 @@ from .hilbert import BasisSpace, GridSpace, StateVector
 
 NORM_DRIFT_TOL = 1e-6
 DEFAULT_FD_STEP = 1e-4
-# amplitudes per call of a broadcasting evaluate_fn: temporaries stay at 256 kB
+# amplitudes per block of states (and per call of a broadcasting function):
+# temporaries stay at 256 kB
 EVALUATE_BLOCK = 1 << 14
 
 
@@ -49,12 +50,13 @@ class PureStateModel:
 
     ``evaluate_fn`` must return amplitudes already normalized up to a
     drift below 1e-6 (catalog constructors cache their normalization
-    constants to guarantee this).  It is called on one ``(m,)`` point at a
-    time, or on blocks of a ``(k, m)`` array when marked :func:`broadcasting`.
-    ``tangent_fn(theta, i)``, when given, returns
-    the closed-form derivative amplitudes; otherwise central differences
-    with per-component step ``fd_step * max(1, |theta_i|)`` are used, of
-    neighbours rephased onto the state (:func:`_transported_difference`).
+    constants to guarantee this).  ``tangent_fn(theta, i)``, when given,
+    returns the closed-form derivative amplitudes; otherwise central
+    differences with per-component step ``fd_step * max(1, |theta_i|)`` are
+    used, of neighbours rephased onto the state
+    (:func:`_transported_difference`).  Each function is called on one
+    ``(m,)`` point at a time, or on blocks of a ``(k, m)`` array when marked
+    :func:`broadcasting`.
     """
 
     space: object
@@ -136,52 +138,87 @@ class PureStateModel:
 
     def tangent(self, theta, i):
         """Unnormalized derivative d_i |phi> at theta."""
-        theta = self._points(_row(theta))[0]
+        points = self._points(_row(theta))
         if not 0 <= i < self.m:
             raise IndexError(f"component {i} out of range for m={self.m}")
-        phi = None if self.tangent_fn is not None else self._states(theta[None])[0]
-        return self._tangent(theta, i, phi)
+        amps = None if self.tangent_fn is not None else self._states(points)
+        return StateVector._adopt(self.space, self._tangents(points, amps, (i,))[0, 0])
 
-    def _tangent(self, theta, i, phi):
-        """Tangent at a checked ``theta``; ``phi``, the amplitudes of the
-        state there, gauges the finite differences."""
-        if self.tangent_fn is not None:
-            return StateVector(self.space, self.tangent_fn(theta, i))
-        h = self.fd_step * max(1.0, abs(theta[i]))
-        steps = np.array([theta, theta])
-        steps[0, i] += h
-        steps[1, i] -= h
+    def _tangents(self, points, amps, components):
+        """Tangent amplitudes ``(k, len(components), dim)`` at checked
+        ``points``; ``amps``, the states there, gauge the finite differences.
+
+        A :func:`broadcasting` ``tangent_fn`` takes all the points in one call
+        per component, an unmarked one a point and a component per call.
+        """
+        if self.tangent_fn is None:
+            return self._fd_tangents(points, amps, components)
+        out = np.empty((len(points), len(components), self.space.dim), dtype=complex)
+        if getattr(self.tangent_fn, "broadcasts", False):
+            for j, i in enumerate(components):
+                _put(out[:, j], self.tangent_fn(points, i))
+        else:
+            for r, theta in enumerate(points):
+                for j, i in enumerate(components):
+                    _put(out[r, j], self.tangent_fn(theta, i))
+        return out
+
+    def _fd_tangents(self, points, amps, components):
+        """Central differences with per-point step ``fd_step * max(1, |theta_i|)``:
+        the neighbours of all points and components in one :meth:`_states`
+        call, rephased onto ``amps`` by one :func:`_transported_difference`."""
+        comps = list(components)
+        h = self.fd_step * np.maximum(1.0, np.abs(points[:, comps]))
+        steps = np.broadcast_to(points[:, None, None], (len(points), len(comps), 2, self.m)).copy()
+        for j, i in enumerate(comps):
+            steps[:, j, 0, i] += h[:, j]
+            steps[:, j, 1, i] -= h[:, j]
         try:
-            steps = self._points(steps)
+            nbrs = self._points(steps.reshape(-1, self.m))
         except DomainError:
+            lo, hi = self._bounds
+            inside = ((lo <= steps) & (steps <= hi)).all(axis=(2, 3))
+            r, j = np.argwhere(~inside)[0]
             raise DomainError(
-                f"finite-difference step {h:.1e} in component {i} leaves the "
-                f"domain at theta {theta.tolist()}"
+                f"finite-difference step {h[r, j]:.1e} in component {comps[j]} leaves the "
+                f"domain at theta {points[r].tolist()}"
             ) from None
-        up, dn = self._states(steps)
-        return StateVector(self.space, _transported_difference(self.space, phi, up, dn, h))
+        nbrs = self._states(nbrs).reshape(len(points), len(comps), 2, -1)
+        return _transported_difference(self.space, amps[:, None], nbrs[:, :, 0],
+                                       nbrs[:, :, 1], h)
+
+    def _lift_blocks(self, points):
+        """``(points, states, lifts)`` per block of :meth:`_block_rows` checked
+        points: states ``(k, dim)`` and lifts ``(k, m, dim)``,
+
+            l_i = 2 t_i - 2 <phi|t_i> phi,
+
+        each row as it would be alone in its block."""
+        rows = self._block_rows()
+        for start in range(0, len(points), rows):
+            block = points[start:start + rows]
+            amps = self._states(block)
+            lifts = self._tangents(block, amps, range(self.m))
+            ov = self.space.weight * _dots(amps[:, None], lifts)
+            lifts *= 2.0  # in place from here: a block of lifts is the largest array
+            lifts -= (2.0 * ov)[..., None] * amps[:, None]
+            yield block, amps, lifts
+            del amps, lifts  # not alive while the next block is evaluated
 
     def horizontal_lift(self, theta):
         return next(self.horizontal_lifts(_row(theta)))
 
     def horizontal_lifts(self, thetas):
         """:meth:`horizontal_lift` at each row of a ``(k, m)`` theta array,
-        yielded in order.  The states of one block of :meth:`_block_rows`
-        points come from one batched evaluation, so memory does not grow
+        yielded in order.  One block of :meth:`_block_rows` points is
+        evaluated at a time (:meth:`_lift_blocks`), so memory does not grow
         with ``k``."""
-        points = self._points(thetas)
-        rows = self._block_rows()
-        for start in range(0, len(points), rows):
-            block = points[start:start + rows]
-            for theta, amps in zip(block, self._states(block)):
-                phi = StateVector._adopt(self.space, amps)
-                lifts = []
-                for i in range(self.m):
-                    t = self._tangent(theta, i, amps).amplitudes
-                    # hilbert.inner without its space check: t and phi share the model's
-                    ov = complex(self.space.weight * np.vdot(amps, t))
-                    lifts.append(StateVector(self.space, 2.0 * t - 2.0 * ov * amps))
-                yield HorizontalLift(theta=theta, phi=phi, lifts=tuple(lifts))
+        space = self.space
+        for block, states, lifts in self._lift_blocks(self._points(thetas)):
+            for theta, amps, rows in zip(block, states, lifts):
+                yield HorizontalLift(theta=theta, phi=StateVector._adopt(space, amps),
+                                     lifts=tuple(StateVector._adopt(space, l) for l in rows))
+            del states, lifts, amps, rows  # the views too: they hold the block
 
 
 def _row(theta):
@@ -190,19 +227,40 @@ def _row(theta):
     return arr.reshape(1, 1) if arr.ndim == 0 else arr[None]
 
 
-def broadcasting(evaluate_fn):
-    """Mark ``evaluate_fn`` as written over leading axes: a ``(k, m)`` theta
-    array gives the ``(k, dim)`` amplitudes of its rows, each as the
-    ``(m,)`` call would.  :meth:`PureStateModel.evaluate_many` then calls it
-    on blocks of rows; an unmarked function is called one point at a time.
+def _dots(a, b):
+    """``<a|b>`` over the last axis, broadcast over the others: each one the
+    BLAS dot ``np.vdot`` takes, so a row does not depend on its batch."""
+    return (np.conj(a)[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _put(dest, amps):
+    """Copy ``amps`` into ``dest``; :class:`SpaceMismatchError` when the
+    shapes differ."""
+    amps = np.asarray(amps)
+    if amps.shape != dest.shape:
+        raise SpaceMismatchError(f"amplitudes have shape {amps.shape[dest.ndim - 1:]}, "
+                                 f"space has dimension {dest.shape[-1]}")
+    dest[...] = amps
+
+
+def broadcasting(fn):
+    """Mark ``fn`` as written over leading axes.
+
+    A marked ``evaluate_fn`` maps a ``(k, m)`` theta array to the
+    ``(k, dim)`` amplitudes of its rows, and a marked ``tangent_fn(theta, i)``
+    to the ``(k, dim)`` derivatives of its rows, each row as the ``(m,)``
+    call would give it.  :class:`PureStateModel` then calls it on blocks of
+    rows; an unmarked function is called one point at a time.
     """
-    evaluate_fn.broadcasts = True
-    return evaluate_fn
+    fn.broadcasts = True
+    return fn
 
 
 def _transported_difference(space, phi, up, dn, h):
     """Central difference ``(up - dn) / 2h`` of the neighbours of the state
-    ``phi`` after rephasing each by its unit link ``<phi|nbr> / |<phi|nbr>|``.
+    ``phi`` after rephasing each by its unit link ``<phi|nbr> / |<phi|nbr>|``,
+    over the last axis and broadcast over the others (``h`` over all but the
+    last).
 
     A neighbour's phase gauge would scale the lift by the cosine of the
     phase gap; the rephased pair is in the gauge parallel to ``phi``, so the
@@ -211,10 +269,10 @@ def _transported_difference(space, phi, up, dn, h):
     """
     from .holonomy import unit_links  # call time: holonomy imports this module
 
-    links, _ = unit_links(space.weight * np.array([np.vdot(phi, up), np.vdot(phi, dn)]))
-    diff = np.conj(links[0]) * up  # in place from here: no more (dim,) temporaries
-    diff -= np.conj(links[1]) * dn
-    diff /= 2.0 * h
+    links, _ = unit_links(space.weight * np.stack([_dots(phi, up), _dots(phi, dn)], axis=-1))
+    diff = np.conj(links[..., 0, None]) * up  # in place from here: no more temporaries
+    diff -= np.conj(links[..., 1, None]) * dn
+    diff /= 2.0 * np.asarray(h)[..., None]
     return diff
 
 
@@ -444,8 +502,9 @@ def _shift_family(params, profile, space, kind):
     def ev(theta):
         return c * profile.f(x - theta[..., 0, None])
 
+    @broadcasting
     def tangent_fn(theta, i):
-        return -c * profile.df(x - theta[0])
+        return -c * profile.df(x - theta[..., 0, None])
 
     return PureStateModel(
         space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
@@ -466,8 +525,9 @@ def _phase_generator_family(space, domain, g, psi0, kind, sample_line):
     def ev(theta):
         return np.exp(-1j * theta[..., 0, None] * g) * psi0
 
+    @broadcasting
     def tangent_fn(theta, i):
-        return -1j * g * np.exp(-1j * theta[0] * g) * psi0
+        return -1j * g * np.exp(-1j * theta[..., 0, None] * g) * psi0
 
     return PureStateModel(
         space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
@@ -496,11 +556,12 @@ def _position_momentum_shift(params):
     def ev(theta):
         return np.exp(1j * theta[..., 1, None] * x) * c * profile.f(x - theta[..., 0, None])
 
+    @broadcasting
     def tangent_fn(theta, i):
-        plane = np.exp(1j * theta[1] * x)
+        plane = np.exp(1j * theta[..., 1, None] * x)
         if i == 0:
-            return -plane * c * profile.df(x - theta[0])
-        return 1j * x * plane * c * profile.f(x - theta[0])
+            return -plane * c * profile.df(x - theta[..., 0, None])
+        return 1j * x * plane * c * profile.f(x - theta[..., 0, None])
 
     diag = np.linspace(-1.0, 1.0, 5)
     return PureStateModel(
@@ -552,11 +613,13 @@ def _ring_flux(params):
         s = np.mod(omega - t, 2.0 * np.pi)
         return c * (2.0 - np.cos(s)) * np.exp(1j * alpha * (s + t))
 
+    @broadcasting
     def tangent_fn(theta, i):
         # theta-derivative of the transported profile, taken away from
         # the moving phase step (measure zero on the grid)
-        s = np.mod(omega - theta[0], 2.0 * np.pi)
-        return -c * np.sin(s) * np.exp(1j * alpha * (s + theta[0]))
+        t = theta[..., 0, None]
+        s = np.mod(omega - t, 2.0 * np.pi)
+        return -c * np.sin(s) * np.exp(1j * alpha * (s + t))
 
     return PureStateModel(
         space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
@@ -577,14 +640,16 @@ def _bloch(params):
         amps[..., 1] = np.exp(1j * theta[..., 1]) * np.sin(half)
         return amps
 
+    @broadcasting
     def tangent_fn(theta, i):
-        pol, az = theta
+        half, az = theta[..., 0] / 2.0, theta[..., 1]
+        amps = np.zeros(theta.shape[:-1] + (2,), dtype=complex)
         if i == 0:
-            return np.array(
-                [-0.5 * np.sin(pol / 2.0), 0.5 * np.exp(1j * az) * np.cos(pol / 2.0)],
-                dtype=complex,
-            )
-        return np.array([0.0, 1j * np.exp(1j * az) * np.sin(pol / 2.0)], dtype=complex)
+            amps[..., 0] = -0.5 * np.sin(half)
+            amps[..., 1] = 0.5 * np.exp(1j * az) * np.cos(half)
+        else:
+            amps[..., 1] = 1j * np.exp(1j * az) * np.sin(half)
+        return amps
 
     pol_line = np.linspace(0.6, 2.2, 5)
     az_line = np.linspace(0.0, 1.5, 5)

@@ -1,9 +1,11 @@
-"""Batched evaluation and gauge-covariant differences.
+"""Batched evaluation, batched geometry and gauge-covariant differences.
 
 Curves and sample sets are evaluated as one ``(k, dim)`` array per call to
 ``PureStateModel.evaluate_many``, in blocks of at most
 ``model.EVALUATE_BLOCK`` amplitudes, with rows bitwise equal to one
-``evaluate`` each.  Finite differences rephase each neighbour by its unit
+``evaluate`` each.  ``geometry.analyze_many`` takes the lifts of a block at
+once and one spectral pass over all points, with rows bitwise equal to one
+``analyze`` each.  Finite differences rephase each neighbour by its unit
 link to the state, so lifts do not depend on the phase gauge of the states.
 """
 
@@ -24,7 +26,12 @@ from hypothesis import strategies as st
 
 import qestgeo as qg
 from qestgeo import cli, geometry, holonomy, model
-from qestgeo.errors import DomainError, ModelDefinitionError, RefinementError
+from qestgeo.errors import (
+    DomainError,
+    ModelDefinitionError,
+    RefinementError,
+    SpectralConsistencyError,
+)
 from qestgeo.hilbert import BasisSpace
 from qestgeo.model import Curve, PureStateModel, broadcasting, rephased
 
@@ -274,6 +281,177 @@ class TestGaugeCovariance:
         path.write_text(json.dumps(spec))
         assert cli.main(["report", "--model", str(path), "--theta=0.1"]) == 3
         assert "near-orthogonal" in capsys.readouterr().err
+
+
+def same_report(a, b):
+    return (same_bits(a.theta, b.theta) and same_bits(a.sld_fisher, b.sld_fisher)
+            and same_bits(a.berry_curvature, b.berry_curvature)
+            and (a.d_matrix is None) == (b.d_matrix is None)
+            and (a.d_matrix is None or same_bits(a.d_matrix, b.d_matrix))
+            and a.betas == b.betas and a.cr_js == b.cr_js
+            and a.quasi_classical == b.quasi_classical
+            and a.rank_deficient == b.rank_deficient)
+
+
+def unmarked_tangent(base, calls):
+    """``base`` with its closed-form tangent called one point at a time."""
+
+    def tangent(theta, i):
+        calls.append((theta.shape, i))
+        return base.tangent_fn(theta, i)
+
+    return dataclasses.replace(base, tangent_fn=tangent)
+
+
+ANALYZED = {
+    **BATTERY,
+    "bloch_fd": BLOCH_FD,
+    "pm_fd": dataclasses.replace(BATTERY["position_momentum_shift"], tangent_fn=None),
+    "bloch_unmarked": unmarked_tangent(BATTERY["bloch"], []),
+}
+
+
+class TestAnalyzeMany:
+    @pytest.mark.parametrize("name", sorted(ANALYZED))
+    def test_rows_are_bitwise_the_one_point_reports(self, name):
+        mod = ANALYZED[name]
+        thetas = random_points(mod, 7, np.random.default_rng(8))
+        many = geometry.analyze_many(mod, thetas)
+        assert len(many) == len(thetas)
+        for rep, theta in zip(many, thetas):
+            assert same_report(rep, geometry.analyze(mod, theta))
+
+    def test_table_rows_are_bitwise_the_one_point_reports(self):
+        thetas = TABLE_THETAS[1:-1, None]
+        for rep, theta in zip(geometry.analyze_many(SMOOTH_TABLE, thetas), thetas,
+                              strict=True):
+            assert same_report(rep, geometry.analyze(SMOOTH_TABLE, theta))
+
+    @pytest.mark.parametrize("rows", [None, 7])
+    @pytest.mark.parametrize("name", ["bloch", "position_momentum_shift", "spin_jz"])
+    def test_a_row_does_not_depend_on_its_batch(self, monkeypatch, name, rows):
+        mod = BATTERY[name]
+        thetas = random_points(mod, 50, np.random.default_rng(9))
+        alone = [geometry.analyze(mod, theta) for theta in thetas]
+        if rows is not None:  # 50 points cross several block bounds
+            monkeypatch.setattr(model, "EVALUATE_BLOCK", rows * mod.space.dim)
+        for got, want in zip(geometry.analyze_many(mod, thetas), alone, strict=True):
+            assert same_report(got, want)
+
+    def test_rank_deficient_rows_leave_the_others_alone(self):
+        bloch = BATTERY["bloch"]
+        thetas = random_points(bloch, 6, np.random.default_rng(10))
+        regular = geometry.analyze_many(bloch, thetas)
+        mixed_thetas = thetas.copy()
+        mixed_thetas[[1, 4], 0] = 0.0  # the poles: sin(pol) = 0, J_S singular
+        mixed = geometry.analyze_many(bloch, mixed_thetas)
+        eye = [np.eye(2)] * len(mixed)
+        bounds = geometry.sld_bounds(mixed, eye)
+        for r, rep in enumerate(mixed):
+            if r in (1, 4):
+                assert rep.rank_deficient and rep.d_matrix is None
+                assert rep.cr_js is None and rep.betas == () and bounds[r] is None
+            else:
+                assert same_report(rep, regular[r])
+                assert bounds[r] == rep.sld_bound(np.eye(2))
+
+    def test_a_beta_above_one_in_a_batch_is_rejected(self, monkeypatch):
+        gram = geometry._gram
+        fake = np.array([[1.0, 1.1j], [-1.1j, 1.0]])
+
+        def one_bad_row(coords):
+            g = gram(coords)
+            g[3] = fake
+            return g
+
+        monkeypatch.setattr(geometry, "_gram", one_bad_row)
+        bloch = BATTERY["bloch"]
+        with pytest.raises(SpectralConsistencyError, match="beta = 1.10000000 exceeds 1"):
+            geometry.analyze_many(bloch, random_points(bloch, 6, np.random.default_rng(11)))
+
+    @pytest.mark.parametrize("weight, solves", [(None, 2), ("js", 3), ("diag:1,2", 3)])
+    def test_a_report_takes_one_spectral_pass(self, monkeypatch, capsys, tmp_path,
+                                              weight, solves):
+        counts = dict.fromkeys(("eigh", "eigvalsh", "svd", "solve"), 0)
+        for name in counts:
+            def counted(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+                counts[_name] += 1
+                return _fn(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        path = tmp_path / "bloch.json"
+        path.write_text(json.dumps({"kind": "catalog", "name": "bloch"}))
+        thetas = random_points(BATTERY["bloch"], 50, np.random.default_rng(12))
+        thetas[7, 0] = 0.0  # one rank-deficient point
+        argv = ["report", "--model", str(path),
+                "--theta=" + ";".join(f"{a!r},{b!r}" for a, b in thetas.tolist())]
+        doc = run_to_doc(capsys, argv + (["--weight", weight] if weight else []))
+        assert len(doc["entries"]) == 50
+        assert [e["sld_bound_js"] is None for e in doc["entries"]] == [r == 7 for r in range(50)]
+        # one solve for D and one per bound
+        assert counts == {"eigh": 1, "eigvalsh": 0, "svd": 1, "solve": solves}
+
+    def test_an_unmarked_tangent_is_called_m_times_per_point(self):
+        calls = []
+        mod = unmarked_tangent(BATTERY["bloch"], calls)
+        geometry.analyze_many(mod, random_points(mod, 5, np.random.default_rng(13)))
+        assert calls == [((2,), i) for _ in range(5) for i in range(2)]
+
+    def test_a_marked_tangent_is_called_m_times_per_block(self, monkeypatch):
+        base = BATTERY["position_shift"]  # n = 512: 32 points a block
+        calls = []
+
+        @broadcasting
+        def tangent(theta, i):
+            calls.append(theta.shape)
+            return base.tangent_fn(theta, i)
+
+        mod = dataclasses.replace(base, tangent_fn=tangent)
+        geometry.analyze_many(mod, random_points(mod, 40, np.random.default_rng(14)))
+        assert calls == [(32, 1), (8, 1)]
+
+    def test_a_finite_difference_step_names_the_first_point_that_leaves(self):
+        fd = dataclasses.replace(BATTERY["position_shift"], tangent_fn=None)
+        with pytest.raises(DomainError) as one:
+            fd.horizontal_lift((1.9999,))
+        with pytest.raises(DomainError) as many:
+            geometry.analyze_many(fd, [[0.5], [1.9999], [-1.99995]])
+        assert str(many.value) == str(one.value)
+        assert str(one.value) == ("finite-difference step 2.0e-04 in component 0 "
+                                  "leaves the domain at theta [1.9999]")
+
+    def test_a_link_is_named_by_its_index_on_the_last_axis(self):
+        with pytest.raises(RefinementError, match="link 1 is near-orthogonal"):
+            holonomy.unit_links(np.array([[1.0, 1.0], [1.0, 0.0]]))
+
+    def test_fisher_and_report_give_the_same_metric(self, capsys, tmp_path):
+        path = tmp_path / "bloch.json"
+        path.write_text(json.dumps({"kind": "catalog", "name": "bloch"}))
+        theta = "--theta=0.4,0.1;1.3,-2.0;2.5,0.7"
+        report = run_to_doc(capsys, ["report", "--model", str(path), theta])
+        fisher = run_to_doc(capsys, ["fisher", "--model", str(path), "--povm", "basis",
+                                     theta])
+        assert ([e["sld_fisher"] for e in fisher["entries"]]
+                == [e["sld_fisher"] for e in report["entries"]])
+
+
+def test_main_builds_its_parser_once(monkeypatch, capsys):
+    built = []
+    build = cli.build_parser
+
+    def counted():
+        built.append(1)
+        return build()
+
+    monkeypatch.setattr(cli, "build_parser", counted)
+    cli._parser.cache_clear()
+    try:
+        for _ in range(3):
+            assert cli.main(["report", "--model", "missing.json", "--theta=0"]) == 2
+    finally:
+        cli._parser.cache_clear()
+    assert built == [1]
+    capsys.readouterr()
 
 
 def test_cli_digests_tool_runs():
