@@ -595,12 +595,7 @@ def _cmd_fisher(args):
     thetas = parse_theta_list(args.theta, built.m)
     samples = parse_theta_list(args.samples, built.m) if args.samples else thetas
     povm, povm_echo = _make_povm(args.povm, built, samples)
-    # one lift per point: state, scores, node term and J_S all come from it
-    j_c, j_s = [], []
-    for lift in built.horizontal_lifts(thetas):
-        j_c.append(estimation.lift_fisher(povm, lift))
-        j_s.append(geometry.sld_fisher(lift))
-    j_c, j_s = np.array(j_c), np.array(j_s)
+    j_c, j_s = estimation.fisher_many(povm, built, thetas)
     gaps = j_s - j_c
     rel_gaps = (np.max(np.abs(gaps), axis=(1, 2))
                 / np.maximum(np.max(np.abs(j_s), axis=(1, 2)), 1e-300))

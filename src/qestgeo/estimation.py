@@ -19,7 +19,9 @@ from .errors import (
     SingularSupportError,
     SpaceMismatchError,
 )
+from .geometry import _gram, _metric_and_curvature
 from .holonomy import align_phases, sample_states
+from .model import _norms
 
 PSD_TOL = 1e-10
 RESOLUTION_TOL = 1e-8
@@ -52,26 +54,52 @@ class Povm:
         rows = self.dim if bras is None else len(bras)
         self.n_outcomes = rows // rank + int(has_complement)
 
-    def _amps(self, coords):
-        """Amplitudes ``<k_r|c>`` of orthonormal coordinates ``c``, one per bra."""
-        return coords if self.bras is None else self.bras @ coords
+    def _check_space(self, space):
+        if space.dim != self.dim or self.space not in (None, space):
+            raise SpaceMismatchError("state does not live on the measured space")
 
-    def _lift_amps(self, lifts):
-        # one row per lift, each its own matrix-vector product: one matmul
-        # of all the lifts would round differently
-        return np.array([self._amps(l.coords) for l in lifts])
+    def _amps(self, coords):
+        """Amplitudes ``<k_r|c>`` of orthonormal coordinates ``c``, one per bra,
+        over the last axis: one stacked ``(rows, dim) @ (dim, 1)`` product per
+        vector, so a row does not depend on its batch."""
+        return coords if self.bras is None else (self.bras @ coords[..., None])[..., 0]
 
     def _by_outcome(self, x):
         """Sum the last axis of ``x`` over the ``rank`` bras of each outcome."""
         return x.reshape(*x.shape[:-1], -1, self.rank).sum(axis=-1)
 
-    def probabilities(self, state):
-        if state.space.dim != self.dim or self.space not in (None, state.space):
-            raise SpaceMismatchError("state does not live on the measured space")
-        p = self._by_outcome(np.abs(self._amps(state.coords)) ** 2)
+    def _probabilities(self, phi):
+        """Outcome probabilities ``(..., W)`` of state amplitudes ``phi``
+        ``(..., rows)`` (:meth:`_amps`)."""
+        p = self._by_outcome(np.abs(phi) ** 2)
         if self.has_complement:
-            p = np.concatenate([p, [max(0.0, 1.0 - float(np.sum(p)))]])
+            rest = np.maximum(0.0, 1.0 - np.sum(p, axis=-1, keepdims=True))
+            p = np.concatenate([p, rest], axis=-1)
         return p
+
+    def _scores(self, phi, amps):
+        """``d_i p_w = Re <phi| E_w |l_i>``, shape ``(..., m, W)``, from the
+        amplitudes of the states ``(..., rows)`` and of their lifts
+        ``(..., m, rows)``: exact through the projector derivative."""
+        s = self._by_outcome((np.conj(phi)[..., None, :] * amps).real)
+        if self.has_complement:
+            s = np.concatenate([s, -np.sum(s, axis=-1, keepdims=True)], axis=-1)
+        return s
+
+    def _node_term(self, amps, coords, mask):
+        """Limit contribution ``Re <l_i| E_w |l_j>`` of the outcomes in ``mask``,
+        whose probability vanishes quadratically, from the amplitudes
+        ``(m, rows)`` and the coordinates ``(m, dim)`` of one point's lifts."""
+        rows = np.repeat(mask[: self.n_outcomes - self.has_complement], self.rank)
+        w = np.compress(rows, amps, axis=-1)
+        out = (w.conj() @ w.T).real
+        if self.has_complement and mask[-1]:
+            out = out + (coords.conj() @ coords.T).real - (amps.conj() @ amps.T).real
+        return out
+
+    def probabilities(self, state):
+        self._check_space(state.space)
+        return self._probabilities(self._amps(state.coords))
 
     def rho_probabilities(self, rho):
         """``Re tr(rho E_w)`` of a ``d x d`` density matrix in orthonormal
@@ -85,24 +113,12 @@ class Povm:
         return p
 
     def scores(self, state, lifts):
-        # d_i p_w = Re <phi| E_w |l_i>, exact through the projector derivative
-        phi_amp = self._amps(state.coords)
-        s = self._by_outcome((np.conj(phi_amp) * self._lift_amps(lifts)).real)
-        if self.has_complement:
-            s = np.concatenate([s, -np.sum(s, axis=1, keepdims=True)], axis=1)
-        return s
+        coords = np.array([l.coords for l in lifts])
+        return self._scores(self._amps(state.coords), self._amps(coords))
 
     def node_fisher(self, lifts, mask):
-        # limit contribution Re <l_i| E_w |l_j> of outcomes whose
-        # probability vanishes quadratically
-        rows = np.repeat(mask[: self.n_outcomes - self.has_complement], self.rank)
-        amps = self._lift_amps(lifts)
-        w = amps[:, rows]
-        out = (w.conj() @ w.T).real
-        if self.has_complement and mask[-1]:
-            full = np.stack([l.coords for l in lifts])
-            out = out + (full.conj() @ full.T).real - (amps.conj() @ amps.T).real
-        return out
+        coords = np.array([l.coords for l in lifts])
+        return self._node_term(self._amps(coords), coords, mask)
 
 
 def grid_pvm(space):
@@ -170,17 +186,37 @@ def induced_distribution(povm, state_or_rho):
         p = povm.probabilities(state_or_rho)
     else:
         p = povm.rho_probabilities(np.asarray(state_or_rho, dtype=complex))
-    low = np.min(p)
-    if not (-low <= PSD_TOL):  # a NaN fails too
-        fault = "is negative beyond tolerance" if np.isfinite(low) else "is non-finite"
-        raise MeasurementDefinitionError(f"induced probability {low:.2e} {fault}")
+    p, faults = _distributions(p[None])
+    _raise_first(faults)
+    return p[0]
+
+
+def _distributions(p):
+    """The rows of ``p`` ``(k, W)`` clipped of roundoff negatives, and the
+    faults (:func:`_raise_first`) of the rows that are no distribution: a
+    probability negative beyond ``PSD_TOL`` or non-finite, then a sum off 1
+    beyond ``RESOLUTION_TOL``."""
+    low = np.min(p, axis=-1)
     p = np.clip(p, 0.0, None)
-    total = float(np.sum(p))
-    if not (abs(total - 1.0) <= RESOLUTION_TOL):
-        raise MeasurementDefinitionError(
-            f"induced probabilities sum to {total:.12f}, not 1"
-        )
-    return p
+    total = np.sum(p, axis=-1)
+    # negated comparisons: a NaN fails too
+    return p, [
+        (~(-low <= PSD_TOL), lambda r: MeasurementDefinitionError(
+            f"induced probability {low[r]:.2e} is "
+            + ("negative beyond tolerance" if np.isfinite(low[r]) else "non-finite"))),
+        (~(np.abs(total - 1.0) <= RESOLUTION_TOL), lambda r: MeasurementDefinitionError(
+            f"induced probabilities sum to {total[r]:.12f}, not 1")),
+    ]
+
+
+def _raise_first(faults):
+    """Raise the fault of the first row that has one.  ``faults`` lists
+    ``(mask, error)`` pairs in the order a row is checked: ``mask`` flags the
+    rows that fail the check and ``error(r)`` is the exception of row ``r``."""
+    masks = np.array([mask for mask, _ in faults])
+    if masks.any():
+        r = masks.any(axis=0).argmax()
+        raise faults[masks[:, r].argmax()][1](r)
 
 
 @dataclass(frozen=True)
@@ -246,7 +282,8 @@ def classical_fisher(family, theta):
     """
     if family.fisher_fn is not None:
         return family.fisher_fn(theta)
-    return _fisher(family.probabilities(theta), family.scores(theta), None, None)
+    p, s = family.probabilities(theta), family.scores(theta)
+    return _fishers(np.asarray(p, dtype=float)[None], np.asarray(s, dtype=float)[None])[0]
 
 
 def lift_fisher(povm, lift):
@@ -257,43 +294,107 @@ def lift_fisher(povm, lift):
     state node sitting exactly on the evaluation point) contribute their
     finite limit Re <l_i|E|l_j> instead of being dropped, which is what
     the chain-rule form 4 sum (da_i)^2 yields for real amplitude families.
+    This is the one-row case of :func:`fisher_many`.
     """
-    return _fisher(induced_distribution(povm, lift.phi),
-                   povm.scores(lift.phi, lift.lifts), povm, lift.lifts)
+    space = lift.phi.space
+    povm._check_space(space)
+    return _lift_fishers(povm, np.sqrt(space.weight), np.array([lift.phi.amplitudes]),
+                         np.array([[l.amplitudes for l in lift.lifts]]))[0]
 
 
-def _fisher(p, s, povm, lifts):
-    """Fisher core of :func:`classical_fisher` and :func:`lift_fisher`.
+def fisher_many(povm, model, thetas):
+    """``(J_C, J_S)`` of ``povm`` on ``model`` at each row of a ``(k, m)``
+    theta array, two ``(k, m, m)`` arrays.
 
-    The clip is relative to the outcome count, so the dropped mass stays
-    below ``PROB_CLIP`` however fine the grid.  A clipped outcome may carry
-    a score of at most ``SUPPORT_SCORE_TOL`` times the largest norm of the
-    ``lifts`` behind the scores, which bounds it by Cauchy-Schwarz; the scale
-    is floored at 1, the scale of a plain probability table.  With lifts,
-    ``povm.node_fisher`` gives the limit contribution of the clipped outcomes.
+    The lifts come one block of points at a time
+    (``PureStateModel._lift_blocks``), and each block takes one pass
+    (:func:`_lift_fishers`), then ``J_S`` from one stacked
+    ``geometry._gram``.  Each row is bitwise :func:`lift_fisher` and
+    :func:`geometry.sld_fisher` of the lift at its theta alone, and the first
+    row that fails a check raises what :func:`lift_fisher` raises there.
     """
-    p = np.asarray(p, dtype=float)
-    s = np.asarray(s, dtype=float)
-    support = p > PROB_CLIP / p.size
-    dropped = ~support
-    if np.any(dropped):
-        bad = np.max(np.abs(s[:, dropped])) if s[:, dropped].size else 0.0
-        # the lift norms are needed only past the floor
-        if bad > SUPPORT_SCORE_TOL and (
-                lifts is None or bad > SUPPORT_SCORE_TOL * max(l.norm() for l in lifts)):
-            raise SingularSupportError(
-                f"outcome with p < {PROB_CLIP:.0e} carries score {bad:.2e}"
-            )
-    mass = float(np.sum(p[support]))
-    if mass < 1.0 - SUPPORT_MASS_TOL:
-        raise SingularSupportError(
-            f"support mass {mass:.12f} is below 1 - {SUPPORT_MASS_TOL:.0e}"
-        )
-    w = s[:, support] / np.sqrt(p[support])
-    j = w @ w.T
-    if np.any(dropped) and lifts is not None:
-        j = j + np.asarray(povm.node_fisher(lifts, dropped), dtype=float)
-    return 0.5 * (j + j.T)
+    points = model._points(thetas)
+    m, root_w = model.m, np.sqrt(model.space.weight)
+    j_c, j_s = [np.empty((0, m, m))], [np.empty((0, m, m))]
+    for _, states, lifts in model._lift_blocks(points):
+        povm._check_space(model.space)
+        j_c.append(_lift_fishers(povm, root_w, states, lifts))
+        j_s.append(_metric_and_curvature(_gram(lifts))[0])  # lifts are coordinates now
+        del states, lifts  # not alive while the next block is evaluated
+    return np.concatenate(j_c), np.concatenate(j_s)
+
+
+def _lift_fishers(povm, root_w, states, lifts):
+    """:func:`lift_fisher` at each row of unit states ``(k, dim)`` and their
+    lifts ``(k, m, dim)``, amplitudes on a space of quadrature weight
+    ``root_w ** 2``; both arrays are scaled to orthonormal coordinates in
+    place.
+
+    One stacked POVM product each gives the amplitudes of the states and of
+    the lifts, then the ``(k, W)`` probabilities and the ``(k, m, W)``
+    scores.  The support check scales by the lift norms that
+    ``StateVector.norm`` gives, so they are taken of the amplitudes, and
+    only when a row clips an outcome.
+    """
+    phi = povm._amps(np.multiply(states, root_w, out=states))
+    p, faults = _distributions(povm._probabilities(phi))
+    norms = None if _support(p).all() else root_w * np.max(_norms(lifts), axis=-1)
+    amps = povm._amps(np.multiply(lifts, root_w, out=lifts))
+    return _fishers(p, povm._scores(phi, amps), faults, norms,
+                    lambda r, dropped: povm._node_term(amps[r], lifts[r], dropped))
+
+
+def _support(p):
+    """The outcomes of each row of ``p`` above the clip, which is relative to
+    the outcome count, so the dropped mass stays below ``PROB_CLIP`` however
+    fine the grid."""
+    return p > PROB_CLIP / p.shape[-1]
+
+
+def _fishers(p, s, faults=(), lift_norms=None, node_term=None):
+    """Fisher matrices ``sum_w dp_i dp_j / p`` ``(k, m, m)`` over the
+    supported outcomes (:func:`_support`) of the rows of ``p`` ``(k, W)`` with
+    scores ``s`` ``(k, m, W)``.
+
+    A clipped outcome of row ``r`` may carry a score of at most
+    ``SUPPORT_SCORE_TOL`` times ``lift_norms[r]``, the largest norm of the
+    lifts behind the scores, which bounds it by Cauchy-Schwarz; the scale is
+    floored at 1, the scale of a plain probability table (no
+    ``lift_norms``).  ``node_term(r, dropped)`` gives the limit contribution
+    of the clipped outcomes of row ``r``.
+
+    A row takes the checks in ``faults`` first (:func:`_distributions`), then
+    the support score and the support mass; the first row with a fault
+    raises it (:func:`_raise_first`).  The rows that keep every outcome take
+    one stacked product, the others one each, and each row is bitwise the
+    row alone.
+    """
+    support = _support(p)
+    whole = support.all(axis=-1)
+    bad = np.abs(s, out=np.zeros(s.shape), where=~support[:, None]).max(axis=(-2, -1))
+    score = bad > SUPPORT_SCORE_TOL
+    if lift_norms is not None:
+        score &= bad > SUPPORT_SCORE_TOL * lift_norms
+    mass = np.sum(p, axis=-1)
+    kept = {r: p[r][support[r]] for r in np.flatnonzero(~whole)}
+    for r, p_r in kept.items():
+        mass[r] = np.sum(p_r)
+    _raise_first([
+        *faults,
+        (score, lambda r: SingularSupportError(
+            f"outcome with p < {PROB_CLIP:.0e} carries score {bad[r]:.2e}")),
+        (mass < 1.0 - SUPPORT_MASS_TOL, lambda r: SingularSupportError(
+            f"support mass {mass[r]:.12f} is below 1 - {SUPPORT_MASS_TOL:.0e}")),
+    ])
+    j = np.empty(s.shape[:-1] + s.shape[-2:-1])
+    w = s[whole] / np.sqrt(p[whole])[:, None]
+    j[whole] = w @ np.swapaxes(w, -1, -2)
+    for r, p_r in kept.items():
+        w = np.compress(support[r], s[r], axis=-1) / np.sqrt(p_r)
+        j[r] = w @ w.T
+        if node_term is not None:
+            j[r] += node_term(r, ~support[r])
+    return 0.5 * (j + np.swapaxes(j, -1, -2))
 
 
 def optimal_measurement_quasi_parallel(model, sample_thetas):

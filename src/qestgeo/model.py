@@ -94,9 +94,8 @@ class PureStateModel:
         """Normalized ``(k, dim)`` amplitudes at checked ``points``.
 
         A :func:`broadcasting` ``evaluate_fn`` takes :meth:`_block_rows` rows
-        a call.  Each norm is ``sqrt(re.re + im.im)`` of its own row: a
-        ``(1, dim) @ (dim, 1)`` matmul is the BLAS dot ``np.linalg.norm``
-        takes, so a row does not depend on its batch.
+        a call.  Each norm is the one ``np.linalg.norm`` takes of its row
+        alone (:func:`_norms`).
         """
         dim = self.space.dim
         out = np.empty((len(points), dim), dtype=complex)
@@ -110,9 +109,7 @@ class PureStateModel:
             if amps.shape != (len(block), dim):
                 raise SpaceMismatchError(f"amplitudes have shape {amps.shape[1:]}, "
                                          f"space has dimension {dim}")
-            re, im = amps.real[:, None], amps.imag[:, None]
-            sq = re @ re.swapaxes(1, 2) + im @ im.swapaxes(1, 2)
-            nrm = root_w * np.sqrt(sq[:, 0, 0])
+            nrm = root_w * _norms(amps)
             drift = np.abs(nrm - 1.0)
             ok = drift < NORM_DRIFT_TOL  # a NaN drift fails too
             if np.count_nonzero(ok) != len(ok):
@@ -231,6 +228,16 @@ def _dots(a, b):
     """``<a|b>`` over the last axis, broadcast over the others: each one the
     BLAS dot ``np.vdot`` takes, so a row does not depend on its batch."""
     return (np.conj(a)[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norms(amps):
+    """``np.linalg.norm`` over the last axis, broadcast over the others:
+    ``sqrt(re.re + im.im)``, each a ``(1, dim) @ (dim, 1)`` matmul, which is
+    the BLAS dot ``np.linalg.norm`` takes, so a row does not depend on its
+    batch."""
+    re, im = amps.real[..., None, :], amps.imag[..., None, :]
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return np.sqrt(sq[..., 0, 0])
 
 
 def _put(dest, amps):

@@ -5,8 +5,11 @@ Curves and sample sets are evaluated as one ``(k, dim)`` array per call to
 ``model.EVALUATE_BLOCK`` amplitudes, with rows bitwise equal to one
 ``evaluate`` each.  ``geometry.analyze_many`` takes the lifts of a block at
 once and one spectral pass over all points, with rows bitwise equal to one
-``analyze`` each.  Finite differences rephase each neighbour by its unit
-link to the state, so lifts do not depend on the phase gauge of the states.
+``analyze`` each; ``estimation.fisher_many`` takes the probabilities,
+scores and Fisher matrices of a block at once, with rows bitwise equal to
+one ``lift_fisher`` and ``sld_fisher`` each.  Finite differences rephase
+each neighbour by its unit link to the state, so lifts do not depend on the
+phase gauge of the states.
 """
 
 import dataclasses
@@ -25,18 +28,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import qestgeo as qg
-from qestgeo import cli, geometry, holonomy, model
+from qestgeo import cli, estimation, geometry, hilbert, holonomy, model
 from qestgeo.errors import (
     DomainError,
+    MeasurementDefinitionError,
     ModelDefinitionError,
     RefinementError,
+    SingularSupportError,
     SpectralConsistencyError,
 )
+from qestgeo.estimation import MatrixPovm, grid_pvm
 from qestgeo.hilbert import BasisSpace
 from qestgeo.model import Curve, PureStateModel, broadcasting, rephased
 
 from conftest import catalog_battery
 from test_cli import run_to_doc
+from test_estimation import lift_fisher_cases, octahedral_elements
 
 BATTERY = catalog_battery()
 ROOT = Path(__file__).resolve().parents[1]
@@ -433,6 +440,145 @@ class TestAnalyzeMany:
                                      theta])
         assert ([e["sld_fisher"] for e in fisher["entries"]]
                 == [e["sld_fisher"] for e in report["entries"]])
+
+
+def fisher_cases():
+    """The ``lift_fisher`` cases with seven more thetas each, and the Bloch
+    family on a rank-2 octahedral and on the basis POVM at thetas that mix
+    clipped rows (the poles) with rows that keep every outcome."""
+    rng = np.random.default_rng(15)
+    cases = {name: (mod, povm, np.concatenate([np.asarray(thetas, dtype=float),
+                                               random_points(mod, 7, rng)]))
+             for name, (mod, povm, thetas) in lift_fisher_cases().items()}
+    bloch = BATTERY["bloch"]
+    poles = np.array([(0.7, 0.2), (0.0, 0.3), (1.1, 4.0), (np.pi, 1.0), (2.0, -1.0)])
+    cases["octahedral_poles"] = (bloch, MatrixPovm(octahedral_elements()), poles)
+    cases["basis_poles"] = (bloch, grid_pvm(bloch.space), poles)
+    return cases
+
+
+FISHER_CASES = fisher_cases()
+
+
+def theta_arg(thetas):
+    return "--theta=" + ";".join(",".join(map(repr, row)) for row in thetas.tolist())
+
+
+class TestFisherMany:
+    @pytest.mark.parametrize("rows", [None, 3])
+    @pytest.mark.parametrize("case", sorted(FISHER_CASES))
+    def test_cli_entries_are_bitwise_the_per_point_lifts(self, monkeypatch, capsys,
+                                                         case, rows):
+        mod, povm, thetas = FISHER_CASES[case]
+        lifts = [mod.horizontal_lift(theta) for theta in thetas]
+        want_c = np.array([estimation.lift_fisher(povm, lift) for lift in lifts])
+        want_s = np.array([geometry.sld_fisher(lift) for lift in lifts])
+        if rows is not None:  # three rows a block: the thetas cross block bounds
+            monkeypatch.setattr(model, "EVALUATE_BLOCK", rows * mod.space.dim)
+        j_c, j_s = estimation.fisher_many(povm, mod, thetas)
+        assert same_bits(j_c, want_c)
+        assert same_bits(j_s, want_s)
+        monkeypatch.setattr(cli, "_load_model", lambda path: (mod, {"kind": "test"}))
+        monkeypatch.setattr(cli, "_make_povm",
+                            lambda spec, built, samples: (povm, {"kind": "test"}))
+        doc = run_to_doc(capsys, ["fisher", "--model", "-", "--povm", "grid",
+                                  theta_arg(thetas)])
+        assert len(doc["entries"]) == len(thetas)
+        for entry, c, s in zip(doc["entries"], want_c, want_s):
+            assert entry["classical_fisher"] == cli._matrix(c)
+            assert entry["sld_fisher"] == cli._matrix(s)
+
+    @pytest.mark.parametrize("case", sorted(FISHER_CASES))
+    def test_rows_are_the_per_point_formula_over_the_kept_outcomes(self, case):
+        mod, povm, thetas = FISHER_CASES[case]
+        want = []
+        for theta in thetas:
+            lift = mod.horizontal_lift(theta)
+            p = estimation.induced_distribution(povm, lift.phi)
+            s = povm.scores(lift.phi, lift.lifts)
+            support = p > estimation.PROB_CLIP / p.size
+            w = s[:, support] / np.sqrt(p[support])
+            j = w @ w.T
+            if not support.all():
+                j = j + povm.node_fisher(lift.lifts, ~support)
+            want.append(0.5 * (j + j.T))
+        assert same_bits(estimation.fisher_many(povm, mod, thetas)[0], np.array(want))
+
+    @pytest.mark.parametrize("case", ["octahedral_poles", "basis_poles"])
+    def test_a_block_mixes_clipped_rows_and_whole_rows(self, case):
+        mod, povm, thetas = FISHER_CASES[case]
+        clipped = [not estimation._support(estimation.induced_distribution(
+            povm, mod.evaluate(theta))).all() for theta in thetas]
+        assert clipped == [False, True, False, True, False]
+
+    def test_the_first_failing_row_raises_what_it_raises_alone(self, capsys, tmp_path):
+        bloch = BATTERY["bloch"]
+        povm = MatrixPovm(octahedral_elements(), space=bloch.space)
+        # near the pole the -z outcome is clipped but still carries a score
+        # of about pol / 6: rows 3 and 4 fail with different scores
+        thetas = np.array([(0.4, 0.1), (1.1, 2.5), (2.7, 5.9), (1e-6, 0.3), (5e-7, 0.5)])
+        for theta in thetas[:3]:
+            estimation.lift_fisher(povm, bloch.horizontal_lift(theta))
+        with pytest.raises(SingularSupportError) as alone:
+            estimation.lift_fisher(povm, bloch.horizontal_lift(thetas[3]))
+        with pytest.raises(SingularSupportError) as many:
+            estimation.fisher_many(povm, bloch, thetas)
+        assert str(many.value) == str(alone.value) == (
+            "outcome with p < 1e-12 carries score 1.67e-07")
+        model_path, povm_path = tmp_path / "bloch.json", tmp_path / "octahedral.json"
+        model_path.write_text(json.dumps({"kind": "catalog", "name": "bloch"}))
+        povm_path.write_text(json.dumps({"kind": "matrices", "elements": [
+            [[[z.real, z.imag] for z in row] for row in e] for e in octahedral_elements()]}))
+        code = cli.main(["fisher", "--model", str(model_path), "--povm", str(povm_path),
+                         theta_arg(thetas)])
+        assert code == 3
+        assert str(alone.value) in capsys.readouterr().err
+
+    def test_a_row_is_checked_in_full_before_the_next_row(self):
+        # E_1 = (1 + 1e-7)^2 |1><1|: a sum off 1 at every row away from the
+        # north pole, and a clipped outcome with a score close to it
+        bloch = BATTERY["bloch"]
+        povm = estimation.Povm(bloch.space, np.diag([1.0, 1.0 + 1e-7]).astype(complex))
+        support_row, sum_row = (1e-6, 0.3), (2.0, 0.1)
+        with pytest.raises(SingularSupportError, match="carries score 5.00e-07"):
+            estimation.fisher_many(povm, bloch, np.array([support_row, sum_row]))
+        with pytest.raises(MeasurementDefinitionError, match="sum to 1.000000141615"):
+            estimation.fisher_many(povm, bloch, np.array([sum_row, support_row]))
+
+    def test_fisher_builds_no_per_point_objects(self, monkeypatch, capsys, tmp_path):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a per-point object was built")
+
+        monkeypatch.setattr(model, "HorizontalLift", refuse)
+        monkeypatch.setattr(hilbert.StateVector, "_adopt", refuse)
+        monkeypatch.setattr(hilbert.StateVector, "__init__", refuse)
+        path = tmp_path / "bloch.json"
+        path.write_text(json.dumps({"kind": "catalog", "name": "bloch"}))
+        thetas = random_points(BATTERY["bloch"], 20, np.random.default_rng(16))
+        doc = run_to_doc(capsys, ["fisher", "--model", str(path), "--povm", "basis",
+                                  theta_arg(thetas)])
+        assert len(doc["entries"]) == 20
+
+    def test_fisher_memory_does_not_grow_with_the_number_of_thetas(self):
+        mod = qg.catalog("position_shift", {"grid": {"n": 4096}})  # 4 rows a block
+        povm = grid_pvm(mod.space)
+
+        def peak(k):
+            thetas = np.linspace(-1.0, 1.0, k)[:, None]
+            tracemalloc.start()
+            try:
+                estimation.fisher_many(povm, mod, thetas)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        # a block of states, of lifts and their temporaries; the scores,
+        # clipped rows and node terms of all 200 points at once would take
+        # 200 * 64 kB each
+        block_bytes = 16 * model.EVALUATE_BLOCK
+        few, many = peak(8), peak(200)
+        assert many < 8 * block_bytes
+        assert many < 1.1 * few
 
 
 def test_main_builds_its_parser_once(monkeypatch, capsys):

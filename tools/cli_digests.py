@@ -75,6 +75,9 @@ FILES = {
     "two_well.json": grid_spec("two_well", 2048, lower=-8.0, upper=8.0),
     "far.json": grid_spec("position_shift", 512, lower=-40.0, upper=40.0,
                           domain=[[-20.0, 20.0]]),
+    "hermite.json": grid_spec("position_shift", 257, lower=-8.0, upper=8.0,
+                              profile={"name": "hermite", "n": 1}),
+    "fine.json": grid_spec("position_shift", 16384, profile="gaussian"),
     "ring.json": {"kind": "catalog", "name": "ring_flux",
                   "params": {"grid": {"n": 1024, "lower": 0.0, "upper": 2.0 * math.pi,
                                       "periodic": True}}},
@@ -122,6 +125,22 @@ INVOCATIONS = {
                      "--theta=0.2;0.6"],
     "fisher_table_phases": ["fisher", "--model", "table_phases.json", "--povm", "basis",
                             "--theta=0.2;0.6"],
+    # 16 rows a block at n = 1024: three blocks, the last one short
+    "fisher_grid_blocks": ["fisher", "--model", "ps.json", "--povm", "grid",
+                           "--theta=" + ";".join(f"{-1.5 + 3.0 * j / 39!r}"
+                                                 for j in range(40))],
+    "fisher_pm_grid": ["fisher", "--model", "pm.json", "--povm", "grid",
+                       "--theta=0,0;0.5,-0.3;-1,1.5"],
+    "fisher_chirped_grid": ["fisher", "--model", "chirped.json", "--povm", "grid",
+                            "--theta=-0.5;0.25"],
+    # the node at x = 0 sits on a grid point at theta = 0, not at 0.3
+    "fisher_node": ["fisher", "--model", "hermite.json", "--povm", "grid",
+                    "--theta=0;0.3"],
+    "fisher_grid_fine": ["fisher", "--model", "fine.json", "--povm", "grid",
+                         "--theta=0.3"],
+    # the -z outcome is clipped near the pole but still carries a score
+    "error_support": ["fisher", "--model", "bloch.json", "--povm", "octahedral.json",
+                      "--theta=0.4,0.1;1.1,2.5;2.7,5.9;1e-6,0.3;1e-6,0.5"],
     "sample_grid": ["sample", "--model", "ps.json", "--povm", "grid", "--theta=0.3",
                     "--n", "100000", "--seed", "11"],
     "sample_schmidt": ["sample", "--model", "ps.json", "--povm", "schmidt", "--theta=0.3",
