@@ -140,7 +140,7 @@ def render_document(doc):
 
 
 def _matrix(a):
-    return [[float(v) for v in row] for row in np.asarray(a)]
+    return np.asarray(a, dtype=float).tolist()
 
 
 # ---------------------------------------------------------------------------
@@ -415,11 +415,11 @@ def _cmd_report(args):
     max_beta = None
     for r, (theta, rep) in enumerate(zip(thetas, reports)):
         entry = {
-            "theta": [float(t) for t in theta],
+            "theta": list(theta),
             "sld_fisher": _matrix(rep.sld_fisher),
             "berry_curvature": _matrix(rep.berry_curvature),
             "d_transform": None if rep.d_matrix is None else _matrix(rep.d_matrix),
-            "betas": [float(b) for b in rep.betas],
+            "betas": list(rep.betas),
             "sld_bound_js": js_bounds[r],
             "attainable_cr_js": rep.cr_js,
             "quasi_classical": rep.quasi_classical,
@@ -601,7 +601,7 @@ def _cmd_fisher(args):
                 / np.maximum(np.max(np.abs(j_s), axis=(1, 2)), 1e-300))
     min_eigs = np.min(np.linalg.eigvalsh(gaps), axis=1)
     entries = [{
-        "theta": [float(t) for t in theta],
+        "theta": list(theta),
         "classical_fisher": _matrix(j_c[r]),
         "sld_fisher": _matrix(j_s[r]),
         "max_relative_gap": float(rel_gaps[r]),
@@ -629,14 +629,15 @@ def _cmd_sample(args):
         povm, povm_echo = _make_povm(args.povm, built, thetas)
         state = built.evaluate(thetas[0])
     counts = estimation.sample_counts(povm, state, args.n, args.seed)
+    kept = np.flatnonzero(counts)
     return {
         "tool": _tool_header("sample"),
         "model": echo,
         "povm": povm_echo,
-        "theta": [float(t) for t in thetas[0]],
+        "theta": list(thetas[0]),
         "n": int(args.n),
         "seed": int(args.seed),
-        "counts": [[int(v), int(counts[v])] for v in np.flatnonzero(counts)],
+        "counts": np.column_stack((kept, counts[kept])).tolist(),
     }
 
 

@@ -26,8 +26,9 @@ from .hilbert import BasisSpace, GridSpace, StateVector
 
 NORM_DRIFT_TOL = 1e-6
 DEFAULT_FD_STEP = 1e-4
-# amplitudes per block of states (and per call of a broadcasting function):
-# temporaries stay at 256 kB
+# amplitudes per block of states and per tile of a catalog formula call:
+# a grid finer than this takes one row a block, cut into column tiles, so
+# the formula's temporaries stay at 256 kB each
 EVALUATE_BLOCK = 1 << 14
 
 
@@ -56,7 +57,12 @@ class PureStateModel:
     used, of neighbours rephased onto the state
     (:func:`_transported_difference`).  Each function is called on one
     ``(m,)`` point at a time, or on blocks of a ``(k, m)`` array when marked
-    :func:`broadcasting`.
+    :func:`broadcasting`.  A catalog model's two fields are the faces of one
+    :class:`_Formula`, which the model calls itself on a block and a column
+    tile of at most ``EVALUATE_BLOCK`` amplitudes: evaluation asks it for the
+    states alone, the horizontal lift for the states and all ``m`` tangents
+    in one call.  A field replaced by another function breaks the pair, and
+    the model calls that function as given.
     """
 
     space: object
@@ -93,33 +99,77 @@ class PureStateModel:
     def _states(self, points):
         """Normalized ``(k, dim)`` amplitudes at checked ``points``.
 
-        A :func:`broadcasting` ``evaluate_fn`` takes :meth:`_block_rows` rows
-        a call.  Each norm is the one ``np.linalg.norm`` takes of its row
-        alone (:func:`_norms`).
+        A catalog ``evaluate_fn`` (:class:`_Formula`) takes :meth:`_block_rows`
+        rows a call and one call per column tile (:meth:`_formula_block`), a
+        :func:`broadcasting` one the same rows and whole rows, an unmarked one
+        a point a call.  Each norm is the one ``np.linalg.norm`` takes of its
+        row alone (:func:`_norms`).
         """
         dim = self.space.dim
         out = np.empty((len(points), dim), dtype=complex)
-        batched = getattr(self.evaluate_fn, "broadcasts", False)
+        formula = self._formula()
+        batched = getattr(self.evaluate_fn, "broadcasts", False)  # the faces are marked
         rows = self._block_rows() if batched else 1
-        root_w = math.sqrt(self.space.weight)
         for start in range(0, len(points), rows):
             block = points[start:start + rows]
-            amps = np.asarray(self.evaluate_fn(block) if batched
-                              else [self.evaluate_fn(block[0])], dtype=complex)
-            if amps.shape != (len(block), dim):
-                raise SpaceMismatchError(f"amplitudes have shape {amps.shape[1:]}, "
-                                         f"space has dimension {dim}")
-            nrm = root_w * _norms(amps)
-            drift = np.abs(nrm - 1.0)
-            ok = drift < NORM_DRIFT_TOL  # a NaN drift fails too
-            if np.count_nonzero(ok) != len(ok):
-                k = np.flatnonzero(~ok)[0]
-                raise ModelDefinitionError(
-                    f"norm drift {drift[k]:.3e} at theta {block[k].tolist()} "
-                    f"(limit {NORM_DRIFT_TOL:.0e}); check grid truncation"
-                )
-            np.divide(amps, nrm[:, None], out=out[start:start + len(block)])
+            dest = out[start:start + len(block)]
+            if formula is not None:
+                amps = self._formula_block(formula, block, (), dest)[0]
+            else:
+                amps = np.asarray(self.evaluate_fn(block) if batched
+                                  else [self.evaluate_fn(block[0])], dtype=complex)
+                if amps.shape != (len(block), dim):
+                    raise SpaceMismatchError(f"amplitudes have shape {amps.shape[1:]}, "
+                                             f"space has dimension {dim}")
+            np.divide(amps, self._unit_norms(block, amps)[:, None], out=dest)
         return out
+
+    def _unit_norms(self, block, amps):
+        """The norms of the rows of ``amps``, the states at ``block``;
+        :class:`ModelDefinitionError` at the first that drifts from 1."""
+        nrm = math.sqrt(self.space.weight) * _norms(amps)
+        drift = np.abs(nrm - 1.0)
+        ok = drift < NORM_DRIFT_TOL  # a NaN drift fails too
+        if np.count_nonzero(ok) != len(ok):
+            k = np.flatnonzero(~ok)[0]
+            raise ModelDefinitionError(
+                f"norm drift {drift[k]:.3e} at theta {block[k].tolist()} "
+                f"(limit {NORM_DRIFT_TOL:.0e}); check grid truncation"
+            )
+        return nrm
+
+    def _formula(self):
+        """The catalog formula whose face ``evaluate_fn`` is, else None: a
+        replaced or wrapped field is called as given."""
+        formula = getattr(self.evaluate_fn, "__self__", None)
+        return formula if isinstance(formula, _Formula) else None
+
+    def _tiles(self):
+        """Column slices of at most ``EVALUATE_BLOCK`` amplitudes over a row."""
+        width = min(self.space.dim, EVALUATE_BLOCK)
+        return [slice(start, start + width) for start in range(0, self.space.dim, width)]
+
+    def _formula_block(self, formula, block, components, states=None):
+        """``(states, tangents)`` of ``formula`` at ``block``, unnormalized,
+        one call per column tile: ``(k, dim)`` and, for non-empty
+        ``components``, ``(k, len(components), dim)``.
+
+        One tile gives the formula's own arrays; more are put together in
+        ``states`` (a new array when None) and a new tangent array.
+        """
+        tiles = self._tiles()
+        if len(tiles) == 1:
+            return formula.fn(block, tiles[0], components)
+        shape = (len(block), self.space.dim)
+        states = np.empty(shape, dtype=complex) if states is None else states
+        tangents = (np.empty((shape[0], len(components), shape[1]), dtype=complex)
+                    if components else None)
+        for tile in tiles:
+            states[:, tile], part = formula.fn(block, tile, components)
+            if components:
+                tangents[..., tile] = part
+            del part  # not alive while the next tile is evaluated
+        return states, tangents
 
     def _block_rows(self):
         """Rows per block: ``EVALUATE_BLOCK`` amplitudes, at least one row."""
@@ -190,15 +240,28 @@ class PureStateModel:
 
             l_i = 2 t_i - 2 <phi|t_i> phi,
 
-        each row as it would be alone in its block."""
-        rows = self._block_rows()
+        each row as it would be alone in its block.  When ``evaluate_fn`` and
+        ``tangent_fn`` are the faces of one catalog formula, a block's states
+        and all ``m`` tangents come from one formula call per column tile;
+        otherwise from :meth:`_states` and :meth:`_tangents`.  The projection
+        runs a tile at a time too."""
+        rows, tiles = self._block_rows(), self._tiles()
+        formula = self._formula()
+        joint = formula is not None and self.tangent_fn == formula.tangent
+        components = tuple(range(self.m))
         for start in range(0, len(points), rows):
             block = points[start:start + rows]
-            amps = self._states(block)
-            lifts = self._tangents(block, amps, range(self.m))
+            if joint:
+                amps, lifts = self._formula_block(formula, block, components)
+                amps /= self._unit_norms(block, amps)[:, None]
+            else:
+                amps = self._states(block)
+                lifts = self._tangents(block, amps, components)
             ov = self.space.weight * _dots(amps[:, None], lifts)
             lifts *= 2.0  # in place from here: a block of lifts is the largest array
-            lifts -= (2.0 * ov)[..., None] * amps[:, None]
+            scale = (2.0 * ov)[..., None]
+            for tile in tiles:
+                lifts[..., tile] -= scale * amps[:, None, tile]
             yield block, amps, lifts
             del amps, lifts  # not alive while the next block is evaluated
 
@@ -257,10 +320,37 @@ def broadcasting(fn):
     ``(k, dim)`` amplitudes of its rows, and a marked ``tangent_fn(theta, i)``
     to the ``(k, dim)`` derivatives of its rows, each row as the ``(m,)``
     call would give it.  :class:`PureStateModel` then calls it on blocks of
-    rows; an unmarked function is called one point at a time.
+    whole rows; an unmarked function is called one point at a time.  The
+    catalog's fields are the faces of a :class:`_Formula`, which the model
+    calls a column tile at a time instead.
     """
     fn.broadcasts = True
     return fn
+
+
+class _Formula:
+    """A catalog family's one formula ``fn(theta, cols, components)``.
+
+    ``fn`` maps the rows of ``theta`` to ``(states, tangents)``: the
+    amplitudes at the columns ``cols`` (a slice) and, for non-empty
+    ``components``, the derivatives in those components only, with shape
+    ``(..., len(components), width)``; None otherwise.  Each factor they
+    share is computed once, and each amplitude by one expression whatever
+    else is asked for, so its bits do not depend on the call.  The bound
+    methods :meth:`evaluate` and :meth:`tangent` are the catalog model's
+    ``evaluate_fn`` and ``tangent_fn``, over whole rows.
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+
+    @broadcasting
+    def evaluate(self, theta):
+        return self.fn(theta, slice(None), ())[0]
+
+    @broadcasting
+    def tangent(self, theta, i):
+        return self.fn(theta, slice(None), (i,))[1][..., 0, :]
 
 
 def _transported_difference(space, phi, up, dn, h):
@@ -341,11 +431,12 @@ def rephased(model, alpha, grad_alpha=None):
 
 @dataclass(frozen=True)
 class Profile:
-    """Complex 1-d profile with its closed-form x-derivative."""
+    """Complex 1-d profile: ``fn(x, derivative)`` gives ``(f(x), f'(x))``,
+    the derivative None unless asked for, with the factors they share
+    computed once."""
 
     name: str
-    f: object
-    df: object
+    fn: object
 
 
 def gaussian_profile(width=1.0, center=0.0):
@@ -353,13 +444,12 @@ def gaussian_profile(width=1.0, center=0.0):
     c = float(center)
     norm = np.pi ** (-0.25) / np.sqrt(w)
 
-    def f(x):
-        return norm * np.exp(-((x - c) ** 2) / (2.0 * w * w)) + 0j
+    def fn(x, derivative):
+        shifted = x - c
+        f = norm * np.exp(-(shifted ** 2) / (2.0 * w * w)) + 0j
+        return f, -shifted / (w * w) * f if derivative else None
 
-    def df(x):
-        return -(x - c) / (w * w) * f(x)
-
-    return Profile(f"gaussian(width={w:g},center={c:g})", f, df)
+    return Profile(f"gaussian(width={w:g},center={c:g})", fn)
 
 
 def hermite_profile(n):
@@ -375,27 +465,32 @@ def hermite_profile(n):
 
     norm = (2.0**n * math.factorial(n) * np.sqrt(np.pi)) ** -0.5
 
-    def f(x):
-        return norm * hpoly(n, x) * np.exp(-0.5 * x * x) + 0j
-
-    def df(x):
+    def fn(x, derivative):
+        h, envelope = hpoly(n, x), np.exp(-0.5 * x * x)
+        f = norm * h * envelope + 0j
+        if not derivative:
+            return f, None
         # H_n' = 2 n H_{n-1}
         lead = 2.0 * n * hpoly(n - 1, x) if n > 0 else 0.0
-        return norm * (lead - x * hpoly(n, x)) * np.exp(-0.5 * x * x) + 0j
+        return f, norm * (lead - x * h) * envelope + 0j
 
-    return Profile(f"hermite(n={n})", f, df)
+    return Profile(f"hermite(n={n})", fn)
 
 
 def _phase_factor_profile(name, base, g, dg):
     """Multiply a profile by exp(i g(x)); its derivative gains i g'(x) f."""
 
-    def f(x):
-        return np.exp(1j * g(x)) * base.f(x)
+    def fn(x, derivative):
+        phase = np.exp(1j * g(x))
+        f, df = base.fn(x, derivative)
+        if not derivative:
+            return phase * f, None
+        # not ``phase * (...)``: numpy computes an operator whose right operand
+        # is a temporary of 256 kB or more in that temporary, operands swapped,
+        # and a complex product is not bitwise symmetric
+        return phase * f, np.multiply(phase, df + 1j * dg(x) * f)
 
-    def df(x):
-        return np.exp(1j * g(x)) * (base.df(x) + 1j * dg(x) * base.f(x))
-
-    return Profile(name, f, df)
+    return Profile(name, fn)
 
 
 def boosted_profile(base, p0):
@@ -422,16 +517,11 @@ def two_well_profile(alpha):
     """
     a = float(alpha)
 
-    def g(x):
-        return np.where(x >= 0.0, 0.0, a)
+    def fn(x, derivative):
+        factor = np.exp(-x * x + 1j * np.where(x >= 0.0, 0.0, a))
+        return x * x * factor, (2.0 * x - 2.0 * x**3) * factor if derivative else None
 
-    def f(x):
-        return x * x * np.exp(-x * x + 1j * g(x))
-
-    def df(x):
-        return (2.0 * x - 2.0 * x**3) * np.exp(-x * x + 1j * g(x))
-
-    return Profile(f"two_well(alpha={a:g})", f, df)
+    return Profile(f"two_well(alpha={a:g})", fn)
 
 
 PROFILE_BUILDERS = {
@@ -492,7 +582,7 @@ def _domain(params, default):
 
 def _grid_norm_factor(profile, space):
     """Normalization constant on the model's own grid, computed once."""
-    raw = StateVector(space, profile.f(space.points))
+    raw = StateVector(space, profile.fn(space.points, False)[0])
     nrm = raw.norm()
     if nrm == 0.0:
         raise ValueError(f"profile {profile.name} vanishes on the grid")
@@ -505,17 +595,14 @@ def _shift_family(params, profile, space, kind):
     domain = _domain(params, ((-2.0, 2.0),))
     x = space.points
 
-    @broadcasting
-    def ev(theta):
-        return c * profile.f(x - theta[..., 0, None])
+    def fn(theta, cols, components):
+        f, df = profile.fn(x[cols] - theta[..., 0, None], bool(components))
+        return c * f, (-c * df)[..., None, :] if components else None
 
-    @broadcasting
-    def tangent_fn(theta, i):
-        return -c * profile.df(x - theta[..., 0, None])
-
+    formula = _Formula(fn)
     return PureStateModel(
-        space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        kind=kind,
+        space=space, m=1, domain=domain, evaluate_fn=formula.evaluate,
+        tangent_fn=formula.tangent, kind=kind,
         sample_grid=tuple((t,) for t in np.linspace(-1.0, 1.0, 5)),
     )
 
@@ -528,17 +615,15 @@ def _position_shift(params):
 def _phase_generator_family(space, domain, g, psi0, kind, sample_line):
     """The family ``exp(-i theta g) psi0`` of a diagonal generator ``g``."""
 
-    @broadcasting
-    def ev(theta):
-        return np.exp(-1j * theta[..., 0, None] * g) * psi0
+    def fn(theta, cols, components):
+        gs, psi = g[cols], psi0[cols]
+        phase = np.exp(-1j * theta[..., 0, None] * gs)
+        return phase * psi, (-1j * gs * phase * psi)[..., None, :] if components else None
 
-    @broadcasting
-    def tangent_fn(theta, i):
-        return -1j * g * np.exp(-1j * theta[..., 0, None] * g) * psi0
-
+    formula = _Formula(fn)
     return PureStateModel(
-        space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        kind=kind, sample_grid=tuple((t,) for t in sample_line),
+        space=space, m=1, domain=domain, evaluate_fn=formula.evaluate,
+        tangent_fn=formula.tangent, kind=kind, sample_grid=tuple((t,) for t in sample_line),
     )
 
 
@@ -548,7 +633,7 @@ def _momentum_shift(params):
     c = _grid_norm_factor(profile, space)
     x = space.points
     return _phase_generator_family(
-        space, _domain(params, ((-2.0, 2.0),)), -x, c * profile.f(x),
+        space, _domain(params, ((-2.0, 2.0),)), -x, c * profile.fn(x, False)[0],
         "momentum_shift", np.linspace(-1.0, 1.0, 5))
 
 
@@ -559,21 +644,25 @@ def _position_momentum_shift(params):
     domain = _domain(params, ((-2.0, 2.0), (-2.0, 2.0)))
     x = space.points
 
-    @broadcasting
-    def ev(theta):
-        return np.exp(1j * theta[..., 1, None] * x) * c * profile.f(x - theta[..., 0, None])
+    def fn(theta, cols, components):
+        xs = x[cols]
+        plane = np.exp(1j * theta[..., 1, None] * xs)
+        f, df = profile.fn(xs - theta[..., 0, None], 0 in components)
+        if not components:
+            return plane * c * f, None
+        tangents = np.empty(f.shape[:-1] + (len(components),) + f.shape[-1:], dtype=complex)
+        for j, i in enumerate(components):
+            if i == 0:
+                np.multiply(-plane * c, df, out=tangents[..., j, :])
+            else:
+                np.multiply(1j * xs * plane * c, f, out=tangents[..., j, :])
+        return plane * c * f, tangents
 
-    @broadcasting
-    def tangent_fn(theta, i):
-        plane = np.exp(1j * theta[..., 1, None] * x)
-        if i == 0:
-            return -plane * c * profile.df(x - theta[..., 0, None])
-        return 1j * x * plane * c * profile.f(x - theta[..., 0, None])
-
+    formula = _Formula(fn)
     diag = np.linspace(-1.0, 1.0, 5)
     return PureStateModel(
-        space=space, m=2, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        kind="position_momentum_shift",
+        space=space, m=2, domain=domain, evaluate_fn=formula.evaluate,
+        tangent_fn=formula.tangent, kind="position_momentum_shift",
         sample_grid=tuple((t, t) for t in diag),
     )
 
@@ -614,23 +703,19 @@ def _ring_flux(params):
     c = 1.0 / raw.norm()
     domain = _domain(params, ((-2.0 * np.pi, 4.0 * np.pi),))
 
-    @broadcasting
-    def ev(theta):
+    def fn(theta, cols, components):
         t = theta[..., 0, None]
-        s = np.mod(omega - t, 2.0 * np.pi)
-        return c * (2.0 - np.cos(s)) * np.exp(1j * alpha * (s + t))
+        s = np.mod(omega[cols] - t, 2.0 * np.pi)
+        phase = np.exp(1j * alpha * (s + t))
+        # the tangent is the theta-derivative of the transported profile,
+        # taken away from the moving phase step (measure zero on the grid)
+        return (c * (2.0 - np.cos(s)) * phase,
+                (-c * np.sin(s) * phase)[..., None, :] if components else None)
 
-    @broadcasting
-    def tangent_fn(theta, i):
-        # theta-derivative of the transported profile, taken away from
-        # the moving phase step (measure zero on the grid)
-        t = theta[..., 0, None]
-        s = np.mod(omega - t, 2.0 * np.pi)
-        return -c * np.sin(s) * np.exp(1j * alpha * (s + t))
-
+    formula = _Formula(fn)
     return PureStateModel(
-        space=space, m=1, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        kind="ring_flux",
+        space=space, m=1, domain=domain, evaluate_fn=formula.evaluate,
+        tangent_fn=formula.tangent, kind="ring_flux",
         sample_grid=tuple((t,) for t in np.linspace(0.5, 5.5, 5)),
     )
 
@@ -639,30 +724,29 @@ def _bloch(params):
     space = BasisSpace(2, labels=("up", "down"))
     domain = _domain(params, ((0.0, np.pi), (-4.0 * np.pi, 4.0 * np.pi)))
 
-    @broadcasting
-    def ev(theta):
-        half = theta[..., 0] / 2.0
-        amps = np.empty(theta.shape[:-1] + (2,), dtype=complex)
-        amps[..., 0] = np.cos(half)
-        amps[..., 1] = np.exp(1j * theta[..., 1]) * np.sin(half)
-        return amps
-
-    @broadcasting
-    def tangent_fn(theta, i):
+    def fn(theta, cols, components):
         half, az = theta[..., 0] / 2.0, theta[..., 1]
-        amps = np.zeros(theta.shape[:-1] + (2,), dtype=complex)
-        if i == 0:
-            amps[..., 0] = -0.5 * np.sin(half)
-            amps[..., 1] = 0.5 * np.exp(1j * az) * np.cos(half)
-        else:
-            amps[..., 1] = 1j * np.exp(1j * az) * np.sin(half)
-        return amps
+        sin, cos, plane = np.sin(half), np.cos(half), np.exp(1j * az)
+        amps = np.empty(theta.shape[:-1] + (2,), dtype=complex)
+        amps[..., 0] = cos
+        amps[..., 1] = plane * sin
+        if not components:
+            return amps[..., cols], None
+        tangents = np.zeros(theta.shape[:-1] + (len(components), 2), dtype=complex)
+        for j, i in enumerate(components):
+            if i == 0:
+                tangents[..., j, 0] = -0.5 * sin
+                tangents[..., j, 1] = 0.5 * plane * cos
+            else:
+                tangents[..., j, 1] = 1j * plane * sin
+        return amps[..., cols], tangents[..., cols]
 
+    formula = _Formula(fn)
     pol_line = np.linspace(0.6, 2.2, 5)
     az_line = np.linspace(0.0, 1.5, 5)
     return PureStateModel(
-        space=space, m=2, domain=domain, evaluate_fn=ev, tangent_fn=tangent_fn,
-        kind="bloch",
+        space=space, m=2, domain=domain, evaluate_fn=formula.evaluate,
+        tangent_fn=formula.tangent, kind="bloch",
         sample_grid=tuple(zip(pol_line, az_line)),
     )
 

@@ -7,12 +7,15 @@ Curves and sample sets are evaluated as one ``(k, dim)`` array per call to
 once and one spectral pass over all points, with rows bitwise equal to one
 ``analyze`` each; ``estimation.fisher_many`` takes the probabilities,
 scores and Fisher matrices of a block at once, with rows bitwise equal to
-one ``lift_fisher`` and ``sld_fisher`` each.  Finite differences rephase
+one ``lift_fisher`` and ``sld_fisher`` each.  A catalog model's states and
+tangents come from one formula call per block and column tile, bitwise the
+states and tangents of separate calls.  Finite differences rephase
 each neighbour by its unit link to the state, so lifts do not depend on the
 phase gauge of the states.
 """
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
@@ -440,6 +443,125 @@ class TestAnalyzeMany:
                                      theta])
         assert ([e["sld_fisher"] for e in fisher["entries"]]
                 == [e["sld_fisher"] for e in report["entries"]])
+
+
+def formula_models():
+    """Every catalog family, the shift families on every profile."""
+    grid = {"n": 512, "lower": -10, "upper": 10}
+    profiles = {"gaussian": "gaussian", "hermite": {"name": "hermite", "n": 3},
+                "boosted": {"name": "boosted_gaussian", "p0": 1.3},
+                "chirped": {"name": "chirped_gaussian", "chirp": 0.4}}
+    models = {f"{name}:{key}": qg.catalog(name, {"profile": profile, "grid": grid})
+              for name in ("position_shift", "position_momentum_shift", "momentum_shift")
+              for key, profile in profiles.items()}
+    return {**models, **{name: BATTERY[name]
+                         for name in ("two_well", "ring_flux", "spin_jz", "bloch")}}
+
+
+FORMULA_MODELS = formula_models()
+
+
+def separate(mod):
+    """``mod`` with its two faces behind marked wrappers: a state and each
+    tangent from its own call over whole rows."""
+    return dataclasses.replace(
+        mod, evaluate_fn=broadcasting(lambda theta: mod.evaluate_fn(theta)),
+        tangent_fn=broadcasting(lambda theta, i: mod.tangent_fn(theta, i)))
+
+
+def counted_formula(monkeypatch, mod):
+    """``(block rows, tile, components)`` of each call of the formula behind
+    ``mod``'s faces."""
+    formula = mod.evaluate_fn.__self__
+    calls, fn = [], formula.fn
+
+    def counted(theta, cols, components):
+        calls.append((len(theta), cols, tuple(components)))
+        return fn(theta, cols, components)
+
+    monkeypatch.setattr(formula, "fn", counted)
+    return calls
+
+
+class TestJointPass:
+    @pytest.mark.parametrize("tiles", ["default", "uneven"])
+    @pytest.mark.parametrize("name", sorted(FORMULA_MODELS))
+    def test_joint_lifts_are_bitwise_the_separate_lifts(self, monkeypatch, name, tiles):
+        mod = FORMULA_MODELS[name]
+        thetas = random_points(mod, 40, np.random.default_rng(17))
+        want = [(states.copy(), lifts.copy())
+                for _, states, lifts in separate(mod)._lift_blocks(thetas)]
+        if tiles == "uneven":  # n = 512: tiles of 200, 200 and 112 amplitudes
+            monkeypatch.setattr(model, "EVALUATE_BLOCK", min(200, mod.space.dim - 1))
+            want = [(s[r:r + 1], l[r:r + 1]) for s, l in want for r in range(len(s))]
+        got = [(states, lifts) for _, states, lifts in mod._lift_blocks(thetas)]
+        assert len(got) == len(want)
+        for (states, lifts), (want_states, want_lifts) in zip(got, want):
+            assert same_bits(states, want_states)
+            assert same_bits(lifts, want_lifts)
+
+    @pytest.mark.parametrize("name", sorted(FORMULA_MODELS))
+    def test_the_faces_are_the_formula_on_whole_rows(self, name):
+        mod = FORMULA_MODELS[name]
+        thetas = random_points(mod, 3, np.random.default_rng(18))
+        fn = mod.evaluate_fn.__self__.fn
+        states, tangents = fn(thetas, slice(None), tuple(range(mod.m)))
+        assert same_bits(mod.evaluate_fn(thetas), states)
+        for i in range(mod.m):
+            assert same_bits(mod.tangent_fn(thetas, i), tangents[:, i])
+            assert same_bits(mod.tangent_fn(thetas[0], i), tangents[0, i])
+
+    @pytest.mark.parametrize("block, tiles", [(None, [slice(0, 512)]),
+                                              (200, [slice(0, 200), slice(200, 400),
+                                                     slice(400, 600)])])
+    def test_a_lift_block_makes_one_formula_call_per_tile(self, monkeypatch, block, tiles):
+        mod = qg.catalog("position_momentum_shift", {"grid": {"n": 512}})
+        if block is not None:
+            monkeypatch.setattr(model, "EVALUATE_BLOCK", block)
+        calls = counted_formula(monkeypatch, mod)
+        geometry.analyze_many(mod, random_points(mod, 40, np.random.default_rng(19)))
+        rows = [32, 8] if block is None else [1] * 40
+        assert calls == [(k, tile, (0, 1)) for k in rows for tile in tiles]
+
+    def test_evaluation_computes_no_tangent(self, monkeypatch):
+        mod = qg.catalog("position_momentum_shift", {"grid": {"n": 512}})
+        calls = counted_formula(monkeypatch, mod)
+        thetas = random_points(mod, 40, np.random.default_rng(20))
+        mod.evaluate_many(thetas)
+        holonomy.sample_states(mod, thetas)
+        geometry.analyze_many(dataclasses.replace(mod, tangent_fn=None), thetas[:3])
+        assert calls and {components for _, _, components in calls} == {()}
+        del calls[:]
+        mod.tangent(thetas[0], 1)
+        assert calls == [(1, slice(None), (1,))]
+
+    def test_a_replaced_or_wrapped_face_breaks_the_pair(self, monkeypatch):
+        mod = qg.catalog("position_shift", {"grid": {"n": 512}})
+        calls = counted_formula(monkeypatch, mod)
+        wrapped = functools.wraps(mod.evaluate_fn)(lambda theta: mod.evaluate_fn(theta))
+        for other in (separate(mod), dataclasses.replace(mod, evaluate_fn=wrapped)):
+            del calls[:]
+            other.horizontal_lift((0.3,))
+            assert calls == [(1, slice(None), ()), (1, slice(None), (0,))]
+
+    @pytest.mark.parametrize("name, params", [
+        ("position_momentum_shift", {}),
+        ("position_shift", {"profile": {"name": "chirped_gaussian", "chirp": 0.3}})])
+    def test_analyze_on_the_finest_grid_keeps_tile_sized_temporaries(self, name, params):
+        mod = qg.catalog(name, {**params, "grid": {"n": 65536}})
+        theta = np.full(mod.m, 0.3)
+        geometry.analyze(mod, theta)
+        tracemalloc.start()
+        try:
+            geometry.analyze(mod, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the states and lifts of the one-row block, the Gram's conjugate
+        # copy of the lifts and six tiles; whole-row temporaries took three
+        # more rows at m = 2 and five more at m = 1
+        row = 16 * mod.space.dim
+        assert peak < (1 + 2 * mod.m) * row + 6 * 16 * model.EVALUATE_BLOCK
 
 
 def fisher_cases():

@@ -78,6 +78,9 @@ FILES = {
     "hermite.json": grid_spec("position_shift", 257, lower=-8.0, upper=8.0,
                               profile={"name": "hermite", "n": 1}),
     "fine.json": grid_spec("position_shift", 16384, profile="gaussian"),
+    "pm_finest.json": grid_spec("position_momentum_shift", 65536, profile="gaussian"),
+    "chirped_finest.json": grid_spec("position_shift", 65536,
+                                     profile={"name": "chirped_gaussian", "chirp": 0.3}),
     "ring.json": {"kind": "catalog", "name": "ring_flux",
                   "params": {"grid": {"n": 1024, "lower": 0.0, "upper": 2.0 * math.pi,
                                       "periodic": True}}},
@@ -103,6 +106,11 @@ INVOCATIONS = {
     "report_chirped": ["report", "--model", "chirped.json", "--theta=-0.5;0.25"],
     "report_two_well": ["report", "--model", "two_well.json", "--theta=0;0.4"],
     "report_ring": ["report", "--model", "ring.json", "--theta=1;3.5"],
+    # one row a block at n = 65536, cut into column tiles
+    "report_pm_finest": ["report", "--model", "pm_finest.json",
+                         "--theta=0.3,-0.2;-0.7,0.9;1.1,0.05"],
+    "report_chirped_finest": ["report", "--model", "chirped_finest.json",
+                              "--theta=-0.5;0.25;0.8"],
     "report_table": ["report", "--model", "table.json", "--theta=0.1;0.5;0.9"],
     "report_table_phases": ["report", "--model", "table_phases.json",
                             "--theta=0.1;0.5;0.9"],
