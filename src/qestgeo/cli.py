@@ -300,9 +300,10 @@ def _tabulated_model(space, thetas, table):
         k = row_index(theta)
         if k == 0 or k == len(table) - 1:
             raise DomainError("finite differences need an interior table point")
-        return model._transported_difference(space, table[k].amplitudes,
-                                             table[k + 1].amplitudes,
-                                             table[k - 1].amplitudes, step)
+        # copies of the neighbours: the difference is written into them
+        return model._transported_difference(space, np.conj(table[k].amplitudes),
+                                             table[k + 1].amplitudes.copy(),
+                                             table[k - 1].amplitudes.copy(), step)
 
     interior = tuple((float(t),) for t in thetas[1:-1])
     return PureStateModel(

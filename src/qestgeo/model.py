@@ -26,8 +26,9 @@ from .hilbert import BasisSpace, GridSpace, StateVector
 
 NORM_DRIFT_TOL = 1e-6
 DEFAULT_FD_STEP = 1e-4
-# amplitudes per block of states and per tile of a catalog formula call:
-# a grid finer than this takes one row a block, cut into column tiles, so
+# amplitudes per block of states and per catalog formula call (rows times
+# tile width): a grid finer than this takes one row a block, cut into column
+# tiles, and a finite-difference stencil of 1 + 2m rows narrower tiles, so
 # the formula's temporaries stay at 256 kB each
 EVALUATE_BLOCK = 1 << 14
 
@@ -54,15 +55,17 @@ class PureStateModel:
     constants to guarantee this).  ``tangent_fn(theta, i)``, when given,
     returns the closed-form derivative amplitudes; otherwise central
     differences with per-component step ``fd_step * max(1, |theta_i|)`` are
-    used, of neighbours rephased onto the state
-    (:func:`_transported_difference`).  Each function is called on one
-    ``(m,)`` point at a time, or on blocks of a ``(k, m)`` array when marked
+    used, of neighbours rephased onto the state: a block's states and
+    neighbours share one buffer and are differenced in place
+    (:meth:`_stencil`).  Each function is called on one ``(m,)`` point at a
+    time, or on blocks of a ``(k, m)`` array when marked
     :func:`broadcasting`.  A catalog model's two fields are the faces of one
-    :class:`_Formula`, which the model calls itself on a block and a column
-    tile of at most ``EVALUATE_BLOCK`` amplitudes: evaluation asks it for the
-    states alone, the horizontal lift for the states and all ``m`` tangents
-    in one call.  A field replaced by another function breaks the pair, and
-    the model calls that function as given.
+    :class:`_Formula`, which the model calls itself on rows and a column
+    tile of at most ``EVALUATE_BLOCK`` amplitudes: evaluation asks it for
+    the states alone, the horizontal lift for the states and all ``m``
+    tangents in one call, finite differences for the states of whole
+    stencils.  A field replaced by another function breaks the pair, and the
+    model calls that function as given.
     """
 
     space: object
@@ -124,16 +127,17 @@ class PureStateModel:
             np.divide(amps, self._unit_norms(block, amps)[:, None], out=dest)
         return out
 
-    def _unit_norms(self, block, amps):
-        """The norms of the rows of ``amps``, the states at ``block``;
+    def _unit_norms(self, points, amps):
+        """The norms of the states ``amps`` ``(..., dim)`` at ``points``;
         :class:`ModelDefinitionError` at the first that drifts from 1."""
         nrm = math.sqrt(self.space.weight) * _norms(amps)
         drift = np.abs(nrm - 1.0)
         ok = drift < NORM_DRIFT_TOL  # a NaN drift fails too
-        if np.count_nonzero(ok) != len(ok):
+        if np.count_nonzero(ok) != ok.size:
             k = np.flatnonzero(~ok)[0]
             raise ModelDefinitionError(
-                f"norm drift {drift[k]:.3e} at theta {block[k].tolist()} "
+                f"norm drift {drift.flat[k]:.3e} at theta "
+                f"{points.reshape(-1, self.m)[k].tolist()} "
                 f"(limit {NORM_DRIFT_TOL:.0e}); check grid truncation"
             )
         return nrm
@@ -188,18 +192,17 @@ class PureStateModel:
         points = self._points(_row(theta))
         if not 0 <= i < self.m:
             raise IndexError(f"component {i} out of range for m={self.m}")
-        amps = None if self.tangent_fn is not None else self._states(points)
-        return StateVector._adopt(self.space, self._tangents(points, amps, (i,))[0, 0])
+        fd = self.tangent_fn is None  # a copy of the + row, not the whole stencil
+        amps = self._stencil(points, (i,))[2].copy() if fd else self._tangents(points, (i,))
+        return StateVector._adopt(self.space, amps[0, 0])
 
-    def _tangents(self, points, amps, components):
-        """Tangent amplitudes ``(k, len(components), dim)`` at checked
-        ``points``; ``amps``, the states there, gauge the finite differences.
+    def _tangents(self, points, components):
+        """Closed-form tangent amplitudes ``(k, len(components), dim)`` at
+        checked ``points``.
 
         A :func:`broadcasting` ``tangent_fn`` takes all the points in one call
         per component, an unmarked one a point and a component per call.
         """
-        if self.tangent_fn is None:
-            return self._fd_tangents(points, amps, components)
         out = np.empty((len(points), len(components), self.space.dim), dtype=complex)
         if getattr(self.tangent_fn, "broadcasts", False):
             for j, i in enumerate(components):
@@ -210,29 +213,56 @@ class PureStateModel:
                     _put(out[r, j], self.tangent_fn(theta, i))
         return out
 
-    def _fd_tangents(self, points, amps, components):
-        """Central differences with per-point step ``fd_step * max(1, |theta_i|)``:
-        the neighbours of all points and components in one :meth:`_states`
-        call, rephased onto ``amps`` by one :func:`_transported_difference`."""
+    def _stencil(self, points, components):
+        """``(states, bra, tangents)`` at checked ``points`` by central
+        differences with per-point step ``fd_step * max(1, |theta_i|)``.
+
+        The states and their neighbours in ``components`` share one buffer:
+        ``k`` state rows, then ``(k, c)`` rows ``theta + h e_i`` and ``(k, c)``
+        rows ``theta - h e_i``.  A catalog formula fills it in one call per
+        tile of whole stencils and at most ``EVALUATE_BLOCK`` amplitudes, any
+        other ``evaluate_fn`` through :meth:`_states`.  ``bra`` is the states'
+        conjugate; the tangents are written over the ``+`` rows.
+        """
+        k, c, m, dim = len(points), len(components), self.m, self.space.dim
         comps = list(components)
         h = self.fd_step * np.maximum(1.0, np.abs(points[:, comps]))
-        steps = np.broadcast_to(points[:, None, None], (len(points), len(comps), 2, self.m)).copy()
+        stencil = np.empty((k + 2 * k * c, m))
+        stencil[:k] = points
+        nbrs = np.moveaxis(stencil[k:].reshape(2, k, c, m), 0, 2)  # point, component, sign
+        nbrs[...] = points[:, None, None]
         for j, i in enumerate(comps):
-            steps[:, j, 0, i] += h[:, j]
-            steps[:, j, 1, i] -= h[:, j]
-        try:
-            nbrs = self._points(steps.reshape(-1, self.m))
-        except DomainError:
-            lo, hi = self._bounds
-            inside = ((lo <= steps) & (steps <= hi)).all(axis=(2, 3))
+            nbrs[:, j, 0, i] += h[:, j]
+            nbrs[:, j, 1, i] -= h[:, j]
+        lo, hi = self._bounds
+        inside = ((lo <= nbrs) & (nbrs <= hi)).all(axis=(2, 3))
+        if not inside.all():
             r, j = np.argwhere(~inside)[0]
             raise DomainError(
                 f"finite-difference step {h[r, j]:.1e} in component {comps[j]} leaves the "
                 f"domain at theta {points[r].tolist()}"
-            ) from None
-        nbrs = self._states(nbrs).reshape(len(points), len(comps), 2, -1)
-        return _transported_difference(self.space, amps[:, None], nbrs[:, :, 0],
-                                       nbrs[:, :, 1], h)
+            )
+        buf = np.empty((len(stencil), dim), dtype=complex)
+        states, nbr_rows = buf[:k], np.moveaxis(buf[k:].reshape(2, k, c, dim), 0, 2)
+        formula = self._formula()
+        if formula is None:
+            states[...] = self._states(points)
+            nbr_rows[...] = self._states(nbrs.reshape(-1, m)).reshape(k, c, 2, dim)
+        else:
+            per_call = max(1, EVALUATE_BLOCK // ((1 + 2 * c) * dim))  # whole stencils
+            for start in range(0, k, per_call):
+                stop = min(start + per_call, k)
+                rows = np.r_[start:stop, k + c * start:k + c * stop,
+                             k + c * (k + start):k + c * (k + stop)]
+                thetas, width = stencil[rows], max(1, min(dim, EVALUATE_BLOCK // len(rows)))
+                for col in range(0, dim, width):
+                    tile = slice(col, col + width)
+                    buf[rows, tile] = formula.fn(thetas, tile, ())[0]
+            states /= self._unit_norms(points, states)[:, None]
+            nbr_rows /= self._unit_norms(nbrs, nbr_rows)[..., None]
+        bra = np.conj(states)
+        up, dn = buf[k:].reshape(2, k, c, dim)
+        return states, bra, _transported_difference(self.space, bra[:, None], up, dn, h)
 
     def _lift_blocks(self, points):
         """``(points, states, lifts)`` per block of :meth:`_block_rows` checked
@@ -243,21 +273,26 @@ class PureStateModel:
         each row as it would be alone in its block.  When ``evaluate_fn`` and
         ``tangent_fn`` are the faces of one catalog formula, a block's states
         and all ``m`` tangents come from one formula call per column tile;
-        otherwise from :meth:`_states` and :meth:`_tangents`.  The projection
-        runs a tile at a time too."""
+        without ``tangent_fn`` from :meth:`_stencil`; otherwise from
+        :meth:`_states` and :meth:`_tangents`.  The projection runs a tile at
+        a time."""
         rows, tiles = self._block_rows(), self._tiles()
         formula = self._formula()
         joint = formula is not None and self.tangent_fn == formula.tangent
         components = tuple(range(self.m))
         for start in range(0, len(points), rows):
             block = points[start:start + rows]
-            if joint:
-                amps, lifts = self._formula_block(formula, block, components)
-                amps /= self._unit_norms(block, amps)[:, None]
+            if self.tangent_fn is None:
+                amps, bra, lifts = self._stencil(block, components)
             else:
-                amps = self._states(block)
-                lifts = self._tangents(block, amps, components)
-            ov = self.space.weight * _dots(amps[:, None], lifts)
+                if joint:
+                    amps, lifts = self._formula_block(formula, block, components)
+                    amps /= self._unit_norms(block, amps)[:, None]
+                else:
+                    amps, lifts = self._states(block), self._tangents(block, components)
+                bra = np.conj(amps)
+            ov = self.space.weight * _bra_dots(bra[:, None], lifts)
+            del bra  # not alive while the block is consumed
             lifts *= 2.0  # in place from here: a block of lifts is the largest array
             scale = (2.0 * ov)[..., None]
             for tile in tiles:
@@ -290,7 +325,12 @@ def _row(theta):
 def _dots(a, b):
     """``<a|b>`` over the last axis, broadcast over the others: each one the
     BLAS dot ``np.vdot`` takes, so a row does not depend on its batch."""
-    return (np.conj(a)[..., None, :] @ b[..., :, None])[..., 0, 0]
+    return _bra_dots(np.conj(a), b)
+
+
+def _bra_dots(bra, b):
+    """:func:`_dots` of the state whose conjugate is ``bra``."""
+    return (bra[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def _norms(amps):
@@ -353,11 +393,12 @@ class _Formula:
         return self.fn(theta, slice(None), (i,))[1][..., 0, :]
 
 
-def _transported_difference(space, phi, up, dn, h):
+def _transported_difference(space, bra, up, dn, h):
     """Central difference ``(up - dn) / 2h`` of the neighbours of the state
-    ``phi`` after rephasing each by its unit link ``<phi|nbr> / |<phi|nbr>|``,
-    over the last axis and broadcast over the others (``h`` over all but the
-    last).
+    whose conjugate is ``bra``, after rephasing each by its unit link
+    ``<phi|nbr> / |<phi|nbr>|``, over the last axis and broadcast over the
+    others (``h`` over all but the last).  It is written into ``up`` and
+    returned, and ``dn`` is overwritten: both belong to the caller.
 
     A neighbour's phase gauge would scale the lift by the cosine of the
     phase gap; the rephased pair is in the gauge parallel to ``phi``, so the
@@ -366,11 +407,13 @@ def _transported_difference(space, phi, up, dn, h):
     """
     from .holonomy import unit_links  # call time: holonomy imports this module
 
-    links, _ = unit_links(space.weight * np.stack([_dots(phi, up), _dots(phi, dn)], axis=-1))
-    diff = np.conj(links[..., 0, None]) * up  # in place from here: no more temporaries
-    diff -= np.conj(links[..., 1, None]) * dn
-    diff /= 2.0 * np.asarray(h)[..., None]
-    return diff
+    links, _ = unit_links(space.weight * np.stack([_bra_dots(bra, up), _bra_dots(bra, dn)],
+                                                  axis=-1))
+    np.multiply(np.conj(links[..., 0, None]), up, out=up)
+    np.multiply(np.conj(links[..., 1, None]), dn, out=dn)
+    up -= dn
+    up /= 2.0 * np.asarray(h)[..., None]
+    return up
 
 
 @dataclass(frozen=True)
@@ -637,6 +680,19 @@ def _momentum_shift(params):
         "momentum_shift", np.linspace(-1.0, 1.0, 5))
 
 
+def _distinct(values):
+    """``(distinct, rows)``: the distinct bits among the float column
+    ``values`` of a theta array and, as an index, each row's own."""
+    if values.ndim != 1 or values.dtype != float:
+        return values, slice(None)
+    seen = {}
+    rows = [seen.setdefault(key, len(seen))
+            for key in np.ascontiguousarray(values).view(np.int64).tolist()]
+    if len(seen) == len(rows):
+        return values, slice(None)  # a view: nothing copied
+    return np.array(list(seen), dtype=np.int64).view(float), rows
+
+
 def _position_momentum_shift(params):
     profile = make_profile(params.get("profile", "gaussian"))
     space = _grid_from_params(params)
@@ -645,18 +701,26 @@ def _position_momentum_shift(params):
     x = space.points
 
     def fn(theta, cols, components):
+        # rows that share theta_1 share one plane wave, rows that share
+        # theta_0 one profile: a stencil or a rectangle's side; np.multiply,
+        # since numpy may compute ``a * t`` for a fresh ``t`` in ``t`` with
+        # the operands swapped, and a complex product is not bitwise symmetric
         xs = x[cols]
-        plane = np.exp(1j * theta[..., 1, None] * xs)
-        f, df = profile.fn(xs - theta[..., 0, None], 0 in components)
+        shifts, by_shift = _distinct(theta[..., 0])
+        boosts, by_boost = _distinct(theta[..., 1])
+        plane = np.exp(1j * boosts[..., None] * xs)
+        f, df = profile.fn(xs - shifts[..., None], 0 in components)
+        states = np.multiply((plane * c)[by_boost], f[by_shift])
         if not components:
-            return plane * c * f, None
-        tangents = np.empty(f.shape[:-1] + (len(components),) + f.shape[-1:], dtype=complex)
+            return states, None
+        tangents = np.empty(states.shape[:-1] + (len(components), len(xs)), dtype=complex)
         for j, i in enumerate(components):
             if i == 0:
-                np.multiply(-plane * c, df, out=tangents[..., j, :])
+                np.multiply((-plane * c)[by_boost], df[by_shift], out=tangents[..., j, :])
             else:
-                np.multiply(1j * xs * plane * c, f, out=tangents[..., j, :])
-        return plane * c * f, tangents
+                np.multiply((1j * xs * plane * c)[by_boost], f[by_shift],
+                            out=tangents[..., j, :])
+        return states, tangents
 
     formula = _Formula(fn)
     diag = np.linspace(-1.0, 1.0, 5)

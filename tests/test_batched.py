@@ -11,7 +11,8 @@ one ``lift_fisher`` and ``sld_fisher`` each.  A catalog model's states and
 tangents come from one formula call per block and column tile, bitwise the
 states and tangents of separate calls.  Finite differences rephase
 each neighbour by its unit link to the state, so lifts do not depend on the
-phase gauge of the states.
+phase gauge of the states; a block's states and neighbours share one
+stencil buffer, and its lifts are bitwise those of each point alone.
 """
 
 import dataclasses
@@ -41,7 +42,7 @@ from qestgeo.errors import (
     SpectralConsistencyError,
 )
 from qestgeo.estimation import MatrixPovm, grid_pvm
-from qestgeo.hilbert import BasisSpace
+from qestgeo.hilbert import BasisSpace, StateVector
 from qestgeo.model import Curve, PureStateModel, broadcasting, rephased
 
 from conftest import catalog_battery
@@ -279,6 +280,28 @@ class TestGaugeCovariance:
             assert got["sld_fisher"][0] == pytest.approx(want["sld_fisher"][0], rel=1e-12)
         # J_S = 4 Var(J_z) = 2.294416, within the O(h^2) of the step 0.1
         assert docs[0]["entries"][2]["sld_fisher"][0][0] == pytest.approx(2.294416, rel=1e-2)
+
+    def test_commands_leave_the_stored_table_rows_unchanged(self, monkeypatch, capsys,
+                                                            tmp_path):
+        # the difference is written into the neighbours it is given
+        tables = []
+        build = cli._tabulated_model
+
+        def recorded(space, thetas, table):
+            tables.append((table, [row.amplitudes.copy() for row in table]))
+            return build(space, thetas, table)
+
+        monkeypatch.setattr(cli, "_tabulated_model", recorded)
+        path = tmp_path / "table.json"
+        path.write_text(json.dumps(table_spec(np.random.default_rng(4).uniform(0.0, 6.0, 11))))
+        for argv in (["report", "--theta=0.1;0.3;0.5;0.7;0.9"],
+                     ["fisher", "--povm", "basis", "--theta=0.2;0.4;0.6"],
+                     ["check", "--samples=0.1;0.5;0.9"]):
+            run_to_doc(capsys, [argv[0], "--model", str(path), *argv[1:]])
+        assert len(tables) == 3
+        for table, stored in tables:
+            for row, want in zip(table, stored, strict=True):
+                assert same_bits(row.amplitudes, want)
 
     def test_an_orthogonal_neighbour_has_no_link(self, capsys, tmp_path):
         up, down = [[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]
@@ -562,6 +585,148 @@ class TestJointPass:
         # more rows at m = 2 and five more at m = 1
         row = 16 * mod.space.dim
         assert peak < (1 + 2 * mod.m) * row + 6 * 16 * model.EVALUATE_BLOCK
+
+
+def reference_tangent(mod, theta, i):
+    """The central difference at one theta alone, out of place: the state
+    from one ``_states`` call, its two neighbours in component ``i`` from
+    another, rephased by their unit links and differenced."""
+    point = mod._points(np.asarray(theta)[None])
+    phi = mod._states(point)[0]
+    h = mod.fd_step * max(1.0, abs(point[0, i]))
+    nbrs = np.repeat(point, 2, axis=0)
+    nbrs[0, i] += h
+    nbrs[1, i] -= h
+    up, dn = mod._states(nbrs)
+    links, _ = holonomy.unit_links(
+        mod.space.weight * np.array([model._dots(phi, up), model._dots(phi, dn)]))
+    return phi, (np.conj(links[0]) * up - np.conj(links[1]) * dn) / (2.0 * h)
+
+
+def reference_lift(mod, theta):
+    """The lift ``2 t - 2 <phi|t> phi`` of each :func:`reference_tangent`."""
+    lifts = []
+    for i in range(mod.m):
+        phi, t = reference_tangent(mod, theta, i)
+        ov = mod.space.weight * model._dots(phi, t)
+        lifts.append(2.0 * t - (2.0 * ov) * phi)
+    return model.HorizontalLift(theta=theta, phi=StateVector._adopt(mod.space, phi),
+                                lifts=tuple(StateVector._adopt(mod.space, l) for l in lifts))
+
+
+def fd_models():
+    """Every formula family without its tangent, a marked and an unmarked
+    user ``evaluate_fn`` and a rephased finite-difference family."""
+    models = {name: dataclasses.replace(mod, tangent_fn=None)
+              for name, mod in FORMULA_MODELS.items()}
+    pm = models["position_momentum_shift:chirped"]
+    models["marked"] = dataclasses.replace(
+        pm, evaluate_fn=broadcasting(lambda theta: pm.evaluate_fn(theta)))
+    models["unmarked"] = dataclasses.replace(pm, evaluate_fn=lambda theta: pm.evaluate_fn(theta))
+    models["rephased_bloch"] = rephased(BLOCH_FD, lambda th: 3.0 * th[0] + 7.0 * th[1])
+    return models
+
+
+FD_MODELS = fd_models()
+
+
+class TestStencil:
+    @pytest.mark.parametrize("block", ["default", "uneven"])
+    @pytest.mark.parametrize("name", sorted(FD_MODELS))
+    def test_lifts_and_reports_are_bitwise_the_per_point_reference(self, monkeypatch,
+                                                                   name, block):
+        mod = FD_MODELS[name]
+        thetas = random_points(mod, 9, np.random.default_rng(21))
+        want = [reference_lift(mod, theta) for theta in thetas]
+        if block == "uneven":  # n = 512: one point a block, stencil tiles of 40 or 66
+            monkeypatch.setattr(model, "EVALUATE_BLOCK", min(200, mod.space.dim - 1))
+        got = [lift for lift in mod.horizontal_lifts(thetas)]
+        for lift, ref in zip(got, want, strict=True):
+            assert same_bits(lift.phi.amplitudes, ref.phi.amplitudes)
+            for a, b in zip(lift.lifts, ref.lifts, strict=True):
+                assert same_bits(a.amplitudes, b.amplitudes)
+        for rep, ref in zip(geometry.analyze_many(mod, thetas), want, strict=True):
+            assert same_bits(rep.sld_fisher, geometry.sld_fisher(ref))
+            assert same_bits(rep.berry_curvature, geometry.berry_curvature(ref))
+
+    @pytest.mark.parametrize("block", [None, 200])
+    def test_a_lift_block_makes_one_call_per_stencil_block_and_tile(self, monkeypatch,
+                                                                    block):
+        mod = dataclasses.replace(qg.catalog("position_momentum_shift", {"grid": {"n": 512}}),
+                                  tangent_fn=None)
+        if block is not None:
+            monkeypatch.setattr(model, "EVALUATE_BLOCK", block)
+        calls = counted_formula(monkeypatch, mod)
+        geometry.analyze_many(mod, random_points(mod, 40, np.random.default_rng(22)))
+        if block is None:  # blocks of 32 and 8 points, 6 whole stencils of 5 rows a call
+            want = [(5 * k, slice(0, 512), ()) for k in [6] * 5 + [2] + [6, 2]]
+        else:  # a point a block, its 5 rows in tiles of 40 amplitudes
+            want = [(5, slice(a, a + 40), ()) for _ in range(40) for a in range(0, 512, 40)]
+        assert calls == want
+        assert all(rows * len(range(512)[tile]) <= model.EVALUATE_BLOCK
+                   for rows, tile, _ in calls)
+
+    def test_a_tangent_evaluates_only_its_components_neighbours(self, monkeypatch):
+        mod = dataclasses.replace(qg.catalog("position_momentum_shift", {"grid": {"n": 512}}),
+                                  tangent_fn=None)
+        formula, thetas = mod.evaluate_fn.__self__, []
+        fn = formula.fn
+
+        def recorded(theta, cols, components):
+            thetas.append(theta.copy())
+            return fn(theta, cols, components)
+
+        monkeypatch.setattr(formula, "fn", recorded)
+        theta = np.array([0.3, -0.7])
+        mod.tangent(theta, 1)
+        h = mod.fd_step * 1.0
+        assert len(thetas) == 1
+        assert same_bits(thetas[0], np.array([theta, theta + [0.0, h], theta - [0.0, h]]))
+
+    @pytest.mark.parametrize("name", sorted(FD_MODELS))
+    def test_a_tangent_is_the_stencil_of_its_component(self, name):
+        mod = FD_MODELS[name]
+        theta = random_points(mod, 1, np.random.default_rng(23))[0]
+        for i in range(mod.m):
+            assert same_bits(mod.tangent(theta, i).amplitudes,
+                             reference_tangent(mod, theta, i)[1])
+
+    def test_analyze_keeps_one_stencil_buffer(self):
+        mod = dataclasses.replace(qg.catalog("position_momentum_shift", {"grid": {"n": 65536}}),
+                                  tangent_fn=None)
+        theta = np.full(2, 0.3)
+        geometry.analyze(mod, theta)
+        tracemalloc.start()
+        try:
+            geometry.analyze(mod, theta)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the state and its 2m neighbours in one buffer and the Gram's
+        # conjugate copy of the m = 2 lifts; separate neighbour, difference
+        # and temporary arrays took two rows more
+        row = 16 * mod.space.dim
+        assert peak < (1 + 2 * mod.m + 2) * row + 2 * 16 * model.EVALUATE_BLOCK
+
+    @pytest.mark.parametrize("profile", ["gaussian", {"name": "hermite", "n": 3},
+                                         {"name": "chirped_gaussian", "chirp": 0.4}])
+    @pytest.mark.parametrize("n", [512, 4096, 65536])  # 4096: four rows a block, 256 kB
+    def test_rows_that_share_a_coordinate_are_the_rows_alone(self, n, profile):
+        mod = qg.catalog("position_momentum_shift", {"profile": profile, "grid": {"n": n}})
+        side = np.linspace(-1.0, 1.0, 4)
+        h = mod.fd_step
+        rectangle = [(t, -0.5) for t in side] + [(1.0, t) for t in side]
+        stencil = [(0.3, 0.2), (0.3 + h, 0.2), (0.3, 0.2 + h), (0.3 - h, 0.2), (0.3, 0.2 - h)]
+        thetas = np.array(rectangle + stencil + [(0.0, 0.0), (-0.0, -0.0)])
+        many = mod.evaluate_many(thetas)
+        for row, theta in zip(many, thetas, strict=True):
+            assert same_bits(row, mod.evaluate(theta).amplitudes)
+        # one formula call over all rows: the evaluation of a fine grid takes a row a call
+        states, tangents = mod.evaluate_fn.__self__.fn(thetas, slice(None), (0, 1))
+        for r, theta in enumerate(thetas):
+            alone, alone_tangents = mod.evaluate_fn.__self__.fn(theta[None], slice(None), (0, 1))
+            assert same_bits(states[r], alone[0])
+            assert same_bits(tangents[r], alone_tangents[0])
 
 
 def fisher_cases():
