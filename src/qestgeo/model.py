@@ -59,13 +59,18 @@ class PureStateModel:
     neighbours share one buffer and are differenced in place
     (:meth:`_stencil`).  Each function is called on one ``(m,)`` point at a
     time, or on blocks of a ``(k, m)`` array when marked
-    :func:`broadcasting`.  A catalog model's two fields are the faces of one
-    :class:`_Formula`, which the model calls itself on rows and a column
-    tile of at most ``EVALUATE_BLOCK`` amplitudes: evaluation asks it for
-    the states alone, the horizontal lift for the states and all ``m``
-    tangents in one call, finite differences for the states of whole
-    stencils.  A field replaced by another function breaks the pair, and the
-    model calls that function as given.
+    :func:`broadcasting`.
+
+    The model reads every state and tangent through one formula
+    ``fn(theta, cols, components)`` (:attr:`_formula`), called on rows and
+    column tiles (:meth:`_tiles`): evaluation asks it for the states alone,
+    the horizontal lift for the states and all ``m`` tangents in one call,
+    finite differences for the states of whole stencils.  When the two
+    fields are the faces of one catalog :class:`_Formula`, or
+    ``evaluate_fn`` is one and ``tangent_fn`` is None, that formula is
+    called itself, a tile of at most ``EVALUATE_BLOCK`` amplitudes at a
+    time; otherwise :meth:`_adapter` calls the fields as given, over whole
+    rows.  A replaced or wrapped field thus breaks the pair.
     """
 
     space: object
@@ -100,30 +105,17 @@ class PureStateModel:
         return np.maximum(lo, -big), np.minimum(hi, big)
 
     def _states(self, points):
-        """Normalized ``(k, dim)`` amplitudes at checked ``points``.
-
-        A catalog ``evaluate_fn`` (:class:`_Formula`) takes :meth:`_block_rows`
-        rows a call and one call per column tile (:meth:`_formula_block`), a
-        :func:`broadcasting` one the same rows and whole rows, an unmarked one
-        a point a call.  Each norm is the one ``np.linalg.norm`` takes of its
-        row alone (:func:`_norms`).
+        """Normalized ``(k, dim)`` amplitudes at checked ``points``, from the
+        formula on :meth:`_block_rows` rows a call (:meth:`_formula_block`).
+        Each norm is the one ``np.linalg.norm`` takes of its row alone
+        (:func:`_norms`).
         """
-        dim = self.space.dim
-        out = np.empty((len(points), dim), dtype=complex)
-        formula = self._formula()
-        batched = getattr(self.evaluate_fn, "broadcasts", False)  # the faces are marked
-        rows = self._block_rows() if batched else 1
+        out = np.empty((len(points), self.space.dim), dtype=complex)
+        rows = self._block_rows()
         for start in range(0, len(points), rows):
             block = points[start:start + rows]
             dest = out[start:start + len(block)]
-            if formula is not None:
-                amps = self._formula_block(formula, block, (), dest)[0]
-            else:
-                amps = np.asarray(self.evaluate_fn(block) if batched
-                                  else [self.evaluate_fn(block[0])], dtype=complex)
-                if amps.shape != (len(block), dim):
-                    raise SpaceMismatchError(f"amplitudes have shape {amps.shape[1:]}, "
-                                             f"space has dimension {dim}")
+            amps = self._formula_block(block, (), dest)[0]
             np.divide(amps, self._unit_norms(block, amps)[:, None], out=dest)
         return out
 
@@ -142,34 +134,72 @@ class PureStateModel:
             )
         return nrm
 
+    @cached_property
     def _formula(self):
-        """The catalog formula whose face ``evaluate_fn`` is, else None: a
-        replaced or wrapped field is called as given."""
+        """The model's one formula ``fn(theta, cols, components)``: the
+        catalog :class:`_Formula` whose face ``evaluate_fn`` is, when
+        ``tangent_fn`` is its other face or None, else :meth:`_adapter`."""
         formula = getattr(self.evaluate_fn, "__self__", None)
-        return formula if isinstance(formula, _Formula) else None
+        if isinstance(formula, _Formula) and self.tangent_fn in (None, formula.tangent):
+            return formula
+        return self._adapter
 
-    def _tiles(self):
-        """Column slices of at most ``EVALUATE_BLOCK`` amplitudes over a row."""
-        width = min(self.space.dim, EVALUATE_BLOCK)
-        return [slice(start, start + width) for start in range(0, self.space.dim, width)]
+    def _adapter(self, theta, cols, components):
+        """The formula of fields that are not one catalog formula's faces:
+        ``evaluate_fn`` and, for non-empty ``components``, ``tangent_fn`` in
+        each of them, called as given (:meth:`_called`) over whole rows, so
+        ``cols`` is always all of them (:meth:`_tiles`)."""
+        return (self._called(self.evaluate_fn, theta, [()])[:, 0],
+                self._called(self.tangent_fn, theta, [(i,) for i in components])
+                if components else None)
 
-    def _formula_block(self, formula, block, components, states=None):
-        """``(states, tangents)`` of ``formula`` at ``block``, unnormalized,
+    def _called(self, fn, theta, args):
+        """``fn(theta, *a)`` for each ``a`` in ``args``, ``(k, len(args), dim)``.
+
+        A :func:`broadcasting` ``fn`` takes all ``k`` rows a call, an
+        unmarked one a row a call, with each ``a`` in turn.  Amplitudes of
+        another shape than the space's raise :class:`SpaceMismatchError`.
+        """
+        out = np.empty((len(theta), len(args), self.space.dim), dtype=complex)
+        if getattr(fn, "broadcasts", False):
+            calls = [(out[:, j], theta, a) for j, a in enumerate(args)]
+        else:
+            calls = [(out[r, j], point, a) for r, point in enumerate(theta)
+                     for j, a in enumerate(args)]
+        for dest, at, a in calls:
+            amps = np.asarray(fn(at, *a))
+            if amps.shape != dest.shape:
+                raise SpaceMismatchError(f"amplitudes have shape {amps.shape[dest.ndim - 1:]}, "
+                                         f"space has dimension {dest.shape[-1]}")
+            dest[...] = amps
+        return out
+
+    def _tiles(self, rows):
+        """Column slices of the formula's calls on ``rows`` rows: at most
+        ``EVALUATE_BLOCK`` amplitudes a call for a catalog formula, whole
+        rows for the adapter."""
+        dim = self.space.dim
+        width = (max(1, min(dim, EVALUATE_BLOCK // rows))
+                 if isinstance(self._formula, _Formula) else dim)
+        return [slice(start, start + width) for start in range(0, dim, width)]
+
+    def _formula_block(self, block, components, states=None):
+        """``(states, tangents)`` of the formula at ``block``, unnormalized,
         one call per column tile: ``(k, dim)`` and, for non-empty
         ``components``, ``(k, len(components), dim)``.
 
         One tile gives the formula's own arrays; more are put together in
         ``states`` (a new array when None) and a new tangent array.
         """
-        tiles = self._tiles()
+        tiles = self._tiles(len(block))
         if len(tiles) == 1:
-            return formula.fn(block, tiles[0], components)
+            return self._formula(block, tiles[0], components)
         shape = (len(block), self.space.dim)
         states = np.empty(shape, dtype=complex) if states is None else states
         tangents = (np.empty((shape[0], len(components), shape[1]), dtype=complex)
                     if components else None)
         for tile in tiles:
-            states[:, tile], part = formula.fn(block, tile, components)
+            states[:, tile], part = self._formula(block, tile, components)
             if components:
                 tangents[..., tile] = part
             del part  # not alive while the next tile is evaluated
@@ -193,25 +223,9 @@ class PureStateModel:
         if not 0 <= i < self.m:
             raise IndexError(f"component {i} out of range for m={self.m}")
         fd = self.tangent_fn is None  # a copy of the + row, not the whole stencil
-        amps = self._stencil(points, (i,))[2].copy() if fd else self._tangents(points, (i,))
+        amps = (self._stencil(points, (i,))[2].copy() if fd
+                else self._called(self.tangent_fn, points, [(i,)]))
         return StateVector._adopt(self.space, amps[0, 0])
-
-    def _tangents(self, points, components):
-        """Closed-form tangent amplitudes ``(k, len(components), dim)`` at
-        checked ``points``.
-
-        A :func:`broadcasting` ``tangent_fn`` takes all the points in one call
-        per component, an unmarked one a point and a component per call.
-        """
-        out = np.empty((len(points), len(components), self.space.dim), dtype=complex)
-        if getattr(self.tangent_fn, "broadcasts", False):
-            for j, i in enumerate(components):
-                _put(out[:, j], self.tangent_fn(points, i))
-        else:
-            for r, theta in enumerate(points):
-                for j, i in enumerate(components):
-                    _put(out[r, j], self.tangent_fn(theta, i))
-        return out
 
     def _stencil(self, points, components):
         """``(states, bra, tangents)`` at checked ``points`` by central
@@ -219,9 +233,9 @@ class PureStateModel:
 
         The states and their neighbours in ``components`` share one buffer:
         ``k`` state rows, then ``(k, c)`` rows ``theta + h e_i`` and ``(k, c)``
-        rows ``theta - h e_i``.  A catalog formula fills it in one call per
-        tile of whole stencils and at most ``EVALUATE_BLOCK`` amplitudes, any
-        other ``evaluate_fn`` through :meth:`_states`.  ``bra`` is the states'
+        rows ``theta - h e_i``.  The formula fills it in one call per group of
+        whole stencils of at most ``EVALUATE_BLOCK`` amplitudes, at least one,
+        and per column tile (:meth:`_tiles`).  ``bra`` is the states'
         conjugate; the tangents are written over the ``+`` rows.
         """
         k, c, m, dim = len(points), len(components), self.m, self.space.dim
@@ -243,23 +257,17 @@ class PureStateModel:
                 f"domain at theta {points[r].tolist()}"
             )
         buf = np.empty((len(stencil), dim), dtype=complex)
+        per_call = max(1, EVALUATE_BLOCK // ((1 + 2 * c) * dim))  # whole stencils
+        for start in range(0, k, per_call):
+            stop = min(start + per_call, k)
+            rows = np.r_[start:stop, k + c * start:k + c * stop,
+                         k + c * (k + start):k + c * (k + stop)]
+            thetas = stencil[rows]
+            for tile in self._tiles(len(rows)):
+                buf[rows, tile] = self._formula(thetas, tile, ())[0]
         states, nbr_rows = buf[:k], np.moveaxis(buf[k:].reshape(2, k, c, dim), 0, 2)
-        formula = self._formula()
-        if formula is None:
-            states[...] = self._states(points)
-            nbr_rows[...] = self._states(nbrs.reshape(-1, m)).reshape(k, c, 2, dim)
-        else:
-            per_call = max(1, EVALUATE_BLOCK // ((1 + 2 * c) * dim))  # whole stencils
-            for start in range(0, k, per_call):
-                stop = min(start + per_call, k)
-                rows = np.r_[start:stop, k + c * start:k + c * stop,
-                             k + c * (k + start):k + c * (k + stop)]
-                thetas, width = stencil[rows], max(1, min(dim, EVALUATE_BLOCK // len(rows)))
-                for col in range(0, dim, width):
-                    tile = slice(col, col + width)
-                    buf[rows, tile] = formula.fn(thetas, tile, ())[0]
-            states /= self._unit_norms(points, states)[:, None]
-            nbr_rows /= self._unit_norms(nbrs, nbr_rows)[..., None]
+        states /= self._unit_norms(points, states)[:, None]
+        nbr_rows /= self._unit_norms(nbrs, nbr_rows)[..., None]
         bra = np.conj(states)
         up, dn = buf[k:].reshape(2, k, c, dim)
         return states, bra, _transported_difference(self.space, bra[:, None], up, dn, h)
@@ -270,32 +278,24 @@ class PureStateModel:
 
             l_i = 2 t_i - 2 <phi|t_i> phi,
 
-        each row as it would be alone in its block.  When ``evaluate_fn`` and
-        ``tangent_fn`` are the faces of one catalog formula, a block's states
-        and all ``m`` tangents come from one formula call per column tile;
-        without ``tangent_fn`` from :meth:`_stencil`; otherwise from
-        :meth:`_states` and :meth:`_tangents`.  The projection runs a tile at
-        a time."""
-        rows, tiles = self._block_rows(), self._tiles()
-        formula = self._formula()
-        joint = formula is not None and self.tangent_fn == formula.tangent
-        components = tuple(range(self.m))
+        each row as it would be alone in its block.  A block's states and all
+        ``m`` tangents come from one formula call per column tile
+        (:meth:`_formula_block`), without ``tangent_fn`` from
+        :meth:`_stencil`.  The projection runs a tile at a time."""
+        rows, components = self._block_rows(), tuple(range(self.m))
         for start in range(0, len(points), rows):
             block = points[start:start + rows]
             if self.tangent_fn is None:
                 amps, bra, lifts = self._stencil(block, components)
             else:
-                if joint:
-                    amps, lifts = self._formula_block(formula, block, components)
-                    amps /= self._unit_norms(block, amps)[:, None]
-                else:
-                    amps, lifts = self._states(block), self._tangents(block, components)
+                amps, lifts = self._formula_block(block, components)
+                amps /= self._unit_norms(block, amps)[:, None]
                 bra = np.conj(amps)
             ov = self.space.weight * _bra_dots(bra[:, None], lifts)
             del bra  # not alive while the block is consumed
             lifts *= 2.0  # in place from here: a block of lifts is the largest array
             scale = (2.0 * ov)[..., None]
-            for tile in tiles:
+            for tile in self._tiles(len(block)):
                 lifts[..., tile] -= scale * amps[:, None, tile]
             yield block, amps, lifts
             del amps, lifts  # not alive while the next block is evaluated
@@ -343,26 +343,18 @@ def _norms(amps):
     return np.sqrt(sq[..., 0, 0])
 
 
-def _put(dest, amps):
-    """Copy ``amps`` into ``dest``; :class:`SpaceMismatchError` when the
-    shapes differ."""
-    amps = np.asarray(amps)
-    if amps.shape != dest.shape:
-        raise SpaceMismatchError(f"amplitudes have shape {amps.shape[dest.ndim - 1:]}, "
-                                 f"space has dimension {dest.shape[-1]}")
-    dest[...] = amps
-
-
 def broadcasting(fn):
     """Mark ``fn`` as written over leading axes.
 
     A marked ``evaluate_fn`` maps a ``(k, m)`` theta array to the
     ``(k, dim)`` amplitudes of its rows, and a marked ``tangent_fn(theta, i)``
     to the ``(k, dim)`` derivatives of its rows, each row as the ``(m,)``
-    call would give it.  :class:`PureStateModel` then calls it on blocks of
-    whole rows; an unmarked function is called one point at a time.  The
-    catalog's fields are the faces of a :class:`_Formula`, which the model
-    calls a column tile at a time instead.
+    call would give it.  The model's adapter
+    (:meth:`PureStateModel._adapter`) then calls it on a block of whole
+    rows, a tangent once per component; an unmarked function is called one
+    point, and one component, at a time.  The faces of a :class:`_Formula`
+    are marked, but a model whose fields are its faces calls the formula
+    itself, a column tile at a time.
     """
     fn.broadcasts = True
     return fn
@@ -376,13 +368,18 @@ class _Formula:
     ``components``, the derivatives in those components only, with shape
     ``(..., len(components), width)``; None otherwise.  Each factor they
     share is computed once, and each amplitude by one expression whatever
-    else is asked for, so its bits do not depend on the call.  The bound
-    methods :meth:`evaluate` and :meth:`tangent` are the catalog model's
-    ``evaluate_fn`` and ``tangent_fn``, over whole rows.
+    else is asked for, so its bits do not depend on the call.  Calling the
+    formula calls ``fn``: it is the :attr:`PureStateModel._formula` of a
+    model whose fields are its faces.  The bound methods :meth:`evaluate`
+    and :meth:`tangent` are those faces, the catalog model's ``evaluate_fn``
+    and ``tangent_fn``, over whole rows.
     """
 
     def __init__(self, fn):
         self.fn = fn
+
+    def __call__(self, theta, cols, components):
+        return self.fn(theta, cols, components)
 
     @broadcasting
     def evaluate(self, theta):

@@ -39,6 +39,7 @@ from qestgeo.errors import (
     ModelDefinitionError,
     RefinementError,
     SingularSupportError,
+    SpaceMismatchError,
     SpectralConsistencyError,
 )
 from qestgeo.estimation import MatrixPovm, grid_pvm
@@ -587,6 +588,70 @@ class TestJointPass:
         assert peak < (1 + 2 * mod.m) * row + 6 * 16 * model.EVALUATE_BLOCK
 
 
+def short(fn, marked):
+    """``fn`` without the last amplitude of each row, marked or not."""
+
+    def cut(*args):
+        return np.asarray(fn(*args))[..., :-1]
+
+    return broadcasting(cut) if marked else cut
+
+
+class TestUserFunctions:
+    @pytest.mark.parametrize("marked", [True, False])
+    @pytest.mark.parametrize("call", ["evaluate_many", "horizontal_lift", "tangent",
+                                      "fd analyze_many"])
+    def test_a_short_evaluate_fn_is_a_space_mismatch(self, call, marked):
+        bloch = BATTERY["bloch"]
+        fd = call in ("tangent", "fd analyze_many")  # an analytic tangent needs no state
+        mod = dataclasses.replace(bloch, evaluate_fn=short(bloch.evaluate_fn, marked),
+                                  tangent_fn=None if fd else bloch.tangent_fn)
+        thetas = random_points(mod, 3, np.random.default_rng(24))
+        run = {"evaluate_many": lambda: mod.evaluate_many(thetas),
+               "horizontal_lift": lambda: mod.horizontal_lift(thetas[0]),
+               "tangent": lambda: mod.tangent(thetas[0], 1),
+               "fd analyze_many": lambda: geometry.analyze_many(mod, thetas)}[call]
+        with pytest.raises(SpaceMismatchError,
+                           match=r"^amplitudes have shape \(1,\), space has dimension 2$"):
+            run()
+
+    @pytest.mark.parametrize("marked", [True, False])
+    @pytest.mark.parametrize("call", ["horizontal_lift", "tangent", "analyze_many"])
+    def test_a_short_tangent_fn_is_a_space_mismatch(self, call, marked):
+        bloch = BATTERY["bloch"]
+        mod = dataclasses.replace(bloch, tangent_fn=short(bloch.tangent_fn, marked))
+        thetas = random_points(mod, 3, np.random.default_rng(25))
+        run = {"horizontal_lift": lambda: mod.horizontal_lift(thetas[0]),
+               "tangent": lambda: mod.tangent(thetas[0], 0),
+               "analyze_many": lambda: geometry.analyze_many(mod, thetas)}[call]
+        with pytest.raises(SpaceMismatchError,
+                           match=r"^amplitudes have shape \(1,\), space has dimension 2$"):
+            run()
+
+    @pytest.mark.parametrize("marked", [True, False])
+    def test_a_block_raises_the_pairs_own_errors_before_norm_drift(self, marked):
+        # the states drift at theta <= 0, the tangent is undefined at theta >= 0
+        def evaluate(theta):
+            amps = np.zeros(theta.shape[:-1] + (2,), dtype=complex)
+            amps[..., 0] = np.where(theta[..., 0] <= 0.0, 2.0, 1.0)
+            return amps
+
+        def tangent(theta, i):
+            if np.any(theta[..., 0] >= 0.0):
+                raise ValueError("tangent undefined")
+            return np.zeros(theta.shape[:-1] + (2,), dtype=complex)
+
+        mark = broadcasting if marked else (lambda fn: fn)
+        pair = PureStateModel(space=BasisSpace(2), m=1, domain=((-1.0, 1.0),),
+                              evaluate_fn=mark(evaluate), tangent_fn=mark(tangent))
+        with pytest.raises(ValueError, match="tangent undefined"):
+            pair.horizontal_lift((0.0,))
+        with pytest.raises(ValueError, match="tangent undefined"):  # row 1's, before row 0's drift
+            geometry.analyze_many(pair, [[-0.5], [0.5]])
+        with pytest.raises(ModelDefinitionError, match=r"^norm drift 1.000e\+00 at theta \[-0.5\]"):
+            pair.evaluate_many([[0.5], [-0.5], [0.0]])
+
+
 def reference_tangent(mod, theta, i):
     """The central difference at one theta alone, out of place: the state
     from one ``_states`` call, its two neighbours in component ``i`` from
@@ -665,6 +730,37 @@ class TestStencil:
         assert calls == want
         assert all(rows * len(range(512)[tile]) <= model.EVALUATE_BLOCK
                    for rows, tile, _ in calls)
+
+    @pytest.mark.parametrize("block", [None, 200])
+    def test_a_user_evaluate_fn_takes_whole_stencils_and_whole_rows(self, monkeypatch, block):
+        pm = qg.catalog("position_momentum_shift", {"grid": {"n": 512}})
+        if block is not None:
+            monkeypatch.setattr(model, "EVALUATE_BLOCK", block)
+        tiles, evaluated = [], []
+        adapter = PureStateModel._adapter
+
+        def recorded(self, theta, cols, components):
+            tiles.append(range(self.space.dim)[cols])
+            return adapter(self, theta, cols, components)
+
+        monkeypatch.setattr(PureStateModel, "_adapter", recorded)
+
+        def counted(theta):
+            evaluated.append(theta.shape)
+            return pm.evaluate_fn(theta)
+
+        thetas = random_points(pm, 40, np.random.default_rng(26))
+        # marked: groups of max(1, EVALUATE_BLOCK // (5 * 512)) stencils of
+        # 5 rows in blocks of 32 and 8 points, or one a block; unmarked: a point
+        marked = [5 * k for k in [6] * 5 + [2] + [6, 2]] if block is None else [5] * 40
+        for fn, want in ((broadcasting(lambda theta: counted(theta)),
+                          [(rows, 2) for rows in marked]),
+                         (counted, [(2,)] * (5 * 40))):
+            del evaluated[:]
+            geometry.analyze_many(dataclasses.replace(pm, evaluate_fn=fn, tangent_fn=None),
+                                  thetas)
+            assert evaluated == want
+        assert tiles and all(cols == range(512) for cols in tiles)
 
     def test_a_tangent_evaluates_only_its_components_neighbours(self, monkeypatch):
         mod = dataclasses.replace(qg.catalog("position_momentum_shift", {"grid": {"n": 512}}),

@@ -93,6 +93,7 @@ FILES = {
                        + [[0.4 - 0.3 * j / 8, 0.6] for j in range(8)]
                        + [[0.1, 0.6 - 0.4 * j / 8] for j in range(9)]},
     "ring_open.json": {"thetas": [[0.7 + 2.0 * j / 200] for j in range(201)]},
+    "table_line.json": {"thetas": [[0.1 * k] for k in range(11)]},
     "ragged.json": {"thetas": [[0.3, 0.1], [0.4], [0.5, 0.1]]},
     "open_end.json": {"thetas": [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]], "closed": True},
 }
@@ -119,6 +120,9 @@ INVOCATIONS = {
     "holonomy_rectangle": ["holonomy", "--model", "pm.json", "--loop", "rectangle.json",
                            "--closed"],
     "holonomy_ring_open": ["holonomy", "--model", "ring.json", "--loop", "ring_open.json"],
+    # every table point of the random-phase table, one state per call
+    "holonomy_table_phases": ["holonomy", "--model", "table_phases.json", "--loop",
+                              "table_line.json"],
     "check_gauss": ["check", "--model", "ps.json", "--samples=-1;-0.5;0;0.5;1"],
     "check_two_well": ["check", "--model", "two_well.json", "--samples=-1;-0.3;0.4;1"],
     "check_bloch": ["check", "--model", "bloch.json", "--samples=0.6,0;0.9,0.5;1.2,1"],
@@ -154,6 +158,9 @@ INVOCATIONS = {
     "sample_schmidt": ["sample", "--model", "ps.json", "--povm", "schmidt", "--theta=0.3",
                        "--n", "1000", "--seed", "5"],
     "error_domain": ["report", "--model", "ps.json", "--theta=5"],
+    # a table's tangent needs both neighbours; its states exist at its points only
+    "error_table_edge": ["report", "--model", "table.json", "--theta=0.0"],
+    "error_table_offgrid": ["report", "--model", "table.json", "--theta=0.05"],
     "error_ragged_loop": ["holonomy", "--model", "bloch.json", "--loop", "ragged.json"],
     "error_open_loop": ["holonomy", "--model", "bloch.json", "--loop", "open_end.json"],
     # gaussians 15 widths apart overlap nowhere: no phase-alignment anchor
