@@ -93,48 +93,66 @@ def _float_repr(x):
     return format(x, ".17g")
 
 
-def _encode(obj, newline, out):
+_FLOATS, _INTS = {float}, {int}
+
+
+def _encode(obj, newline, out, keys):
     """Append the JSON text of ``obj`` to ``out``, indented by two spaces.
 
     ``newline`` is the line break plus the indentation of the enclosing
-    level.  The bytes match ``json.dumps(obj, indent=2)`` except that
-    floats go through :func:`_float_repr`.
+    level, and ``keys`` maps each key met so far to its JSON text.  The
+    bytes match ``json.dumps(obj, indent=2)`` except that floats go through
+    :func:`_float_repr`.  A list of plain floats or of plain ints is one
+    join; anything else in a list (``np.float64``, bools, a mix) takes the
+    recursive path, so an unsupported value still raises ``TypeError``.
     """
     if isinstance(obj, float):
         out.append(_float_repr(obj))
-    elif isinstance(obj, str):
-        out.append(json.dumps(obj))
-    elif obj is None or isinstance(obj, bool):
-        out.append("null" if obj is None else "true" if obj else "false")
-    elif isinstance(obj, int):
-        out.append(int.__repr__(obj))
+    elif isinstance(obj, (list, tuple)):
+        if not obj:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep, kinds = "," + inner, set(map(type, obj))
+        if kinds == _FLOATS:
+            text = sep.join(["%.17g"] * len(obj)) % tuple(obj)
+            if "n" in text:  # nan, inf or -inf: JSON spells them otherwise
+                text = sep.join(map(_float_repr, obj))
+            out.append("[" + inner + text + newline + "]")
+        elif kinds == _INTS:
+            out.append("[" + inner + sep.join(map(repr, obj)) + newline + "]")
+        else:
+            for k, value in enumerate(obj):
+                out.append(("[" if k == 0 else ",") + inner)
+                _encode(value, inner, out, keys)
+            out.append(newline + "]")
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
         inner = newline + "  "
         for k, (key, value) in enumerate(obj.items()):
-            if not isinstance(key, str):
-                raise TypeError(f"keys must be str, not {type(key).__name__}")
-            out.append(("{" if k == 0 else ",") + inner + json.dumps(key) + ": ")
-            _encode(value, inner, out)
+            text = keys.get(key)
+            if text is None:
+                if not isinstance(key, str):
+                    raise TypeError(f"keys must be str, not {type(key).__name__}")
+                text = keys[key] = json.dumps(key)
+            out.append(("{" if k == 0 else ",") + inner + text + ": ")
+            _encode(value, inner, out, keys)
         out.append(newline + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        inner = newline + "  "
-        for k, value in enumerate(obj):
-            out.append(("[" if k == 0 else ",") + inner)
-            _encode(value, inner, out)
-        out.append(newline + "]")
+    elif isinstance(obj, str):
+        out.append(json.dumps(obj))
+    elif obj is None or isinstance(obj, bool):
+        out.append("null" if obj is None else "true" if obj else "false")
+    elif isinstance(obj, int):
+        out.append(int.__repr__(obj))
     else:
         raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
 def render_document(doc):
     out = []
-    _encode(doc, "\n", out)
+    _encode(doc, "\n", out, {})
     out.append("\n")
     return "".join(out)
 

@@ -29,7 +29,10 @@ DEFAULT_FD_STEP = 1e-4
 # amplitudes per block of states and per catalog formula call (rows times
 # tile width): a grid finer than this takes one row a block, cut into column
 # tiles, and a finite-difference stencil of 1 + 2m rows narrower tiles, so
-# the formula's temporaries stay at 256 kB each
+# the formula's temporaries stay at 256 kB each; a tile's linear phases come
+# from the two-level table of _affine_phases, bitwise whatever the tile.  At
+# n = 65536 the per-row BLAS dots can stall for milliseconds on small hosts
+# when OPENBLAS_NUM_THREADS is unset (README, numerical notes)
 EVALUATE_BLOCK = 1 << 14
 
 
@@ -368,7 +371,10 @@ class _Formula:
     ``components``, the derivatives in those components only, with shape
     ``(..., len(components), width)``; None otherwise.  Each factor they
     share is computed once, and each amplitude by one expression whatever
-    else is asked for, so its bits do not depend on the call.  Calling the
+    else is asked for, so its bits do not depend on the call.  Phases
+    linear in the column index come from :func:`_affine_phases`, a complex
+    product per amplitude within 1e-14 of ``np.exp`` on grids up to
+    ``n = 65536`` for rates up to 2.  Calling the
     formula calls ``fn``: it is the :attr:`PureStateModel._formula` of a
     model whose fields are its faces.  The bound methods :meth:`evaluate`
     and :meth:`tangent` are those faces, the catalog model's ``evaluate_fn``
@@ -411,6 +417,31 @@ def _transported_difference(space, bra, up, dn, h):
     up -= dn
     up /= 2.0 * np.asarray(h)[..., None]
     return up
+
+
+PHASE_TABLE_STEP = 64
+
+
+def _affine_phases(k, g0, dg, cols):
+    """``exp(i k (g0 + dg j))`` for each ``k`` (an array) and each column
+    ``j`` of the range ``cols``, shape ``k.shape + (len(cols),)``.
+
+    Two-level table, as FFT codes take their twiddle factors: a coarse
+    factor at every ``B``-th index and a fine factor over ``B`` steps
+    (``B = PHASE_TABLE_STEP``), so that each amplitude is
+    ``coarse[j // B] * fine[j % B]``, one complex product instead of one
+    complex exponential, and its bits do not depend on the tile ``cols``.
+    """
+    step = PHASE_TABLE_STEP
+    k = k[..., None]
+    first, last = cols.start // step, -(-cols.stop // step)
+    # dg j + g0 for j = step q: the bits of ``GridSpace.points`` there
+    coarse = np.exp(1j * (k * (dg * np.arange(first * step, last * step, step) + g0)))
+    # B steps, fewer when the tile ends inside its one coarse step
+    fine = np.exp(1j * (k * (dg * np.arange(min(step, cols.stop - first * step)))))
+    table = np.multiply(coarse[..., None], fine[..., None, :])
+    start = cols.start - first * step
+    return table.reshape(table.shape[:-2] + (-1,))[..., start:start + len(cols)]
 
 
 @dataclass(frozen=True)
@@ -652,12 +683,15 @@ def _position_shift(params):
                          _grid_from_params(params), "position_shift")
 
 
-def _phase_generator_family(space, domain, g, psi0, kind, sample_line):
-    """The family ``exp(-i theta g) psi0`` of a diagonal generator ``g``."""
+def _phase_generator_family(space, domain, g0, dg, psi0, kind, sample_line):
+    """The family ``exp(-i theta g) psi0`` of the diagonal generator
+    ``g_j = g0 + dg j``, its phases from :func:`_affine_phases`."""
+    g = g0 + dg * np.arange(space.dim)
+    columns = range(space.dim)
 
     def fn(theta, cols, components):
         gs, psi = g[cols], psi0[cols]
-        phase = np.exp(-1j * theta[..., 0, None] * gs)
+        phase = _affine_phases(-theta[..., 0], g0, dg, columns[cols])
         return phase * psi, (-1j * gs * phase * psi)[..., None, :] if components else None
 
     formula = _Formula(fn)
@@ -671,10 +705,9 @@ def _momentum_shift(params):
     profile = make_profile(params.get("profile", "gaussian"))
     space = _grid_from_params(params)
     c = _grid_norm_factor(profile, space)
-    x = space.points
     return _phase_generator_family(
-        space, _domain(params, ((-2.0, 2.0),)), -x, c * profile.fn(x, False)[0],
-        "momentum_shift", np.linspace(-1.0, 1.0, 5))
+        space, _domain(params, ((-2.0, 2.0),)), -space.lower, -space.weight,
+        c * profile.fn(space.points, False)[0], "momentum_shift", np.linspace(-1.0, 1.0, 5))
 
 
 def _distinct(values):
@@ -695,7 +728,7 @@ def _position_momentum_shift(params):
     space = _grid_from_params(params)
     c = _grid_norm_factor(profile, space)
     domain = _domain(params, ((-2.0, 2.0), (-2.0, 2.0)))
-    x = space.points
+    x, columns = space.points, range(space.dim)
 
     def fn(theta, cols, components):
         # rows that share theta_1 share one plane wave, rows that share
@@ -705,7 +738,7 @@ def _position_momentum_shift(params):
         xs = x[cols]
         shifts, by_shift = _distinct(theta[..., 0])
         boosts, by_boost = _distinct(theta[..., 1])
-        plane = np.exp(1j * boosts[..., None] * xs)
+        plane = _affine_phases(boosts, space.lower, space.weight, columns[cols])
         f, df = profile.fn(xs - shifts[..., None], 0 in components)
         states = np.multiply((plane * c)[by_boost], f[by_shift])
         if not components:
@@ -741,7 +774,7 @@ def _spin_jz(params):
     m_values = np.arange(d) - total_spin
     return _phase_generator_family(
         BasisSpace(d, labels=tuple(m_values)), _domain(params, ((-np.inf, np.inf),)),
-        m_values, amp, "spin_jz", np.linspace(0.0, 2.0, 5))
+        -total_spin, 1.0, amp, "spin_jz", np.linspace(0.0, 2.0, 5))
 
 
 def _two_well(params):
@@ -759,19 +792,29 @@ def _ring_flux(params):
                               default_upper=2.0 * np.pi, periodic=True)
     if not space.periodic:
         raise ValueError("ring_flux requires a periodic grid")
-    omega = space.points
+    omega, columns = space.points, range(space.dim)
     raw = StateVector(space, (2.0 - np.cos(omega)) + 0j)
     c = 1.0 / raw.norm()
     domain = _domain(params, ((-2.0 * np.pi, 4.0 * np.pi),))
+    rates = np.array([alpha, 1.0])
 
     def fn(theta, cols, components):
+        # s = (omega - t) mod 2 pi = omega - t - 2 pi q, q from the same
+        # divmod as the mod, so the phase step stays on the same grid points:
+        # exp(i alpha (s + t)) = exp(i alpha omega) exp(-2 pi i alpha q), the
+        # latter from a table of the few wrap counts q, and
+        # cos s + i sin s = exp(i omega) exp(-i t)
         t = theta[..., 0, None]
-        s = np.mod(omega[cols] - t, 2.0 * np.pi)
-        phase = np.exp(1j * alpha * (s + t))
+        wraps = (omega[cols] - t) // (2.0 * np.pi)
+        low = wraps.min()
+        table = np.exp(-2j * np.pi * alpha * np.arange(low, wraps.max() + 1))
+        flux, turn = _affine_phases(rates, space.lower, space.weight, columns[cols])
+        phase = np.multiply(flux, table[(wraps - low).astype(np.intp)])
+        rot = np.multiply(turn, np.exp(-1j * t))
         # the tangent is the theta-derivative of the transported profile,
         # taken away from the moving phase step (measure zero on the grid)
-        return (c * (2.0 - np.cos(s)) * phase,
-                (-c * np.sin(s) * phase)[..., None, :] if components else None)
+        return (c * (2.0 - rot.real) * phase,
+                (-c * rot.imag * phase)[..., None, :] if components else None)
 
     formula = _Formula(fn)
     return PureStateModel(

@@ -995,3 +995,26 @@ def test_cli_digests_tool_runs():
     # a document and no message, then a message and no document
     assert lines[0][3] == empty != lines[0][2]
     assert lines[1][2] == empty != lines[1][3]
+
+
+def test_cli_digests_values_mode():
+    # the same package on both sides: no stdout moves
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "cli_digests.py"),
+         "--only", "report_bloch,error_domain", "--values", str(ROOT / "src")],
+        capture_output=True, text=True, timeout=120, check=True)
+    assert proc.stdout == ""
+    sys.path.insert(0, str(ROOT / "tools"))
+    try:
+        import cli_digests
+    finally:
+        sys.path.remove(str(ROOT / "tools"))
+    change = cli_digests.value_change
+    assert change('{"a": [1.0, 2, NaN], "b": {"c": -4.0}}',
+                  '{"a": [1.5, 2, NaN], "b": {"c": -4.0}}') == (0.5, 0.5 / 1.5, 4, ".a[0]")
+    assert change('{"a": [1e-17, 3.0]}', '{"a": [-1e-17, 3.5]}') == (0.5, 2.0, 2, ".a[0]")
+    assert change('{"a": Infinity}', '{"a": 1.0}') == (math.inf, math.inf, 1, ".a")
+    for a, b in [('{"a": [1.0]}', '{"a": [1.0, 2.0]}'), ('{"a": true}', '{"a": 1}'),
+                 ('{"a": 1, "b": 2}', '{"b": 2, "a": 1}'), ('{"a": "x"}', '{"a": "y"}'),
+                 ("", "")]:
+        assert change(a, b) is None

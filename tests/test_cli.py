@@ -565,6 +565,22 @@ class TestRenderDocument:
         with pytest.raises(TypeError):
             render_document({1: "int key"})
 
+    def test_lists_of_plain_numbers_render_as_each_number_alone(self):
+        # a list of plain floats or ints is one join; np.float64, bools and
+        # mixed lists go one value at a time: the bytes are the same
+        for values in ([0.5, -0.0, 1e300, 5e-324, 1.0 / 3.0], [float("nan"), 2.0],
+                       [1.0, float("-inf")], [3, -12, 12345678901234567890],
+                       [np.float64(0.1), 0.1], [True, 1, 1.5], [[1, 2], [0.25, 0.5]],
+                       (7, 8)):
+            want = "[\n" + ",\n".join("  " + render_document(v)[:-1].replace("\n", "\n  ")
+                                       for v in values) + "\n]\n"
+            assert render_document(values) == want
+            assert render_document({"k": values, "j": {"k": values}}).count('"k"') == 2
+        assert render_document([1, 2]) == json.dumps([1, 2], indent=2) + "\n"
+        for bad in ([np.int64(3)], [1, np.int64(3)], [1.0, np.float32(2.0)]):
+            with pytest.raises(TypeError):
+                render_document(bad)
+
 
 def octahedral_povm_doc():
     """POVM file with six elements |v><v| / 3 along the +-x, +-y, +-z axes."""

@@ -7,7 +7,7 @@ import pytest
 from scipy.linalg import expm
 
 import qestgeo as qg
-from qestgeo import hilbert
+from qestgeo import hilbert, model
 from qestgeo.errors import DomainError, ModelDefinitionError
 from qestgeo.hilbert import BasisSpace, StateVector, inner, projector
 from qestgeo.model import Curve, PureStateModel, rephased
@@ -278,3 +278,75 @@ class TestCurve:
     def test_too_short(self, battery):
         with pytest.raises(ValueError):
             Curve(battery["spin_jz"], ((0.0,),), closed=False)
+
+
+class TestPhaseTables:
+    """Phases linear in the grid index come from the two-level table of
+    ``model._affine_phases``: ``coarse[j // B] * fine[j % B]``."""
+
+    RATES = np.array([0.0, 1e-7, -1e-7, 2.0, -2.0])
+
+    @pytest.mark.parametrize("n", [512, 1000, 4096, 65536])
+    def test_phases_match_the_complex_exponential(self, n):
+        space = hilbert.GridSpace(n, -10.0, 10.0)
+        got = model._affine_phases(self.RATES, space.lower, space.weight, range(n))
+        want = np.exp(1j * self.RATES[:, None] * space.points)
+        assert got.shape == (len(self.RATES), n)
+        assert np.max(np.abs(got - want)) < 1e-14
+
+    @pytest.mark.parametrize("width", [1, 37, 63, 100, 333])
+    def test_tiles_are_bitwise_the_whole_row(self, width):
+        # tiles that start off a multiple of B, cross it and end short
+        space = hilbert.GridSpace(1000, -10.0, 10.0)
+        rates = self.RATES.reshape(1, -1)
+        columns = range(1000)
+        whole = model._affine_phases(rates, space.lower, space.weight, columns)
+        tiles = [model._affine_phases(rates, space.lower, space.weight,
+                                      columns[start:start + width])
+                 for start in range(0, 1000, width)]
+        assert np.concatenate(tiles, axis=-1).tobytes() == whole.tobytes()
+
+    @pytest.mark.parametrize("name", ["position_momentum_shift", "momentum_shift",
+                                      "ring_flux", "spin_jz"])
+    def test_states_and_lifts_do_not_depend_on_the_block(self, monkeypatch, name):
+        mod = catalog_battery()[name]
+        rng = np.random.default_rng(8)
+        lo, hi = np.clip(np.asarray(mod.domain, dtype=float).T, -3.0, 3.0)
+        thetas = rng.uniform(lo, hi, size=(7, mod.m))
+
+        def run():
+            rows = [mod.evaluate_many(thetas)]
+            for lift in mod.horizontal_lifts(thetas):
+                rows += [lift.phi.amplitudes, *(v.amplitudes for v in lift.lifts)]
+            return [r.tobytes() for r in rows]
+
+        want = run()
+        for block in (97, 333, 3 * mod.space.dim):  # tiles of 97 or 333 columns, rows of 3
+            monkeypatch.setattr(model, "EVALUATE_BLOCK", block)
+            assert run() == want
+
+    def test_ring_flux_matches_the_direct_formula(self):
+        alpha = 0.3
+        mod = qg.catalog("ring_flux", {"alpha": alpha, "grid": {"n": 512}})
+        omega = mod.space.points
+        c = 1.0 / StateVector(mod.space, 2.0 - np.cos(omega) + 0j).norm()
+        # on grid points the phase step sits on the point itself
+        thetas = np.r_[omega[::5], omega[::5] - 2.0 * np.pi, omega[::5] + 2.0 * np.pi,
+                       -2.0 * np.pi, 4.0 * np.pi][:, None]
+        s = np.mod(omega - thetas, 2.0 * np.pi)
+        phase = np.exp(1j * alpha * (s + thetas))
+        states, tangents = mod.evaluate_fn(thetas), mod.tangent_fn(thetas, 0)
+        assert np.max(np.abs(states - c * (2.0 - np.cos(s)) * phase)) < 1e-15
+        assert np.max(np.abs(tangents + c * np.sin(s) * phase)) < 1e-15
+
+    @pytest.mark.parametrize("name", ["momentum_shift", "spin_jz"])
+    def test_phase_generator_states_are_the_rotated_state(self, name):
+        mod = catalog_battery()[name]
+        if name == "momentum_shift":
+            generator = -mod.space.points
+        else:
+            generator = np.asarray(mod.space.labels, dtype=float)
+        thetas = np.array([[-2.0], [-0.3], [0.0], [1e-7], [0.7], [2.0]])
+        psi0 = mod.evaluate((0.0,)).amplitudes
+        want = np.exp(-1j * thetas * generator) * psi0
+        assert np.max(np.abs(mod.evaluate_many(thetas) - want)) < 1e-14

@@ -14,6 +14,21 @@ so two checkouts compare line by line:
 
     diff <(python tools/cli_digests.py) \\
          <(python tools/cli_digests.py --src ../other/src)
+
+``--values OTHER`` compares against the package in the directory
+``OTHER`` directly: for each invocation whose stdout differs, it prints
+the largest absolute and relative difference over the numbers of the two
+JSON documents, one line each,
+
+    name max_abs max_rel numbers path
+
+where ``path`` names the number of the largest relative difference, or
+``name structure`` when the two documents differ in anything but their
+numbers (keys, lengths, strings, flags, or stdout that is not JSON).
+``OTHER`` runs in a child process, since one process imports one
+``qestgeo``:
+
+    python tools/cli_digests.py --values ../other/src
 """
 
 from __future__ import annotations
@@ -25,6 +40,7 @@ import io
 import json
 import math
 import os
+import subprocess
 import sys
 import tempfile
 
@@ -185,18 +201,10 @@ def sha256(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
-                        help="directory holding the qestgeo package")
-    parser.add_argument("--only", default=None,
-                        help="comma-separated invocation names (default: all)")
-    args = parser.parse_args(argv)
-    names = list(INVOCATIONS) if args.only is None else args.only.split(",")
-    unknown = sorted(set(names) - set(INVOCATIONS))
-    if unknown:
-        parser.error(f"unknown invocations {unknown}; known: {sorted(INVOCATIONS)}")
-    sys.path.insert(0, os.path.abspath(args.src))
+def outputs(src, names):
+    """``{name: (exit code, stdout, stderr)}`` of the invocations ``names``
+    with the ``qestgeo`` package in the directory ``src``."""
+    sys.path.insert(0, os.path.abspath(src))
     from qestgeo import cli
 
     os.environ.pop("QESTGEO_GRID_N", None)
@@ -207,11 +215,89 @@ def main(argv=None):
             for fname, doc in FILES.items():
                 with open(fname, "w", encoding="utf-8") as fh:
                     json.dump(doc, fh)
-            for name in names:
-                code, out, err = run(cli, INVOCATIONS[name])
-                print(name, code, sha256(out), sha256(err), flush=True)
+            return {name: run(cli, INVOCATIONS[name]) for name in names}
         finally:
             os.chdir(cwd)
+
+
+def number_pairs(a, b, path, pairs):
+    """Append to ``pairs`` the numbers of two parsed JSON documents, with
+    their ``path`` (``.key`` and ``[index]`` steps from the root), pair by
+    pair; False when the documents differ in anything else."""
+    if isinstance(a, bool) or isinstance(b, bool) or a is None or b is None:
+        return a is b
+    if isinstance(a, (int, float)) and isinstance(b, (int, float)):
+        pairs.append((float(a), float(b), path))
+        return True
+    if isinstance(a, dict) and isinstance(b, dict):
+        return list(a) == list(b) and all(number_pairs(a[k], b[k], f"{path}.{k}", pairs)
+                                          for k in a)
+    if isinstance(a, list) and isinstance(b, list):
+        return len(a) == len(b) and all(number_pairs(x, y, f"{path}[{i}]", pairs)
+                                        for i, (x, y) in enumerate(zip(a, b)))
+    return a == b
+
+
+def value_change(out_a, out_b):
+    """``(max_abs, max_rel, count, path)`` over the numbers of two stdout
+    JSON documents, ``path`` naming the number of the largest relative
+    difference; None when the documents differ in anything but their
+    numbers.  A relative difference is taken of the larger magnitude; two
+    NaNs or two equal infinities do not differ, a finite number and a
+    non-finite one differ by infinity."""
+    try:
+        a, b = json.loads(out_a), json.loads(out_b)
+    except ValueError:
+        return None
+    pairs = []
+    if not number_pairs(a, b, "", pairs):
+        return None
+    max_abs, max_rel, where = 0.0, 0.0, "-"
+    for x, y, path in pairs:
+        if x == y or (math.isnan(x) and math.isnan(y)):
+            continue
+        diff = abs(x - y)
+        rel = diff / max(abs(x), abs(y)) if math.isfinite(diff) else math.inf
+        max_abs = max(max_abs, diff if math.isfinite(diff) else math.inf)
+        if rel > max_rel:
+            max_rel, where = rel, path
+    return max_abs, max_rel, len(pairs), where
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--src", default=os.path.join(ROOT, "src"),
+                        help="directory holding the qestgeo package")
+    parser.add_argument("--only", default=None,
+                        help="comma-separated invocation names (default: all)")
+    parser.add_argument("--values", default=None, metavar="OTHER",
+                        help="print the largest number changes of each stdout that "
+                             "differs from the package in OTHER")
+    parser.add_argument("--dump", action="store_true", help=argparse.SUPPRESS)
+    args = parser.parse_args(argv)
+    names = list(INVOCATIONS) if args.only is None else args.only.split(",")
+    unknown = sorted(set(names) - set(INVOCATIONS))
+    if unknown:
+        parser.error(f"unknown invocations {unknown}; known: {sorted(INVOCATIONS)}")
+    if args.values is not None:
+        child = subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "--src", args.values,
+             "--only", ",".join(names), "--dump"],
+            check=True, stdout=subprocess.PIPE, text=True)
+        theirs = json.loads(child.stdout)
+        for name, (_, out, _) in outputs(args.src, names).items():
+            if out == theirs[name][1]:
+                continue
+            change = value_change(theirs[name][1], out)
+            print(name, "structure" if change is None
+                  else "{:.3g} {:.3g} {} {}".format(*change), flush=True)
+        return 0
+    results = outputs(args.src, names)
+    if args.dump:
+        json.dump(results, sys.stdout)
+        return 0
+    for name, (code, out, err) in results.items():
+        print(name, code, sha256(out), sha256(err), flush=True)
     return 0
 
 
