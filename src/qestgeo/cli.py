@@ -57,7 +57,7 @@ from .errors import (
     UndefinedPhaseError,
 )
 from .hilbert import BasisSpace, GridSpace, StateVector
-from .model import Curve, PureStateModel
+from .model import Curve
 
 EXIT_OK = 0
 EXIT_SPEC = 2
@@ -239,11 +239,15 @@ def _parse_space_spec(spec, path):
     stype = _require(spec, "type", path)
     try:
         if stype == "grid":
+            periodic = spec.get("periodic", False)
+            if not isinstance(periodic, bool):
+                raise SpecFormatError(f"must be true or false, got {periodic!r}",
+                                      path=f"{path}.periodic")
             return GridSpace(
                 int(_require(spec, "n", path)),
                 float(_require(spec, "lower", path)),
                 float(_require(spec, "upper", path)),
-                periodic=bool(spec.get("periodic", False)),
+                periodic=periodic,
             )
         if stype == "basis":
             return BasisSpace(int(_require(spec, "dimension", path)),
@@ -259,6 +263,8 @@ def _parse_tabulated_spec(doc):
     if thetas.ndim != 1 or thetas.size < 2:
         raise SpecFormatError("thetas must be a flat list of at least two values",
                               path="thetas")
+    if not np.isfinite(thetas).all():
+        raise SpecFormatError("thetas must be finite numbers", path="thetas")
     steps = np.diff(thetas)
     if np.max(np.abs(steps - steps[0])) > TABLE_TOL * max(1.0, abs(steps[0])):
         raise SpecFormatError("theta grid must be uniform", path="thetas")
@@ -302,33 +308,30 @@ def _parse_tabulated_spec(doc):
 
 def _tabulated_model(space, thetas, table):
     step = float(thetas[1] - thetas[0])
+    rows = np.array([state.amplitudes for state in table])
 
-    def row_index(theta):
-        k = int(round((theta[0] - thetas[0]) / step))
-        if not 0 <= k < len(table) or abs(thetas[k] - theta[0]) > TABLE_TOL * max(1.0, step):
-            raise DomainError(
-                f"tabulated model is defined only at the table points; got {theta[0]}"
-            )
-        return k
-
-    def ev(theta):
-        return table[row_index(theta)].amplitudes
-
-    def tangent_fn(theta, i):
-        k = row_index(theta)
-        if k == 0 or k == len(table) - 1:
+    def fn(theta, cols, components):
+        t = theta[..., 0]
+        k = np.fmin(np.fmax(np.rint((t - thetas[0]) / step), 0), len(rows) - 1).astype(np.intp)
+        off = ~(np.abs(thetas[k] - t) <= TABLE_TOL * max(1.0, step))  # not >: NaN is off
+        if np.count_nonzero(off):
+            raise DomainError("tabulated model is defined only at the table points; "
+                              f"got {t.flat[np.argmax(off)]}")
+        states = rows.take(k, axis=0)
+        if not components:
+            return states[..., cols], None
+        if np.count_nonzero((k == 0) | (k == len(rows) - 1)):
             raise DomainError("finite differences need an interior table point")
-        # copies of the neighbours: the difference is written into them
-        return model._transported_difference(space, np.conj(table[k].amplitudes),
-                                             table[k + 1].amplitudes.copy(),
-                                             table[k - 1].amplitudes.copy(), step)
+        # take copies, for a 0-d k too: the difference is written into the neighbours
+        up, dn = (rows.take(k + s, axis=0)[..., None, :] for s in (1, -1))
+        tangents = model._transported_difference(space, np.conj(states)[..., None, :],
+                                                 up, dn, step)
+        return states[..., cols], tangents[..., cols]
 
     interior = tuple((float(t),) for t in thetas[1:-1])
-    return PureStateModel(
-        space=space, m=1, domain=((float(thetas[0]), float(thetas[-1])),),
-        evaluate_fn=ev, tangent_fn=tangent_fn, kind="tabulated",
-        sample_grid=interior if interior else tuple((float(t),) for t in thetas),
-    )
+    return model._Formula(fn).model(
+        space=space, m=1, domain=((float(thetas[0]), float(thetas[-1])),), kind="tabulated",
+        sample_grid=interior if interior else tuple((float(t),) for t in thetas))
 
 
 def _space_echo(space):

@@ -26,7 +26,7 @@ from .hilbert import BasisSpace, GridSpace, StateVector
 
 NORM_DRIFT_TOL = 1e-6
 DEFAULT_FD_STEP = 1e-4
-# amplitudes per block of states and per catalog formula call (rows times
+# amplitudes per block of states and per formula call (rows times
 # tile width): a grid finer than this takes one row a block, cut into column
 # tiles, and a finite-difference stencil of 1 + 2m rows narrower tiles, so
 # the formula's temporaries stay at 256 kB each; a tile's linear phases come
@@ -69,7 +69,8 @@ class PureStateModel:
     column tiles (:meth:`_tiles`): evaluation asks it for the states alone,
     the horizontal lift for the states and all ``m`` tangents in one call,
     finite differences for the states of whole stencils.  When the two
-    fields are the faces of one catalog :class:`_Formula`, or
+    fields are the faces of one :class:`_Formula` (every catalog family
+    and a tabulated table, built by :meth:`_Formula.model`), or
     ``evaluate_fn`` is one and ``tangent_fn`` is None, that formula is
     called itself, a tile of at most ``EVALUATE_BLOCK`` amplitudes at a
     time; otherwise :meth:`_adapter` calls the fields as given, over whole
@@ -140,7 +141,7 @@ class PureStateModel:
     @cached_property
     def _formula(self):
         """The model's one formula ``fn(theta, cols, components)``: the
-        catalog :class:`_Formula` whose face ``evaluate_fn`` is, when
+        :class:`_Formula` whose face ``evaluate_fn`` is, when
         ``tangent_fn`` is its other face or None, else :meth:`_adapter`."""
         formula = getattr(self.evaluate_fn, "__self__", None)
         if isinstance(formula, _Formula) and self.tangent_fn in (None, formula.tangent):
@@ -148,7 +149,7 @@ class PureStateModel:
         return self._adapter
 
     def _adapter(self, theta, cols, components):
-        """The formula of fields that are not one catalog formula's faces:
+        """The formula of fields that are not one formula's faces:
         ``evaluate_fn`` and, for non-empty ``components``, ``tangent_fn`` in
         each of them, called as given (:meth:`_called`) over whole rows, so
         ``cols`` is always all of them (:meth:`_tiles`)."""
@@ -179,7 +180,7 @@ class PureStateModel:
 
     def _tiles(self, rows):
         """Column slices of the formula's calls on ``rows`` rows: at most
-        ``EVALUATE_BLOCK`` amplitudes a call for a catalog formula, whole
+        ``EVALUATE_BLOCK`` amplitudes a call for a :class:`_Formula`, whole
         rows for the adapter."""
         dim = self.space.dim
         width = (max(1, min(dim, EVALUATE_BLOCK // rows))
@@ -364,7 +365,8 @@ def broadcasting(fn):
 
 
 class _Formula:
-    """A catalog family's one formula ``fn(theta, cols, components)``.
+    """A built-in model's one formula ``fn(theta, cols, components)``: a
+    catalog family's, or a tabulated table's (``cli._tabulated_model``).
 
     ``fn`` maps the rows of ``theta`` to ``(states, tangents)``: the
     amplitudes at the columns ``cols`` (a slice) and, for non-empty
@@ -376,9 +378,9 @@ class _Formula:
     product per amplitude within 1e-14 of ``np.exp`` on grids up to
     ``n = 65536`` for rates up to 2.  Calling the
     formula calls ``fn``: it is the :attr:`PureStateModel._formula` of a
-    model whose fields are its faces.  The bound methods :meth:`evaluate`
-    and :meth:`tangent` are those faces, the catalog model's ``evaluate_fn``
-    and ``tangent_fn``, over whole rows.
+    model whose fields are its faces, as :meth:`model` builds it.  The
+    bound methods :meth:`evaluate` and :meth:`tangent` are those faces,
+    over whole rows.
     """
 
     def __init__(self, fn):
@@ -386,6 +388,10 @@ class _Formula:
 
     def __call__(self, theta, cols, components):
         return self.fn(theta, cols, components)
+
+    def model(self, **fields):
+        """The :class:`PureStateModel` whose two function fields are these faces."""
+        return PureStateModel(evaluate_fn=self.evaluate, tangent_fn=self.tangent, **fields)
 
     @broadcasting
     def evaluate(self, theta):
@@ -401,7 +407,8 @@ def _transported_difference(space, bra, up, dn, h):
     whose conjugate is ``bra``, after rephasing each by its unit link
     ``<phi|nbr> / |<phi|nbr>|``, over the last axis and broadcast over the
     others (``h`` over all but the last).  It is written into ``up`` and
-    returned, and ``dn`` is overwritten: both belong to the caller.
+    returned, and ``dn`` is overwritten: both belong to the caller, the
+    rows of a finite-difference stencil or copies of a table's rows.
 
     A neighbour's phase gauge would scale the lift by the cosine of the
     phase gap; the rephased pair is in the gauge parallel to ``phi``, so the
@@ -480,9 +487,8 @@ def rephased(model, alpha, grad_alpha=None):
             raise ValueError("grad_alpha is required to rephase an analytic model")
 
         def tangent_fn(theta, i):
-            base = model.tangent_fn(theta, i)
-            phi = model.evaluate_fn(theta)
-            return np.exp(1j * alpha(theta)) * (base + 1j * grad_alpha(theta)[i] * phi)
+            phi, base = model._formula(theta[None], slice(None), (i,))  # one base call
+            return np.exp(1j * alpha(theta)) * (base[0, 0] + 1j * grad_alpha(theta)[i] * phi[0])
 
     return PureStateModel(
         space=model.space,
@@ -625,11 +631,14 @@ def make_profile(spec):
 def _grid_from_params(params, default_n=512, default_lower=-10.0, default_upper=10.0,
                       periodic=False):
     grid = params.get("grid", {})
+    periodic = grid.get("periodic", periodic)
+    if not isinstance(periodic, bool):
+        raise ValueError(f"grid.periodic must be true or false, got {periodic!r}")
     return GridSpace(
         int(grid.get("n", default_n)),
         float(grid.get("lower", default_lower)),
         float(grid.get("upper", default_upper)),
-        periodic=bool(grid.get("periodic", periodic)),
+        periodic=periodic,
     )
 
 
@@ -670,12 +679,8 @@ def _shift_family(params, profile, space, kind):
         f, df = profile.fn(x[cols] - theta[..., 0, None], bool(components))
         return c * f, (-c * df)[..., None, :] if components else None
 
-    formula = _Formula(fn)
-    return PureStateModel(
-        space=space, m=1, domain=domain, evaluate_fn=formula.evaluate,
-        tangent_fn=formula.tangent, kind=kind,
-        sample_grid=tuple((t,) for t in np.linspace(-1.0, 1.0, 5)),
-    )
+    return _Formula(fn).model(space=space, m=1, domain=domain, kind=kind,
+                              sample_grid=tuple((t,) for t in np.linspace(-1.0, 1.0, 5)))
 
 
 def _position_shift(params):
@@ -694,11 +699,8 @@ def _phase_generator_family(space, domain, g0, dg, psi0, kind, sample_line):
         phase = _affine_phases(-theta[..., 0], g0, dg, columns[cols])
         return phase * psi, (-1j * gs * phase * psi)[..., None, :] if components else None
 
-    formula = _Formula(fn)
-    return PureStateModel(
-        space=space, m=1, domain=domain, evaluate_fn=formula.evaluate,
-        tangent_fn=formula.tangent, kind=kind, sample_grid=tuple((t,) for t in sample_line),
-    )
+    return _Formula(fn).model(space=space, m=1, domain=domain, kind=kind,
+                              sample_grid=tuple((t,) for t in sample_line))
 
 
 def _momentum_shift(params):
@@ -752,13 +754,9 @@ def _position_momentum_shift(params):
                             out=tangents[..., j, :])
         return states, tangents
 
-    formula = _Formula(fn)
     diag = np.linspace(-1.0, 1.0, 5)
-    return PureStateModel(
-        space=space, m=2, domain=domain, evaluate_fn=formula.evaluate,
-        tangent_fn=formula.tangent, kind="position_momentum_shift",
-        sample_grid=tuple((t, t) for t in diag),
-    )
+    return _Formula(fn).model(space=space, m=2, domain=domain, kind="position_momentum_shift",
+                              sample_grid=tuple((t, t) for t in diag))
 
 
 def _spin_jz(params):
@@ -816,12 +814,8 @@ def _ring_flux(params):
         return (c * (2.0 - rot.real) * phase,
                 (-c * rot.imag * phase)[..., None, :] if components else None)
 
-    formula = _Formula(fn)
-    return PureStateModel(
-        space=space, m=1, domain=domain, evaluate_fn=formula.evaluate,
-        tangent_fn=formula.tangent, kind="ring_flux",
-        sample_grid=tuple((t,) for t in np.linspace(0.5, 5.5, 5)),
-    )
+    return _Formula(fn).model(space=space, m=1, domain=domain, kind="ring_flux",
+                              sample_grid=tuple((t,) for t in np.linspace(0.5, 5.5, 5)))
 
 
 def _bloch(params):
@@ -845,14 +839,10 @@ def _bloch(params):
                 tangents[..., j, 1] = 1j * plane * sin
         return amps[..., cols], tangents[..., cols]
 
-    formula = _Formula(fn)
     pol_line = np.linspace(0.6, 2.2, 5)
     az_line = np.linspace(0.0, 1.5, 5)
-    return PureStateModel(
-        space=space, m=2, domain=domain, evaluate_fn=formula.evaluate,
-        tangent_fn=formula.tangent, kind="bloch",
-        sample_grid=tuple(zip(pol_line, az_line)),
-    )
+    return _Formula(fn).model(space=space, m=2, domain=domain, kind="bloch",
+                              sample_grid=tuple(zip(pol_line, az_line)))
 
 
 CATALOG = {

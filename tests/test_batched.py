@@ -587,6 +587,106 @@ class TestJointPass:
         row = 16 * mod.space.dim
         assert peak < (1 + 2 * mod.m) * row + 6 * 16 * model.EVALUATE_BLOCK
 
+    def test_a_rephased_tangent_takes_its_state_from_the_same_base_call(self, monkeypatch):
+        pm = qg.catalog("position_momentum_shift", {"grid": {"n": 512}})
+
+        def alpha(theta):
+            return 0.3 * theta[0] - 0.7 * theta[1]
+
+        def grad_alpha(theta):
+            return np.array([0.3, -0.7])
+
+        gauged = rephased(pm, alpha, grad_alpha)
+
+        def two_call_tangent(theta, i):  # the base tangent and state from separate calls
+            phi = pm.evaluate_fn(theta)
+            return np.exp(1j * alpha(theta)) * (pm.tangent_fn(theta, i)
+                                                + 1j * grad_alpha(theta)[i] * phi)
+
+        two_calls = dataclasses.replace(gauged, tangent_fn=two_call_tangent)
+        want = two_calls.horizontal_lift((0.2, -0.4))
+        calls = counted_formula(monkeypatch, pm)
+        got = gauged.horizontal_lift((0.2, -0.4))
+        assert [components for _, _, components in calls] == [(), (0,), (1,)]
+        assert same_bits(got.phi.amplitudes, want.phi.amplitudes)
+        for a, b in zip(got.lifts, want.lifts, strict=True):
+            assert same_bits(a.amplitudes, b.amplitudes)
+
+
+def parsed_table(spec):
+    """The model of a table spec and the rows the parser stored for it."""
+    stored, build = [], cli._tabulated_model
+
+    def keep(space, thetas, table):
+        stored.extend(row.amplitudes for row in table)
+        return build(space, thetas, table)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(cli, "_tabulated_model", keep)
+        return cli.parse_model_spec(spec)[0], stored
+
+
+def reference_table_lift(mod, rows, k):
+    """The lift at table row ``k`` alone: the row normalized, the central
+    difference of copies of its neighbours rephased onto it, projected."""
+    phi = rows[k] / (np.sqrt(mod.space.weight) * np.linalg.norm(rows[k]))
+    step = float(TABLE_THETAS[1] - TABLE_THETAS[0])
+    t = model._transported_difference(mod.space, np.conj(rows[k]), rows[k + 1].copy(),
+                                      rows[k - 1].copy(), step)
+    lift = 2.0 * t - (2.0 * mod.space.weight * model._dots(phi, t)) * phi
+    return model.HorizontalLift(theta=TABLE_THETAS[k:k + 1],
+                                phi=StateVector._adopt(mod.space, phi),
+                                lifts=(StateVector._adopt(mod.space, lift),))
+
+
+RANDOM_PHASE_TABLE = table_spec(np.random.default_rng(31).uniform(0.0, 2.0 * np.pi, 11))
+
+
+class TestTableFormula:
+    @pytest.mark.parametrize("block, tiles", [(None, [slice(0, 3)]),
+                                              (2, [slice(0, 2), slice(2, 4)])])
+    def test_a_lift_block_makes_one_formula_call_per_tile(self, monkeypatch, block, tiles):
+        table = parsed_table(RANDOM_PHASE_TABLE)[0]
+        assert isinstance(table._formula, model._Formula)
+        if block is not None:  # narrower than a row of 3: a point a block
+            monkeypatch.setattr(model, "EVALUATE_BLOCK", block)
+        calls = counted_formula(monkeypatch, table)
+        geometry.analyze_many(table, TABLE_THETAS[1:-1, None])
+        rows = [9] if block is None else [1] * 9
+        assert calls == [(k, tile, (0,)) for k in rows for tile in tiles]
+
+    @pytest.mark.parametrize("block", [None, 2])
+    def test_lifts_and_reports_are_bitwise_the_per_point_recipe(self, monkeypatch, block):
+        table, rows = parsed_table(RANDOM_PHASE_TABLE)
+        want = [reference_table_lift(table, rows, k) for k in range(1, 10)]
+        if block is not None:
+            monkeypatch.setattr(model, "EVALUATE_BLOCK", block)
+        thetas = TABLE_THETAS[1:-1, None]
+        for lift, ref in zip(table.horizontal_lifts(thetas), want, strict=True):
+            assert same_bits(lift.phi.amplitudes, ref.phi.amplitudes)
+            assert same_bits(lift.lifts[0].amplitudes, ref.lifts[0].amplitudes)
+        for rep, ref in zip(geometry.analyze_many(table, thetas), want, strict=True):
+            assert same_bits(rep.sld_fisher, geometry.sld_fisher(ref))
+            assert same_bits(rep.berry_curvature, geometry.berry_curvature(ref))
+
+    def test_an_off_grid_theta_fails_before_an_edge_theta(self):
+        table = parsed_table(RANDOM_PHASE_TABLE)[0]
+        for thetas in ([[0.0], [0.05]], [[0.05], [0.0]]):
+            with pytest.raises(DomainError, match=r"only at the table points; got 0\.05$"):
+                geometry.analyze_many(table, thetas)
+        with pytest.raises(DomainError, match="need an interior table point"):
+            geometry.analyze_many(table, [[0.5], [1.0]])
+        with pytest.raises(DomainError, match="only at the table points; got nan$"):
+            table.evaluate_fn(np.array([[0.5], [np.nan]]))
+
+    def test_a_tangent_at_one_point_writes_no_row(self):
+        # an index of a 0-d k plus one is a scalar: a view, not a copy
+        table, rows = parsed_table(RANDOM_PHASE_TABLE)
+        before = table.evaluate_fn(TABLE_THETAS[:, None])
+        table.tangent_fn(np.array([0.5]), 0)
+        assert same_bits(table.evaluate_fn(TABLE_THETAS[:, None]), before)
+        assert same_bits(before, np.array(rows))
+
 
 def short(fn, marked):
     """``fn`` without the last amplitude of each row, marked or not."""

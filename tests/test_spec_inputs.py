@@ -152,6 +152,32 @@ MALFORMED = [
       "params": {"grid": {"n": math.inf, "lower": -1, "upper": 1}}},
      ["report", "--model", "bad.json", "--theta", "0"],
      "params: invalid params for position_shift: cannot convert float infinity to integer"),
+    # the schema cannot say "finite": an infinite step read row 0 at every theta
+    ("tabulated_thetas_infinite", None,
+     {"kind": "tabulated", "space": BASIS_2, "thetas": [0.0, math.inf], "amplitudes": UP_ROWS},
+     ["check", "--model", "bad.json", "--samples=5;7;1e300"],
+     "thetas: thetas must be finite numbers"),
+    ("tabulated_thetas_infinite_sample", None,
+     {"kind": "tabulated", "space": BASIS_2, "thetas": [0.0, math.inf], "amplitudes": UP_ROWS},
+     ["sample", "--model", "bad.json", "--povm", "basis", "--theta=123", "--n", "10",
+      "--seed", "1"],
+     "thetas: thetas must be finite numbers"),
+    ("tabulated_thetas_nan", None,
+     {"kind": "tabulated", "space": BASIS_2, "thetas": [0.0, math.nan], "amplitudes": UP_ROWS},
+     ["report", "--model", "bad.json", "--theta", "0"],
+     "thetas: thetas must be finite numbers"),
+    ("tabulated_space_periodic_string", "model_spec",
+     {"kind": "tabulated",
+      "space": {"type": "grid", "n": 2, "lower": 0, "upper": 1, "periodic": "false"},
+      "thetas": [0.0, 0.1], "amplitudes": UP_ROWS},
+     ["report", "--model", "bad.json", "--theta", "0"],
+     "space.periodic: must be true or false, got 'false'"),
+    ("grid_periodic_string", "model_spec",
+     {"kind": "catalog", "name": "position_shift",
+      "params": {"grid": {"n": 64, "lower": -10, "upper": 10, "periodic": "no"}}},
+     ["report", "--model", "bad.json", "--theta", "0"],
+     "params: invalid params for position_shift: grid.periodic must be true or false, "
+     "got 'no'"),
     ("tabulated_space_n_infinite", "model_spec",
      {"kind": "tabulated", "space": {"type": "grid", "n": math.inf, "lower": 0, "upper": 1},
       "thetas": [0.0, 0.1], "amplitudes": UP_ROWS},

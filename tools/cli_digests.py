@@ -102,6 +102,15 @@ FILES = {
                                       "periodic": True}}},
     "table.json": spin_table([0.0] * 11),
     "table_phases.json": spin_table(np.random.default_rng(7).uniform(0, 2 * math.pi, 11)),
+    "table_inf.json": {"kind": "tabulated", "space": {"type": "basis", "dimension": 2},
+                       "thetas": [0.0, math.inf], "amplitudes": [[[1.0, 0.0], [0.0, 0.0]]] * 2},
+    # rows of unit norm on the periodic grid that the string "false" used to build
+    "table_periodic_string.json": {
+        "kind": "tabulated",
+        "space": {"type": "grid", "n": 2, "lower": 0.0, "upper": 1.0, "periodic": "false"},
+        "thetas": [0.0, 0.1, 0.2],
+        "amplitudes": [[[2**0.5 * math.cos(t), 0.0], [2**0.5 * math.sin(t), 0.0]]
+                       for t in (0.0, 0.1, 0.2)]},
     "octahedral.json": octahedral_povm(),
     "latitude.json": {"thetas": [[1.1, 2.0 * math.pi * j / 2000] for j in range(2001)]},
     "rectangle.json": {"thetas": [[0.1 + 0.3 * j / 8, 0.2] for j in range(8)]
@@ -153,6 +162,8 @@ INVOCATIONS = {
                      "--theta=0.2;0.6"],
     "fisher_table_phases": ["fisher", "--model", "table_phases.json", "--povm", "basis",
                             "--theta=0.2;0.6"],
+    "fisher_table_schmidt": ["fisher", "--model", "table.json", "--povm", "schmidt",
+                             "--theta=0.2;0.6", "--samples=0.4;0.6"],
     # 16 rows a block at n = 1024: three blocks, the last one short
     "fisher_grid_blocks": ["fisher", "--model", "ps.json", "--povm", "grid",
                            "--theta=" + ";".join(f"{-1.5 + 3.0 * j / 39!r}"
@@ -173,10 +184,16 @@ INVOCATIONS = {
                     "--n", "100000", "--seed", "11"],
     "sample_schmidt": ["sample", "--model", "ps.json", "--povm", "schmidt", "--theta=0.3",
                        "--n", "1000", "--seed", "5"],
+    "sample_table": ["sample", "--model", "table.json", "--povm", "basis", "--theta=0.5",
+                     "--n", "1000", "--seed", "3"],
     "error_domain": ["report", "--model", "ps.json", "--theta=5"],
     # a table's tangent needs both neighbours; its states exist at its points only
     "error_table_edge": ["report", "--model", "table.json", "--theta=0.0"],
     "error_table_offgrid": ["report", "--model", "table.json", "--theta=0.05"],
+    # an infinite step once put every theta on row 0
+    "error_table_inf_theta": ["check", "--model", "table_inf.json", "--samples=5;7;1e300"],
+    "error_space_periodic_string": ["report", "--model", "table_periodic_string.json",
+                                    "--theta=0.1"],
     "error_ragged_loop": ["holonomy", "--model", "bloch.json", "--loop", "ragged.json"],
     "error_open_loop": ["holonomy", "--model", "bloch.json", "--loop", "open_end.json"],
     # gaussians 15 widths apart overlap nowhere: no phase-alignment anchor
