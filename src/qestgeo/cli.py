@@ -642,14 +642,9 @@ def _cmd_sample(args):
     thetas = parse_theta_list(args.theta, built.m)
     if len(thetas) != 1:
         raise SpecFormatError("sample takes exactly one theta point")
-    if args.povm == "schmidt":
-        # the sampled state is the one construction sample: evaluate it once
-        state = built.evaluate(thetas[0])
-        povm = estimation.schmidt_povm([state])
-        povm_echo = {"kind": "schmidt", "n_samples": 1}
-    else:
-        povm, povm_echo = _make_povm(args.povm, built, thetas)
-        state = built.evaluate(thetas[0])
+    state = built.evaluate(thetas[0])  # schmidt's one construction sample too
+    povm, povm_echo = ((estimation.schmidt_povm([state]), {"kind": "schmidt", "n_samples": 1})
+                       if args.povm == "schmidt" else _make_povm(args.povm, built, thetas))
     counts = estimation.sample_counts(povm, state, args.n, args.seed)
     kept = np.flatnonzero(counts)
     return {

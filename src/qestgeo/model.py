@@ -58,11 +58,11 @@ class PureStateModel:
     constants to guarantee this).  ``tangent_fn(theta, i)``, when given,
     returns the closed-form derivative amplitudes; otherwise central
     differences with per-component step ``fd_step * max(1, |theta_i|)`` are
-    used, of neighbours rephased onto the state: a block's states and
-    neighbours share one buffer and are differenced in place
-    (:meth:`_stencil`).  Each function is called on one ``(m,)`` point at a
-    time, or on blocks of a ``(k, m)`` array when marked
-    :func:`broadcasting`.
+    used, of neighbours rephased onto the state: each point followed by its
+    neighbours, evaluated by the pass that evaluates states (:meth:`_states`)
+    and differenced in place (:meth:`_stencil`).  Each function is called on
+    one ``(m,)`` point at a time, or on blocks of a ``(k, m)`` array when
+    marked :func:`broadcasting`.
 
     The model reads every state and tangent through one formula
     ``fn(theta, cols, components)`` (:attr:`_formula`), called on rows and
@@ -108,14 +108,15 @@ class PureStateModel:
         big = np.finfo(float).max
         return np.maximum(lo, -big), np.minimum(hi, big)
 
-    def _states(self, points):
+    def _states(self, points, group=1):
         """Normalized ``(k, dim)`` amplitudes at checked ``points``, from the
-        formula on :meth:`_block_rows` rows a call (:meth:`_formula_block`).
+        formula on :meth:`_block_rows` rows a call, whole groups of ``group``
+        rows such as stencils (:meth:`_formula_block`), checked for drift.
         Each norm is the one ``np.linalg.norm`` takes of its row alone
         (:func:`_norms`).
         """
         out = np.empty((len(points), self.space.dim), dtype=complex)
-        rows = self._block_rows()
+        rows = self._block_rows(group)
         for start in range(0, len(points), rows):
             block = points[start:start + rows]
             dest = out[start:start + len(block)]
@@ -209,9 +210,10 @@ class PureStateModel:
             del part  # not alive while the next tile is evaluated
         return states, tangents
 
-    def _block_rows(self):
-        """Rows per block: ``EVALUATE_BLOCK`` amplitudes, at least one row."""
-        return max(1, EVALUATE_BLOCK // self.space.dim)
+    def _block_rows(self, group=1):
+        """Rows per block: whole groups of ``group`` rows, as many as fit in
+        ``EVALUATE_BLOCK`` amplitudes, at least one group."""
+        return group * max(1, EVALUATE_BLOCK // (group * self.space.dim))
 
     def evaluate_many(self, thetas):
         """Normalized amplitudes, shape ``(k, dim)``, at the rows of a
@@ -235,23 +237,20 @@ class PureStateModel:
         """``(states, bra, tangents)`` at checked ``points`` by central
         differences with per-point step ``fd_step * max(1, |theta_i|)``.
 
-        The states and their neighbours in ``components`` share one buffer:
-        ``k`` state rows, then ``(k, c)`` rows ``theta + h e_i`` and ``(k, c)``
-        rows ``theta - h e_i``.  The formula fills it in one call per group of
-        whole stencils of at most ``EVALUATE_BLOCK`` amplitudes, at least one,
-        and per column tile (:meth:`_tiles`).  ``bra`` is the states'
+        The stencil lies point by point, ``(k, 1 + 2c, m)``: each point, then
+        ``theta + h e_i`` and ``theta - h e_i`` for each ``i`` in
+        ``components``.  Its rows are evaluated, checked and normalized by
+        :meth:`_states` in whole stencils; the states and the neighbour
+        pairs are views of that one array.  ``bra`` is the states'
         conjugate; the tangents are written over the ``+`` rows.
         """
         k, c, m, dim = len(points), len(components), self.m, self.space.dim
         comps = list(components)
         h = self.fd_step * np.maximum(1.0, np.abs(points[:, comps]))
-        stencil = np.empty((k + 2 * k * c, m))
-        stencil[:k] = points
-        nbrs = np.moveaxis(stencil[k:].reshape(2, k, c, m), 0, 2)  # point, component, sign
-        nbrs[...] = points[:, None, None]
-        for j, i in enumerate(comps):
-            nbrs[:, j, 0, i] += h[:, j]
-            nbrs[:, j, 1, i] -= h[:, j]
+        stencil = np.repeat(points[:, None], 1 + 2 * c, axis=1)
+        nbrs = stencil[:, 1:].reshape(k, c, 2, m)  # point, component, sign
+        nbrs[:, np.arange(c), 0, comps] += h
+        nbrs[:, np.arange(c), 1, comps] -= h
         lo, hi = self._bounds
         inside = ((lo <= nbrs) & (nbrs <= hi)).all(axis=(2, 3))
         if not inside.all():
@@ -260,20 +259,9 @@ class PureStateModel:
                 f"finite-difference step {h[r, j]:.1e} in component {comps[j]} leaves the "
                 f"domain at theta {points[r].tolist()}"
             )
-        buf = np.empty((len(stencil), dim), dtype=complex)
-        per_call = max(1, EVALUATE_BLOCK // ((1 + 2 * c) * dim))  # whole stencils
-        for start in range(0, k, per_call):
-            stop = min(start + per_call, k)
-            rows = np.r_[start:stop, k + c * start:k + c * stop,
-                         k + c * (k + start):k + c * (k + stop)]
-            thetas = stencil[rows]
-            for tile in self._tiles(len(rows)):
-                buf[rows, tile] = self._formula(thetas, tile, ())[0]
-        states, nbr_rows = buf[:k], np.moveaxis(buf[k:].reshape(2, k, c, dim), 0, 2)
-        states /= self._unit_norms(points, states)[:, None]
-        nbr_rows /= self._unit_norms(nbrs, nbr_rows)[..., None]
-        bra = np.conj(states)
-        up, dn = buf[k:].reshape(2, k, c, dim)
+        rows = self._states(stencil.reshape(-1, m), 1 + 2 * c).reshape(k, 1 + 2 * c, dim)
+        states, bra = rows[:, 0], np.conj(rows[:, 0])
+        up, dn = np.moveaxis(rows[:, 1:].reshape(k, c, 2, dim), 2, 0)
         return states, bra, _transported_difference(self.space, bra[:, None], up, dn, h)
 
     def _lift_blocks(self, points):
@@ -475,11 +463,13 @@ def rephased(model, alpha, grad_alpha=None):
     ``alpha`` maps a theta array to a real phase.  With an analytic base
     tangent, ``grad_alpha(theta) -> array(m)`` must be supplied so the
     product rule stays closed form; finite-difference models need
-    nothing extra.
+    nothing extra.  The base is read through its formula in column tiles
+    (:meth:`PureStateModel._formula_block`), a tangent's state from the
+    same call.
     """
 
     def ev(theta):
-        return np.exp(1j * alpha(theta)) * model.evaluate_fn(theta)
+        return np.exp(1j * alpha(theta)) * model._formula_block(theta[None], ())[0][0]
 
     tangent_fn = None
     if model.tangent_fn is not None:
@@ -487,7 +477,7 @@ def rephased(model, alpha, grad_alpha=None):
             raise ValueError("grad_alpha is required to rephase an analytic model")
 
         def tangent_fn(theta, i):
-            phi, base = model._formula(theta[None], slice(None), (i,))  # one base call
+            phi, base = model._formula_block(theta[None], (i,))  # one base call per tile
             return np.exp(1j * alpha(theta)) * (base[0, 0] + 1j * grad_alpha(theta)[i] * phi[0])
 
     return PureStateModel(

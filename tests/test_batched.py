@@ -587,7 +587,9 @@ class TestJointPass:
         row = 16 * mod.space.dim
         assert peak < (1 + 2 * mod.m) * row + 6 * 16 * model.EVALUATE_BLOCK
 
-    def test_a_rephased_tangent_takes_its_state_from_the_same_base_call(self, monkeypatch):
+    @pytest.mark.parametrize("block", [None, 200])
+    def test_a_rephased_tangent_takes_its_state_from_the_same_base_call(self, monkeypatch,
+                                                                        block):
         pm = qg.catalog("position_momentum_shift", {"grid": {"n": 512}})
 
         def alpha(theta):
@@ -605,9 +607,14 @@ class TestJointPass:
 
         two_calls = dataclasses.replace(gauged, tangent_fn=two_call_tangent)
         want = two_calls.horizontal_lift((0.2, -0.4))
+        if block is not None:  # n = 512: the base in tiles of 200, 200 and 112 columns
+            monkeypatch.setattr(model, "EVALUATE_BLOCK", block)
         calls = counted_formula(monkeypatch, pm)
         got = gauged.horizontal_lift((0.2, -0.4))
-        assert [components for _, _, components in calls] == [(), (0,), (1,)]
+        tiles = 1 if block is None else 3
+        assert [components for _, _, components in calls] == [
+            components for components in [(), (0,), (1,)] for _ in range(tiles)]
+        assert all(len(range(512)[cols]) <= model.EVALUATE_BLOCK for _, cols, _ in calls)
         assert same_bits(got.phi.amplitudes, want.phi.amplitudes)
         for a, b in zip(got.lifts, want.lifts, strict=True):
             assert same_bits(a.amplitudes, b.amplitudes)
@@ -862,7 +869,8 @@ class TestStencil:
             assert evaluated == want
         assert tiles and all(cols == range(512) for cols in tiles)
 
-    def test_a_tangent_evaluates_only_its_components_neighbours(self, monkeypatch):
+    @pytest.mark.parametrize("points", ["tangent", "lift_block"])
+    def test_a_tangent_evaluates_only_its_components_neighbours(self, monkeypatch, points):
         mod = dataclasses.replace(qg.catalog("position_momentum_shift", {"grid": {"n": 512}}),
                                   tangent_fn=None)
         formula, thetas = mod.evaluate_fn.__self__, []
@@ -874,10 +882,20 @@ class TestStencil:
 
         monkeypatch.setattr(formula, "fn", recorded)
         theta = np.array([0.3, -0.7])
-        mod.tangent(theta, 1)
         h = mod.fd_step * 1.0
+        if points == "tangent":
+            mod.tangent(theta, 1)
+            assert len(thetas) == 1
+            assert same_bits(thetas[0], np.array([theta, theta + [0.0, h], theta - [0.0, h]]))
+            return
+        # two points, both components: each point's stencil in turn, in one call
+        other = np.array([-1.5, 0.4])
+        list(mod.horizontal_lifts([theta, other]))
+        h0 = mod.fd_step * 1.5
+        want = [theta, theta + [h, 0.0], theta - [h, 0.0], theta + [0.0, h], theta - [0.0, h],
+                other, other + [h0, 0.0], other - [h0, 0.0], other + [0.0, h], other - [0.0, h]]
         assert len(thetas) == 1
-        assert same_bits(thetas[0], np.array([theta, theta + [0.0, h], theta - [0.0, h]]))
+        assert same_bits(thetas[0], np.array(want))
 
     @pytest.mark.parametrize("name", sorted(FD_MODELS))
     def test_a_tangent_is_the_stencil_of_its_component(self, name):
