@@ -23,7 +23,10 @@ A catalog ``grid`` object that omits ``n`` takes it from the
 QESTGEO_GRID_N environment variable (512 when unset); a spec without a
 ``grid`` object keeps the model's own default grid.  Output documents
 are JSON with floats printed to 17 significant digits and keys in fixed
-order, so identical invocations are byte-identical.
+order, so identical invocations are byte-identical.  Every document opens
+with ``tool`` and ``model`` (the normalized spec echo); :func:`main` reads
+the model before any other input and each subcommand returns only the
+keys that follow.
 
 Exit codes: 0 success, 2 malformed input documents (including a loop
 marked closed whose end ray differs from its start ray), 3
@@ -286,22 +289,19 @@ def _parse_tabulated_spec(doc):
                 f"row {r} must be {space.dim} [re, im] pairs",
                 path=f"amplitudes[{r}]",
             )
-        amp = arr[:, 0] + 1j * arr[:, 1]
-        state = StateVector(space, amp)
-        if abs(state.norm() - 1.0) >= model.NORM_DRIFT_TOL:
-            raise SpecFormatError(
-                f"row {r} has norm {state.norm():.8f}, not 1",
-                path=f"amplitudes[{r}]",
-            )
-        table.append(StateVector(space, amp, normalize=True))
+        state = StateVector(space, arr[:, 0] + 1j * arr[:, 1])
+        nrm = state.norm()
+        if abs(nrm - 1.0) >= model.NORM_DRIFT_TOL:
+            raise SpecFormatError(f"row {r} has norm {nrm:.8f}, not 1",
+                                  path=f"amplitudes[{r}]")
+        table.append(StateVector._adopt(space, state.amplitudes / nrm))
     built = _tabulated_model(space, thetas, table)
     echo = {
         "kind": "tabulated",
         "space": _space_echo(space),
         "thetas": [float(t) for t in thetas],
-        "amplitudes": [
-            [[float(a.real), float(a.imag)] for a in st.amplitudes] for st in table
-        ],
+        "amplitudes": [np.stack((st.amplitudes.real, st.amplitudes.imag), -1).tolist()
+                       for st in table],
     }
     return built, echo
 
@@ -414,16 +414,11 @@ def _parse_weight(text, m):
     raise SpecFormatError(f"unknown weight spec {text!r} (use js or diag:...)")
 
 
-def _tool_header(command):
-    return {"name": "qestgeo", "version": __version__, "command": command}
-
-
 # ---------------------------------------------------------------------------
 # subcommands
 
 
-def _cmd_report(args):
-    built, echo = _load_model(args.model)
+def _cmd_report(args, built):
     thetas = parse_theta_list(args.theta, built.m)
     weight = _parse_weight(args.weight, built.m)
     reports = geometry.analyze_many(built, thetas)
@@ -434,7 +429,6 @@ def _cmd_report(args):
             reports, metrics if weight["kind"] == "js"
             else [np.diag(weight["values"])] * len(reports))
     entries = []
-    max_beta = None
     for r, (theta, rep) in enumerate(zip(thetas, reports)):
         entry = {
             "theta": list(theta),
@@ -449,12 +443,8 @@ def _cmd_report(args):
         }
         if weight is not None:
             entry["sld_bound_weight"] = weighted[r]
-        for b in rep.betas:
-            max_beta = b if max_beta is None else max(max_beta, b)
         entries.append(entry)
     return {
-        "tool": _tool_header("report"),
-        "model": echo,
         "weight": weight,
         "tolerances": {
             "rank": geometry.RANK_TOL,
@@ -466,13 +456,12 @@ def _cmd_report(args):
         "summary": {
             "all_quasi_classical": all(e["quasi_classical"] for e in entries),
             "any_rank_deficient": any(e["rank_deficient"] for e in entries),
-            "max_beta": max_beta,
+            "max_beta": max((b for rep in reports for b in rep.betas), default=None),
         },
     }
 
 
-def _cmd_holonomy(args):
-    built, echo = _load_model(args.model)
+def _cmd_holonomy(args, built):
     loop_doc = _load_json(args.loop)
     if not isinstance(loop_doc, dict) or "thetas" not in loop_doc:
         raise SpecFormatError("loop document must contain a thetas list")
@@ -488,8 +477,6 @@ def _cmd_holonomy(args):
     result = (holonomy.berry_phase_loop(curve) if closed
               else holonomy.berry_phase_open(curve))
     return {
-        "tool": _tool_header("holonomy"),
-        "model": echo,
         "loop": {"n_points": len(points), "closed": closed},
         "result": {
             "gamma": result.gamma,
@@ -540,8 +527,7 @@ def _momentum_symmetry_section(built):
     return {"applicable": True, "flag": flag, "max_asymmetry": asym}
 
 
-def _cmd_check(args):
-    built, echo = _load_model(args.model)
+def _cmd_check(args, built):
     samples = parse_theta_list(args.samples, built.m)
     thetas, states = holonomy.sample_states(built, samples)
     # two overlap matrices: the raw one aligns and gives the raw verdict,
@@ -569,8 +555,6 @@ def _cmd_check(args):
         # given; alignment can only forgive non-horizontal phase twists
         consistent = consistent and (momentum["flag"] == raw_flag)
     return {
-        "tool": _tool_header("check"),
-        "model": echo,
         "samples": [list(map(float, s)) for s in samples],
         "quasi_parallel": {
             "flag": qp_flag,
@@ -612,8 +596,7 @@ def _make_povm(spec, built, samples):
     return povm, {"kind": "matrices", "n_elements": len(elements)}
 
 
-def _cmd_fisher(args):
-    built, echo = _load_model(args.model)
+def _cmd_fisher(args, built):
     thetas = parse_theta_list(args.theta, built.m)
     samples = parse_theta_list(args.samples, built.m) if args.samples else thetas
     povm, povm_echo = _make_povm(args.povm, built, samples)
@@ -629,16 +612,10 @@ def _cmd_fisher(args):
         "max_relative_gap": float(rel_gaps[r]),
         "min_psd_eigenvalue": float(min_eigs[r]),
     } for r, theta in enumerate(thetas)]
-    return {
-        "tool": _tool_header("fisher"),
-        "model": echo,
-        "povm": povm_echo,
-        "entries": entries,
-    }
+    return {"povm": povm_echo, "entries": entries}
 
 
-def _cmd_sample(args):
-    built, echo = _load_model(args.model)
+def _cmd_sample(args, built):
     thetas = parse_theta_list(args.theta, built.m)
     if len(thetas) != 1:
         raise SpecFormatError("sample takes exactly one theta point")
@@ -648,8 +625,6 @@ def _cmd_sample(args):
     counts = estimation.sample_counts(povm, state, args.n, args.seed)
     kept = np.flatnonzero(counts)
     return {
-        "tool": _tool_header("sample"),
-        "model": echo,
         "povm": povm_echo,
         "theta": list(thetas[0]),
         "n": int(args.n),
@@ -687,12 +662,12 @@ def build_parser():
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--out", default=None,
                         help="write the output document here instead of stdout")
+    common.add_argument("--model", required=True, help="model spec JSON file")
     sub = parser.add_subparsers(dest="command", required=True,
                                 parser_class=_Parser)
 
     rep = sub.add_parser("report", help="geometry report over theta points",
                          parents=[common])
-    rep.add_argument("--model", required=True, help="model spec JSON file")
     rep.add_argument("--theta", required=True,
                      help="theta points, e.g. '0,0;0.5,0.2'")
     rep.add_argument("--weight", default=None,
@@ -701,7 +676,6 @@ def build_parser():
 
     hol = sub.add_parser("holonomy", help="transport phase of a curve",
                          parents=[common])
-    hol.add_argument("--model", required=True)
     hol.add_argument("--loop", required=True, help="loop spec JSON file")
     hol.add_argument("--closed", action="store_true",
                      help="treat the curve as closed regardless of the file flag")
@@ -709,13 +683,11 @@ def build_parser():
 
     chk = sub.add_parser("check", help="classification checks on samples",
                          parents=[common])
-    chk.add_argument("--model", required=True)
     chk.add_argument("--samples", required=True, help="sample theta list")
     chk.set_defaults(func=_cmd_check)
 
     fis = sub.add_parser("fisher", help="classical vs quantum Fisher comparison",
                          parents=[common])
-    fis.add_argument("--model", required=True)
     fis.add_argument("--povm", required=True,
                      help="basis | grid | schmidt | POVM JSON file")
     fis.add_argument("--theta", required=True)
@@ -725,7 +697,6 @@ def build_parser():
 
     smp = sub.add_parser("sample", help="draw measurement outcomes",
                          parents=[common])
-    smp.add_argument("--model", required=True)
     smp.add_argument("--povm", required=True)
     smp.add_argument("--theta", required=True)
     smp.add_argument("--n", type=_int_at_least(1), required=True)
@@ -741,9 +712,12 @@ def _parser():
 
 
 def main(argv=None):
+    """Run one subcommand; returns the exit code."""
     args = _parser().parse_args(argv)
     try:
-        doc = args.func(args)
+        built, echo = _load_model(args.model)
+        doc = {"tool": {"name": "qestgeo", "version": __version__, "command": args.command},
+               "model": echo, **args.func(args, built)}
     except (SpecFormatError, DomainError, ClosureError) as exc:
         print(f"qestgeo: spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC

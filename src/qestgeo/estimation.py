@@ -134,7 +134,7 @@ def ProjectorPovm(basis):
     not span the space, the remainder projector is the last outcome."""
     if not basis:
         raise MeasurementDefinitionError("projector POVM needs at least one vector")
-    space = basis[0].space
+    space = hilbert.common_space(basis)
     u = np.column_stack([b.coords for b in basis])
     # U^dagger as a transposed view, not a C-ordered copy: the memory order
     # picks the matrix-vector kernel, and so the last bits of every result

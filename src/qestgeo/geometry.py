@@ -188,14 +188,9 @@ def _weighted_trace(weight, j_s):
 
 
 def sld_bound(weight, j_s):
-    """Lower bound Tr G J_S^{-1} on the weighted estimation error."""
-    j_s = np.asarray(j_s, dtype=float)
-    eigvals = np.linalg.eigvalsh(j_s)
-    if _is_singular(eigvals):
-        raise RankDeficiencyError(
-            f"metric is singular: eigenvalues {eigvals.tolist()}"
-        )
-    return _weighted_trace(weight, j_s)
+    """Lower bound Tr G J_S^{-1} on the weighted estimation error; the
+    rank verdict is that of :func:`d_transform`."""
+    return _weighted_trace(weight, _single(j_s, np.zeros(np.shape(j_s)))[0])
 
 
 def _cr_from_svals(m, svals):

@@ -160,14 +160,25 @@ def assert_normalized(state):
         raise ValueError(f"state norm drifts from 1 by {drift:.3e} (tol {NORM_TOL:.1e})")
 
 
+def common_space(vectors, space=None):
+    """The space of every vector of ``vectors``: ``space``, by default the
+    first vector's; :class:`SpaceMismatchError` names the first vector on
+    another space."""
+    space = vectors[0].space if space is None else space
+    for k, v in enumerate(vectors):
+        if v.space != space:
+            raise SpaceMismatchError(f"vector {k} lives on a different space")
+    return space
+
+
 def overlap_matrix(vectors):
     """``G[a, b] = <v_a|v_b>`` of vectors on one space: :func:`inner` on and
     above the diagonal, conjugates below."""
     k = len(vectors)
     g = np.empty((k, k), dtype=complex)
+    if vectors:
+        common_space(vectors)
     for a, u in enumerate(vectors):
-        if u.space != vectors[0].space:
-            raise SpaceMismatchError(f"vector {a} lives on a different space")
         for b in range(a, k):
             g[a, b] = u.space.weight * np.vdot(u.amplitudes, vectors[b].amplitudes)
             g[b, a] = np.conj(g[a, b])
@@ -204,7 +215,7 @@ def gram_schmidt_real(vectors, gram=None):
         raise NonRealOverlapError(
             f"overlap of inputs {a} and {b} has Im = {g[a, b].imag:.3e}",
             pair=(a, b), imag=float(g[a, b].imag))
-    space = vecs[0].space
+    space = common_space(vecs)
     w = space.weight
     skip_scale = max(v.norm() for v in vecs)
     basis = []
@@ -242,10 +253,7 @@ def conjugation_residuals(basis, states):
     displacement whenever ``r = 0``.  Returns an array with one entry per
     state.
     """
-    space = basis[0].space
-    for k, s in enumerate(states):
-        if s.space != space:
-            raise SpaceMismatchError(f"state {k} lives on a different space")
+    space = common_space(states, common_space(basis))
     u = np.column_stack([b.coords for b in basis])
     c = np.column_stack([s.coords for s in states])
     a = u.conj().T @ c
@@ -267,7 +275,7 @@ def complete_basis(vectors):
     """
     if not vectors:
         raise ValueError("need at least one vector")
-    space = vectors[0].space
+    space = common_space(vectors)
     d = space.dim
     u = np.column_stack([v.coords for v in vectors])
     proj_perp = np.eye(d, dtype=complex) - u @ u.conj().T

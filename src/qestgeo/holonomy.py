@@ -65,8 +65,9 @@ def _overlaps(space, amps):
 def _refined_states(model, thetas):
     """Evaluate the chain, inserting midpoints where overlaps collapse.
 
-    Returns ``(space, amps)``: the space of the states and the ``(K, dim)``
-    amplitudes of the refined chain.
+    Returns ``(space, amps, overlaps)``: the space of the states, the
+    ``(K, dim)`` amplitudes of the refined chain and their ``K - 1``
+    consecutive overlaps (:func:`_overlaps`).
     Only segments at or below ``MIN_OVERLAP`` get a midpoint; a segment
     still that small after ``MAX_REFINE_LEVELS`` levels raises
     :class:`RefinementError`.
@@ -74,7 +75,8 @@ def _refined_states(model, thetas):
     thetas = _as_points(model, thetas)
     space, amps = _evaluate(model, thetas)
     for level in range(MAX_REFINE_LEVELS + 1):
-        mags = np.abs(_overlaps(space, amps))
+        overlaps = _overlaps(space, amps)
+        mags = np.abs(overlaps)
         bad = np.flatnonzero(mags <= MIN_OVERLAP)
         if bad.size == 0:
             break
@@ -91,7 +93,7 @@ def _refined_states(model, thetas):
         mid_amps = _evaluate(model, mids)[1]
         thetas = np.insert(thetas, bad + 1, mids, axis=0)
         amps = np.insert(amps, bad + 1, mid_amps, axis=0)
-    return space, amps
+    return space, amps, overlaps
 
 
 def unit_links(overlaps):
@@ -111,17 +113,17 @@ def unit_links(overlaps):
     return overlaps / mags, mags
 
 
-def _chain(space, amps, closing=1.0):
+def _chain(overlaps, closing=1.0):
     """Phase of the consecutive overlaps times a unit ``closing`` factor.
 
     The product runs over the :func:`unit_links` ``<phi_k|phi_{k+1}>/|...|``;
     ``min_overlap`` is the smallest overlap magnitude of the chain.
     """
-    links, mags = unit_links(_overlaps(space, amps))
+    links, mags = unit_links(overlaps)
     prod = complex(np.prod(links)) * closing
     return PhaseResult(
         gamma=float(np.angle(prod)),
-        n_segments=len(amps) - 1,
+        n_segments=len(overlaps),
         min_overlap=float(np.min(mags)),
     )
 
@@ -154,16 +156,16 @@ def berry_phase_loop(curve):
     """
     if not curve.closed:
         raise ValueError("berry_phase_loop needs a closed curve")
-    space, amps = _refined_states(curve.model, curve.points)
+    space, amps, overlaps = _refined_states(curve.model, curve.points)
     dist = _ray_distance(hilbert.StateVector(space, amps[0]),
                          hilbert.StateVector(space, amps[-1]))
     if dist >= RAY_CLOSURE_TOL:
         raise ClosureError(
             f"curve marked closed but endpoint rays differ by {dist:.2e}"
         )
-    # close the chain with the starting vector itself
-    amps[-1] = amps[0]
-    return _chain(space, amps)
+    # close the chain with the starting vector itself: only the last link moves
+    overlaps[-1] = _overlaps(space, amps[[-2, 0]])[0]
+    return _chain(overlaps)
 
 
 def berry_phase_open(curve):
@@ -174,13 +176,13 @@ def berry_phase_open(curve):
     with :func:`berry_phase_loop`.  Orthogonal endpoints leave the
     relative phase undefined.
     """
-    space, amps = _refined_states(curve.model, curve.points)
+    space, amps, overlaps = _refined_states(curve.model, curve.points)
     direct = complex(space.weight * np.vdot(amps[0], amps[-1]))
     if abs(direct) <= MIN_OVERLAP:
         raise UndefinedPhaseError(
             f"endpoint overlap magnitude {abs(direct):.2e} leaves the phase undefined"
         )
-    return _chain(space, amps, closing=np.conj(direct) / abs(direct))
+    return _chain(overlaps, closing=np.conj(direct) / abs(direct))
 
 
 def curvature_check(model, theta, i, j, eps, n_sub=8):

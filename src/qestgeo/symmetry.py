@@ -58,7 +58,7 @@ def conjugation_in_basis(basis):
     """
     if not basis:
         raise ValueError("need a basis")
-    space = basis[0].space
+    space = hilbert.common_space(basis)
     u = np.column_stack([b.coords for b in basis])
     if u.shape[1] != space.dim:
         raise ValueError(

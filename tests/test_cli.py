@@ -433,6 +433,48 @@ class TestExitCodes:
         assert "Traceback" not in proc.stderr
 
 
+class TestDocumentFrame:
+    """Every subcommand's document opens with the same ``tool`` and ``model``
+    header, and the model is read before any other input."""
+
+    @pytest.fixture
+    def bloch_spec(self, tmp_path):
+        path = tmp_path / "bloch.json"
+        path.write_text(json.dumps({"kind": "catalog", "name": "bloch"}))
+        return str(path)
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--theta=0.4,0.1"],
+        ["holonomy", "--loop", "LOOP"],
+        ["check", "--samples=0.6,0;0.9,0.5"],
+        ["fisher", "--povm", "basis", "--theta=0.4,0.1"],
+        ["sample", "--povm", "basis", "--theta=0.4,0.1", "--n", "10", "--seed", "1"],
+    ], ids=lambda argv: argv[0])
+    def test_every_document_begins_with_tool_and_model(self, capsys, tmp_path,
+                                                       bloch_spec, argv):
+        loop = tmp_path / "loop.json"
+        loop.write_text(json.dumps({"thetas": [[0.3, 0.0], [0.3, 1.0], [0.3, 2.0]]}))
+        argv = [str(loop) if a == "LOOP" else a for a in argv]
+        doc = run_to_doc(capsys, argv + ["--model", bloch_spec])
+        assert list(doc)[:2] == ["tool", "model"]
+        assert doc["tool"] == {"name": "qestgeo", "version": qestgeo.__version__,
+                               "command": argv[0]}
+        assert doc["model"] == {"kind": "catalog", "name": "bloch", "params": {}}
+
+    @pytest.mark.parametrize("argv", [
+        ["holonomy", "--loop", "missing_loop.json"],
+        ["fisher", "--povm", "missing_povm.json", "--theta=0.4,0.1"],
+    ], ids=lambda argv: argv[0])
+    def test_a_bad_model_is_reported_before_other_inputs(self, capsys, tmp_path, argv):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({"kind": "catalog", "name": "unknown_model"}))
+        argv = [str(tmp_path / a) if a.startswith("missing_") else a for a in argv]
+        assert main(argv + ["--model", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("qestgeo: spec error: name: unknown catalog model 'unknown_model'")
+        assert "missing_" not in err
+
+
 SCHEMA_DIR = Path(__file__).resolve().parents[1] / "schemas"
 
 

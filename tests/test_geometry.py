@@ -123,10 +123,14 @@ class TestDTransform:
             else:
                 assert betas[0] == pytest.approx(expected, rel=1e-10)
 
-    def test_singular_metric_raises_with_null_directions(self):
+    @pytest.mark.parametrize("call", [
+        lambda j_s: d_transform(j_s, np.zeros((2, 2))),
+        lambda j_s: geometry.sld_bound(np.eye(2), j_s),
+    ], ids=["d_transform", "sld_bound"])
+    def test_singular_metric_raises_with_null_directions(self, call):
         j_s = np.diag([2.0, 0.0])
         with pytest.raises(RankDeficiencyError) as err:
-            d_transform(j_s, np.zeros((2, 2)))
+            call(j_s)
         null = err.value.null_directions
         assert null is not None and abs(abs(null[1, 0]) - 1.0) < 1e-12
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qestgeo import hilbert
+from qestgeo import estimation, hilbert, symmetry
 from qestgeo.errors import (
     NonRealOverlapError,
     SpaceMismatchError,
@@ -57,6 +57,22 @@ class TestInner:
         v = basis_state(BasisSpace(4), 0)
         with pytest.raises(SpaceMismatchError):
             inner(u, v)
+
+    @pytest.mark.parametrize("build", [
+        estimation.ProjectorPovm,
+        complete_basis,
+        symmetry.conjugation_in_basis,
+        lambda family: hilbert.conjugation_residuals(family, family[:1]),
+        lambda family: gram_schmidt_real(family, gram=np.eye(len(family))),
+    ], ids=["ProjectorPovm", "complete_basis", "conjugation_in_basis",
+            "conjugation_residuals", "gram_schmidt_real_with_gram"])
+    def test_a_family_on_two_spaces_is_a_space_mismatch(self, build):
+        # a full orthonormal family, but vector 1 lies on a grid of the same
+        # dimension and another length: its coordinates stack without error
+        family = [basis_state(GridSpace(4, 0.0, 2.0 if k == 1 else 1.0), k)
+                  for k in range(4)]
+        with pytest.raises(SpaceMismatchError, match="^vector 1 lives on a different space$"):
+            build([StateVector(v.space, v.amplitudes, normalize=True) for v in family])
 
     def test_conjugate_symmetry(self):
         rng = np.random.default_rng(11)

@@ -200,6 +200,8 @@ INVOCATIONS = {
     "error_no_anchor": ["check", "--model", "far.json", "--samples=-15;0;15"],
     "error_usage": ["sample", "--model", "ps.json", "--povm", "grid", "--theta=0",
                     "--n", "0", "--seed", "1"],
+    # --model is declared once, for every subcommand
+    "error_usage_no_model": ["report", "--theta=0"],
 }
 
 
