@@ -19,9 +19,9 @@ from .errors import (
     SingularSupportError,
     SpaceMismatchError,
 )
-from .geometry import _gram, _metric_and_curvature
+from .geometry import _metric_and_curvature
+from .hilbert import _gram, _norms
 from .holonomy import align_phases, sample_states
-from .model import _norms
 
 PSD_TOL = 1e-10
 RESOLUTION_TOL = 1e-8
@@ -309,7 +309,7 @@ def fisher_many(povm, model, thetas):
     The lifts come one block of points at a time
     (``PureStateModel._lift_blocks``), and each block takes one pass
     (:func:`_lift_fishers`), then ``J_S`` from one stacked
-    ``geometry._gram``.  Each row is bitwise :func:`lift_fisher` and
+    ``hilbert._gram``.  Each row is bitwise :func:`lift_fisher` and
     :func:`geometry.sld_fisher` of the lift at its theta alone, and the first
     row that fails a check raises what :func:`lift_fisher` raises there.
     """

@@ -19,7 +19,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import RankDeficiencyError, SpectralConsistencyError
-from .model import _dots, _row
+from .hilbert import _gram
+from .model import _row
 
 RANK_TOL = 1e-10
 METRIC_SCALE_FLOOR = 1e-12
@@ -56,22 +57,8 @@ class WeightMatrix:
         object.__setattr__(self, "matrix", g)
 
 
-def _gram(coords):
-    """``G[..., a, b] = <c_a|c_b>`` of orthonormal coordinates ``(..., m, dim)``.
-
-    The entries are one stacked product of BLAS dots (``model._dots``), so a
-    row does not depend on its batch; below the diagonal they are replaced
-    by the conjugates of the entries above it, so ``G`` is exactly Hermitian.
-    """
-    g = _dots(coords[..., :, None, :], coords[..., None, :, :])
-    below = np.tril_indices(coords.shape[-2], -1)
-    g[..., below[0], below[1]] = np.conj(g[..., below[1], below[0]])
-    return g
-
-
 def _lift_gram(lift):
-    space = lift.phi.space
-    return _gram(np.sqrt(space.weight) * np.array([l.amplitudes for l in lift.lifts]))
+    return _gram(np.array([l.coords for l in lift.lifts]))
 
 
 def _metric_and_curvature(gram):

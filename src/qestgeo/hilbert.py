@@ -171,18 +171,44 @@ def common_space(vectors, space=None):
     return space
 
 
-def overlap_matrix(vectors):
-    """``G[a, b] = <v_a|v_b>`` of vectors on one space: :func:`inner` on and
-    above the diagonal, conjugates below."""
-    k = len(vectors)
-    g = np.empty((k, k), dtype=complex)
-    if vectors:
-        common_space(vectors)
-    for a, u in enumerate(vectors):
-        for b in range(a, k):
-            g[a, b] = u.space.weight * np.vdot(u.amplitudes, vectors[b].amplitudes)
-            g[b, a] = np.conj(g[a, b])
+def _dots(a, b):
+    """``<a|b>`` over the last axis, broadcast over the others: each one the
+    BLAS dot ``np.vdot`` takes, so a row does not depend on its batch."""
+    return _bra_dots(np.conj(a), b)
+
+
+def _bra_dots(bra, b):
+    """:func:`_dots` of the state whose conjugate is ``bra``."""
+    return (bra[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _norms(amps):
+    """``np.linalg.norm`` over the last axis, broadcast over the others:
+    ``sqrt(re.re + im.im)``, each dot the ``(1, dim) @ (dim, 1)`` matmul
+    ``np.linalg.norm`` takes, so a row does not depend on its batch."""
+    re, im = amps.real[..., None, :], amps.imag[..., None, :]
+    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
+    return np.sqrt(sq[..., 0, 0])
+
+
+def _gram(x):
+    """``G[..., a, b] = <x_a|x_b>`` of rows ``(..., m, dim)``: row ``a`` on and
+    above the diagonal from one :func:`_bra_dots` call, the conjugates below,
+    so ``G`` is exactly Hermitian and a family does not depend on its batch."""
+    m = x.shape[-2]
+    g = np.empty(x.shape[:-1] + (m,), dtype=complex)
+    for a in range(m):
+        g[..., a, a:] = _bra_dots(np.conj(x[..., a, None, :]), x[..., a:, :])
+        g[..., a + 1:, a] = np.conj(g[..., a, a + 1:])
     return g
+
+
+def overlap_matrix(vectors):
+    """``G[a, b] = <v_a|v_b>`` of vectors on one space, each entry on and
+    above the diagonal bitwise :func:`inner`, the conjugates below."""
+    if not vectors:
+        return np.empty((0, 0), dtype=complex)
+    return common_space(vectors).weight * _gram(np.array([v.amplitudes for v in vectors]))
 
 
 def gram_schmidt_real(vectors, gram=None):

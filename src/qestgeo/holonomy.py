@@ -58,8 +58,8 @@ def _evaluate(model, points):
 
 
 def _overlaps(space, amps):
-    """Consecutive overlaps ``<phi_k|phi_{k+1}>`` of the rows of ``amps``."""
-    return space.weight * np.einsum("ij,ij->i", amps[:-1].conj(), amps[1:])
+    """Consecutive overlaps ``<phi_k|phi_{k+1}>``, each bitwise :func:`hilbert.inner`."""
+    return space.weight * hilbert._dots(amps[:-1], amps[1:])
 
 
 def _refined_states(model, thetas):

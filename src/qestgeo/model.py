@@ -16,13 +16,13 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DomainError, ModelDefinitionError, SpaceMismatchError
-from .hilbert import BasisSpace, GridSpace, StateVector
+from .hilbert import BasisSpace, GridSpace, StateVector, _bra_dots, _dots, _norms  # noqa: F401
 
 NORM_DRIFT_TOL = 1e-6
 DEFAULT_FD_STEP = 1e-4
@@ -62,7 +62,10 @@ class PureStateModel:
     neighbours, evaluated by the pass that evaluates states (:meth:`_states`)
     and differenced in place (:meth:`_stencil`).  Each function is called on
     one ``(m,)`` point at a time, or on blocks of a ``(k, m)`` array when
-    marked :func:`broadcasting`.
+    marked :func:`broadcasting`.  Both must fix a state's phase the same way
+    on every call, or ``J_S`` and ``J~`` come out wrong without an error: a
+    solver that returns an arbitrary phase per call belongs with
+    ``tangent_fn=None``, whose differences rephase each neighbour onto the state.
 
     The model reads every state and tangent through one formula
     ``fn(theta, cols, components)`` (:attr:`_formula`), called on rows and
@@ -314,27 +317,6 @@ def _row(theta):
     return arr.reshape(1, 1) if arr.ndim == 0 else arr[None]
 
 
-def _dots(a, b):
-    """``<a|b>`` over the last axis, broadcast over the others: each one the
-    BLAS dot ``np.vdot`` takes, so a row does not depend on its batch."""
-    return _bra_dots(np.conj(a), b)
-
-
-def _bra_dots(bra, b):
-    """:func:`_dots` of the state whose conjugate is ``bra``."""
-    return (bra[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _norms(amps):
-    """``np.linalg.norm`` over the last axis, broadcast over the others:
-    ``sqrt(re.re + im.im)``, each a ``(1, dim) @ (dim, 1)`` matmul, which is
-    the BLAS dot ``np.linalg.norm`` takes, so a row does not depend on its
-    batch."""
-    re, im = amps.real[..., None, :], amps.imag[..., None, :]
-    sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
-    return np.sqrt(sq[..., 0, 0])
-
-
 def broadcasting(fn):
     """Mark ``fn`` as written over leading axes.
 
@@ -480,16 +462,7 @@ def rephased(model, alpha, grad_alpha=None):
             phi, base = model._formula_block(theta[None], (i,))  # one base call per tile
             return np.exp(1j * alpha(theta)) * (base[0, 0] + 1j * grad_alpha(theta)[i] * phi[0])
 
-    return PureStateModel(
-        space=model.space,
-        m=model.m,
-        domain=model.domain,
-        evaluate_fn=ev,
-        tangent_fn=tangent_fn,
-        fd_step=model.fd_step,
-        kind=f"rephased:{model.kind}",
-        sample_grid=model.sample_grid,
-    )
+    return replace(model, evaluate_fn=ev, tangent_fn=tangent_fn, kind=f"rephased:{model.kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -774,6 +747,17 @@ def _two_well(params):
     return _shift_family(params, profile, space, "two_well")
 
 
+def _wrap_counts(arg):
+    """``arg // (2 pi)`` at a tenth of its cost: the floor of a product, and
+    numpy's divmod only where the quotient lies within 1e-9 of an integer."""
+    quot = arg * (0.5 / np.pi)
+    wraps = np.floor(quot)
+    quot -= wraps  # the fraction, in [0, 1)
+    near = (quot < 1e-9) | (quot > 1.0 - 1e-9)
+    wraps[near] = arg[near] // (2.0 * np.pi)
+    return wraps
+
+
 def _ring_flux(params):
     alpha = float(params.get("alpha", 0.3))
     space = _grid_from_params(params, default_n=1024, default_lower=0.0,
@@ -787,13 +771,13 @@ def _ring_flux(params):
     rates = np.array([alpha, 1.0])
 
     def fn(theta, cols, components):
-        # s = (omega - t) mod 2 pi = omega - t - 2 pi q, q from the same
-        # divmod as the mod, so the phase step stays on the same grid points:
-        # exp(i alpha (s + t)) = exp(i alpha omega) exp(-2 pi i alpha q), the
-        # latter from a table of the few wrap counts q, and
+        # s = (omega - t) mod 2 pi = omega - t - 2 pi q, q the wrap count of
+        # the mod (_wrap_counts), so the phase step stays on the same grid
+        # points: exp(i alpha (s + t)) = exp(i alpha omega) exp(-2 pi i alpha q),
+        # the latter from a table of the few wrap counts q, and
         # cos s + i sin s = exp(i omega) exp(-i t)
         t = theta[..., 0, None]
-        wraps = (omega[cols] - t) // (2.0 * np.pi)
+        wraps = _wrap_counts(omega[cols] - t)
         low = wraps.min()
         table = np.exp(-2j * np.pi * alpha * np.arange(low, wraps.max() + 1))
         flux, turn = _affine_phases(rates, space.lower, space.weight, columns[cols])

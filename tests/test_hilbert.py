@@ -240,6 +240,21 @@ class TestGramSchmidtReal:
         with pytest.raises(SpaceMismatchError):
             hilbert.overlap_matrix([vecs[0], basis_state(BasisSpace(16), 0)])
 
+    def test_no_vectors_have_an_empty_overlap_matrix(self):
+        g = hilbert.overlap_matrix([])
+        assert g.shape == (0, 0) and g.dtype == complex
+
+    def test_gram_entries_are_vdots_of_each_family_alone(self):
+        rng = np.random.default_rng(6)
+        x = rng.normal(size=(3, 5, 1024)) + 1j * rng.normal(size=(3, 5, 1024))
+        g = hilbert._gram(x)
+        for family, rows in zip(g, x):
+            assert family.tobytes() == hilbert._gram(rows).tobytes()
+            assert np.array_equal(family, family.conj().T)
+            for a in range(5):
+                for b in range(a, 5):
+                    assert family[a, b] == np.vdot(rows[a], rows[b])
+
     def test_complete_basis_preserves_inputs(self):
         space = BasisSpace(5)
         first = [basis_state(space, 1), basis_state(space, 3)]

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import qestgeo as qg
-from qestgeo import holonomy
+from qestgeo import cli, holonomy
 from qestgeo.errors import AnchorError, DomainError, RefinementError, UndefinedPhaseError
 from qestgeo.hilbert import BasisSpace, GridSpace, StateVector, inner
 from qestgeo.holonomy import (
@@ -534,3 +534,54 @@ class TestArrayChain:
         assert got.value.overlap == pytest.approx(want.value.overlap, abs=1e-13)
         (lo,), (hi,) = got.value.segment
         assert lo < 0.5 <= hi and hi - lo == pytest.approx(0.7 / 8)
+
+
+def rectangle_points(side, n_sub):
+    corners = np.array([(0.0, 0.0), (side, 0.0), (side, side), (0.0, side), (0.0, 0.0)])
+    steps = np.linspace(0.0, 1.0, n_sub, endpoint=False)[:, None]
+    sides = [a + steps * (b - a) for a, b in zip(corners[:-1], corners[1:])]
+    return [tuple(p) for p in np.concatenate(sides)] + [(0.0, 0.0)]
+
+
+def phase_table():
+    from test_batched import table_spec  # a tabulated spin-1 rotation
+
+    phases = np.random.default_rng(7).uniform(0.0, 2.0 * np.pi, 11)
+    return cli.parse_model_spec(table_spec(phases))[0]
+
+
+CHAINS = {
+    "bloch_latitude": (lambda: qg.catalog("bloch"), True,
+                       [(1.0, phi) for phi in np.linspace(0.0, 2.0 * np.pi, 201)]),
+    "pm_rectangle": (lambda: qg.catalog("position_momentum_shift"), True,
+                     rectangle_points(1.0, 16)),
+    "ring_open": (lambda: qg.catalog("ring_flux"), False,
+                  [(t,) for t in np.linspace(0.3, 2.8, 60)]),
+    "table": (phase_table, False, [(0.1 * k,) for k in range(11)]),
+    "refined_rectangle": (None, True, [(0.0, 0.0), (20.0, 0.0), (20.0, 20.0), (0.0, 0.0)]),
+}
+
+
+class TestLinks:
+    """Every transport link is bitwise the ``hilbert.inner`` of its states."""
+
+    @pytest.mark.parametrize("name", sorted(CHAINS))
+    def test_links_are_the_inner_products(self, monkeypatch, wide_pm, name):
+        build, closed, pts = CHAINS[name]
+        mod = wide_pm if build is None else build()
+        space, amps, overlaps = holonomy._refined_states(mod, pts)
+        states = [StateVector(space, a) for a in amps]
+        want = np.array([inner(u, v) for u, v in zip(states[:-1], states[1:])])
+        assert (len(amps) > len(pts)) == (build is None)  # wide_pm refines
+        assert overlaps.tobytes() == want.tobytes()
+        if closed:
+            chains, chain = [], holonomy._chain
+
+            def recorded(ov):
+                chains.append(ov)
+                return chain(ov)
+
+            monkeypatch.setattr(holonomy, "_chain", recorded)
+            berry_phase_loop(Curve(mod, tuple(pts), closed=True))
+            want[-1] = inner(states[-2], states[0])
+            assert chains[0].tobytes() == want.tobytes()

@@ -228,6 +228,27 @@ class TestGaugeCovariance:
                 diff = StateVector(mod.space, b.amplitudes - phase * a.amplitudes)
                 assert diff.norm() < 1e-6 * max(1.0, a.norm())
 
+    def test_a_phase_per_call_is_exact_without_a_tangent_fn(self, battery):
+        # a solver's ground state carries a fresh phase on every call; with
+        # tangent_fn=None the transported difference does not see it
+        rng = np.random.default_rng(23)
+        paulis = np.array([[[0, 1], [1, 0]], [[0, -1j], [1j, 0]], [[1, 0], [0, -1]]])
+
+        def ground_state(theta):
+            pol, az = theta
+            n = np.array([np.sin(pol) * np.cos(az), np.sin(pol) * np.sin(az), np.cos(pol)])
+            vecs = np.linalg.eigh(-np.tensordot(n, paulis, axes=1))[1]
+            return np.exp(2j * np.pi * rng.uniform()) * vecs[:, 0]
+
+        bloch = battery["bloch"]
+        solver = PureStateModel(space=bloch.space, m=2, domain=bloch.domain,
+                                evaluate_fn=ground_state)
+        for theta in [(0.7, 0.3), (1.2, -2.0), (2.5, 4.0), (0.4, 5.0)]:
+            got, want = qg.analyze(solver, theta), qg.analyze(bloch, theta)
+            assert np.max(np.abs(got.sld_fisher - want.sld_fisher)) < 1e-7
+            assert np.max(np.abs(got.berry_curvature - want.berry_curvature)) < 1e-7
+            assert got.betas == pytest.approx(want.betas, abs=1e-7)
+
 
 class TestCatalog:
     def test_unknown_name(self):
@@ -338,6 +359,19 @@ class TestPhaseTables:
         states, tangents = mod.evaluate_fn(thetas), mod.tangent_fn(thetas, 0)
         assert np.max(np.abs(states - c * (2.0 - np.cos(s)) * phase)) < 1e-15
         assert np.max(np.abs(tangents + c * np.sin(s) * phase)) < 1e-15
+
+    def test_ring_wrap_counts_are_the_floor_division(self):
+        omega = qg.catalog("ring_flux", {"grid": {"n": 256}}).space.points
+        ulp = np.spacing(omega)
+        near = np.concatenate([omega - ulp, omega, omega + ulp])
+        rng = np.random.default_rng(29)
+        thetas = np.concatenate([near, near - 2.0 * np.pi, near + 2.0 * np.pi,
+                                 [-2.0 * np.pi, 4.0 * np.pi],
+                                 rng.uniform(-2.0 * np.pi, 4.0 * np.pi, 200)])[:, None]
+        want = (omega - thetas) // (2.0 * np.pi)
+        assert np.array_equal(model._wrap_counts(omega - thetas), want)
+        tiles = [model._wrap_counts(omega[j:j + 1] - thetas) for j in range(len(omega))]
+        assert np.array_equal(np.concatenate(tiles, axis=-1), want)
 
     @pytest.mark.parametrize("name", ["momentum_shift", "spin_jz"])
     def test_phase_generator_states_are_the_rotated_state(self, name):
