@@ -233,7 +233,7 @@ def _parse_catalog_spec(doc):
             raise SpecFormatError(f"must be a positive number, got {doc['fd_step']!r}",
                                   path="fd_step")
         raise SpecFormatError("catalog families have closed-form tangents", path="fd_step")
-    return built, {"kind": "catalog", "name": name, "params": _jsonable(params)}
+    return built, {"kind": "catalog", "name": name, "params": params}
 
 
 def _parse_space_spec(spec, path):
@@ -289,12 +289,12 @@ def _parse_tabulated_spec(doc):
                 f"row {r} must be {space.dim} [re, im] pairs",
                 path=f"amplitudes[{r}]",
             )
-        state = StateVector(space, arr[:, 0] + 1j * arr[:, 1])
-        nrm = state.norm()
+        amps = arr[:, 0] + 1j * arr[:, 1]
+        nrm = np.sqrt(space.weight) * np.linalg.norm(amps)
         if abs(nrm - 1.0) >= model.NORM_DRIFT_TOL:
             raise SpecFormatError(f"row {r} has norm {nrm:.8f}, not 1",
                                   path=f"amplitudes[{r}]")
-        table.append(StateVector._adopt(space, state.amplitudes / nrm))
+        table.append(StateVector._adopt(space, amps / nrm))
     built = _tabulated_model(space, thetas, table)
     echo = {
         "kind": "tabulated",
@@ -340,21 +340,6 @@ def _space_echo(space):
                 "upper": space.upper, "periodic": space.periodic}
     return {"type": "basis", "dimension": space.dimension,
             "labels": list(space.labels) if space.labels else None}
-
-
-def _jsonable(obj):
-    if isinstance(obj, dict):
-        return {k: _jsonable(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_jsonable(v) for v in obj]
-    if isinstance(obj, bool):
-        # bool subclasses int; keep flags such as grid.periodic boolean
-        return obj
-    if isinstance(obj, (np.floating, float)):
-        return float(obj)
-    if isinstance(obj, (np.integer, int)):
-        return int(obj)
-    return obj
 
 
 def parse_theta_list(text, m):

@@ -49,9 +49,11 @@ class WeightMatrix:
             raise ValueError("weight must be a square matrix")
         if not np.all(np.isfinite(g)):
             raise ValueError("weight entries must be finite")
-        if np.max(np.abs(g - g.T)) > WEIGHT_TOL:
-            raise ValueError(f"weight must be symmetric within {WEIGHT_TOL:.0e}")
-        if np.min(np.linalg.eigvalsh(g)) < -WEIGHT_TOL:
+        tol = WEIGHT_TOL * max(1.0, np.max(np.abs(g)))
+        if np.max(np.abs(g - g.T)) > tol:
+            raise ValueError(f"weight must be symmetric within {WEIGHT_TOL:.0e} "
+                             "times max(1, max abs G)")
+        if np.min(np.linalg.eigvalsh(g)) < -tol:
             raise ValueError("weight must be positive semidefinite")
         g.setflags(write=False)
         object.__setattr__(self, "matrix", g)
@@ -266,7 +268,7 @@ def analyze(model, theta):
     so the corresponding fields come back as None.  ``quasi_classical`` is
     the verdict of :func:`is_quasi_classical`, from the same spectral pass.
     """
-    return analyze_many(model, _row(theta))[0]
+    return analyze_many(model, _row(theta, model.m))[0]
 
 
 def analyze_many(model, thetas):

@@ -18,9 +18,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hilbert
-from .errors import AnchorError, ClosureError, DomainError, RefinementError, UndefinedPhaseError
-from .model import Curve
+from . import geometry, hilbert
+from .errors import AnchorError, ClosureError, RefinementError, UndefinedPhaseError
+from .model import Curve, _theta_array
 
 MIN_OVERLAP = 1e-6
 MAX_REFINE_LEVELS = 3
@@ -37,10 +37,7 @@ class PhaseResult:
 
 def _as_points(model, thetas):
     """``thetas`` as one float array; scalar points stand for 1-vectors."""
-    try:
-        thetas = np.asarray(thetas, dtype=float)
-    except ValueError as exc:  # ragged or non-numeric points
-        raise DomainError(f"points are not {model.m}-vectors: {exc}") from None
+    thetas = _theta_array(thetas, model.m)
     return thetas[:, None] if thetas.ndim == 1 else thetas
 
 
@@ -198,8 +195,6 @@ def curvature_check(model, theta, i, j, eps, n_sub=8):
     and the measured phase matches it to O(eps^3).  Returns
     ``(measured, predicted)``.
     """
-    from .geometry import berry_curvature  # local import avoids a cycle
-
     theta = np.asarray(theta, dtype=float)
     if model.m < 2:
         raise ValueError("curvature check needs at least two parameters")
@@ -215,7 +210,7 @@ def curvature_check(model, theta, i, j, eps, n_sub=8):
             points.append(a + (b - a) * s / n_sub)
     points.append(corners[-1])
     measured = berry_phase_loop(Curve(model, tuple(points), closed=True)).gamma
-    j_tilde = berry_curvature(model.horizontal_lift(theta))
+    j_tilde = geometry.berry_curvature(model.horizontal_lift(theta))
     predicted = 0.5 * j_tilde[i, j] * eps * eps
     return float(measured), float(predicted)
 
@@ -261,7 +256,7 @@ def is_quasi_parallel(model, sample_thetas, align=True):
 def sample_states(model, sample_thetas):
     """``(thetas, states)``: the samples as float arrays and the model
     evaluated once at each."""
-    thetas = [np.asarray(t, dtype=float) for t in sample_thetas]
+    thetas = [_theta_array(t, model.m) for t in sample_thetas]
     space, amps = _evaluate(model, _as_points(model, thetas))
     return thetas, [hilbert.StateVector._adopt(space, a) for a in amps]
 

@@ -92,7 +92,7 @@ class PureStateModel:
     def _points(self, thetas):
         """``thetas`` as a float array of shape ``(k, m)`` inside the domain;
         :class:`DomainError` naming the first bad row otherwise."""
-        arr = np.asarray(thetas, dtype=float)
+        arr = _theta_array(thetas, self.m)
         if arr.shape[1:] != (self.m,):
             raise DomainError(f"theta has shape {arr.shape[1:]}, model expects ({self.m},)")
         lo, hi = self._bounds
@@ -224,11 +224,11 @@ class PureStateModel:
         return self._states(self._points(thetas))
 
     def evaluate(self, theta):
-        return StateVector._adopt(self.space, self.evaluate_many(_row(theta))[0])
+        return StateVector._adopt(self.space, self.evaluate_many(_row(theta, self.m))[0])
 
     def tangent(self, theta, i):
         """Unnormalized derivative d_i |phi> at theta."""
-        points = self._points(_row(theta))
+        points = self._points(_row(theta, self.m))
         if not 0 <= i < self.m:
             raise IndexError(f"component {i} out of range for m={self.m}")
         fd = self.tangent_fn is None  # a copy of the + row, not the whole stencil
@@ -296,7 +296,7 @@ class PureStateModel:
             del amps, lifts  # not alive while the next block is evaluated
 
     def horizontal_lift(self, theta):
-        return next(self.horizontal_lifts(_row(theta)))
+        return next(self.horizontal_lifts(_row(theta, self.m)))
 
     def horizontal_lifts(self, thetas):
         """:meth:`horizontal_lift` at each row of a ``(k, m)`` theta array,
@@ -311,9 +311,18 @@ class PureStateModel:
             del states, lifts, amps, rows  # the views too: they hold the block
 
 
-def _row(theta):
+def _theta_array(thetas, m):
+    """``thetas`` as a float array; :class:`DomainError` when its points,
+    meant as ``m``-vectors, are ragged or not numeric."""
+    try:
+        return np.asarray(thetas, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"points are not {m}-vectors: {exc}") from None
+
+
+def _row(theta, m):
     """One theta as a ``(1, ...)`` array; a scalar is a 1-vector."""
-    arr = np.asarray(theta, dtype=float)
+    arr = _theta_array(theta, m)
     return arr.reshape(1, 1) if arr.ndim == 0 else arr[None]
 
 
@@ -469,16 +478,6 @@ def rephased(model, alpha, grad_alpha=None):
 # base profiles for the grid families
 
 
-@dataclass(frozen=True)
-class Profile:
-    """Complex 1-d profile: ``fn(x, derivative)`` gives ``(f(x), f'(x))``,
-    the derivative None unless asked for, with the factors they share
-    computed once."""
-
-    name: str
-    fn: object
-
-
 def gaussian_profile(width=1.0, center=0.0):
     w = float(width)
     c = float(center)
@@ -489,7 +488,7 @@ def gaussian_profile(width=1.0, center=0.0):
         f = norm * np.exp(-(shifted ** 2) / (2.0 * w * w)) + 0j
         return f, -shifted / (w * w) * f if derivative else None
 
-    return Profile(f"gaussian(width={w:g},center={c:g})", fn)
+    return fn
 
 
 def hermite_profile(n):
@@ -514,15 +513,15 @@ def hermite_profile(n):
         lead = 2.0 * n * hpoly(n - 1, x) if n > 0 else 0.0
         return f, norm * (lead - x * h) * envelope + 0j
 
-    return Profile(f"hermite(n={n})", fn)
+    return fn
 
 
-def _phase_factor_profile(name, base, g, dg):
+def _phase_factor_profile(base, g, dg):
     """Multiply a profile by exp(i g(x)); its derivative gains i g'(x) f."""
 
     def fn(x, derivative):
         phase = np.exp(1j * g(x))
-        f, df = base.fn(x, derivative)
+        f, df = base(x, derivative)
         if not derivative:
             return phase * f, None
         # not ``phase * (...)``: numpy computes an operator whose right operand
@@ -530,21 +529,19 @@ def _phase_factor_profile(name, base, g, dg):
         # and a complex product is not bitwise symmetric
         return phase * f, np.multiply(phase, df + 1j * dg(x) * f)
 
-    return Profile(name, fn)
+    return fn
 
 
 def boosted_profile(base, p0):
     """Multiply a profile by the plane-wave factor exp(i p0 x)."""
     p0 = float(p0)
-    return _phase_factor_profile(f"boosted(p0={p0:g},{base.name})", base,
-                                 lambda x: p0 * x, lambda x: p0)
+    return _phase_factor_profile(base, lambda x: p0 * x, lambda x: p0)
 
 
 def chirped_profile(chirp, width=1.0):
     """Gaussian with quadratic phase exp(i c x^2)."""
     c = float(chirp)
-    return _phase_factor_profile(f"chirped(c={c:g},width={width:g})",
-                                 gaussian_profile(width),
+    return _phase_factor_profile(gaussian_profile(width),
                                  lambda x: c * x * x, lambda x: 2.0 * c * x)
 
 
@@ -561,7 +558,7 @@ def two_well_profile(alpha):
         factor = np.exp(-x * x + 1j * np.where(x >= 0.0, 0.0, a))
         return x * x * factor, (2.0 * x - 2.0 * x**3) * factor if derivative else None
 
-    return Profile(f"two_well(alpha={a:g})", fn)
+    return fn
 
 
 PROFILE_BUILDERS = {
@@ -576,7 +573,12 @@ PROFILE_BUILDERS = {
 
 
 def make_profile(spec):
-    """Profile from a name or a {'name': ..., params...} mapping."""
+    """The profile named by a string or a {'name': ..., params...} mapping.
+
+    A profile is its function ``fn(x, derivative)``: the complex 1-d
+    ``(f(x), f'(x))``, the derivative None unless asked for, with the
+    factors they share computed once.
+    """
     if isinstance(spec, str):
         name, params = spec, {}
     else:
@@ -625,10 +627,9 @@ def _domain(params, default):
 
 def _grid_norm_factor(profile, space):
     """Normalization constant on the model's own grid, computed once."""
-    raw = StateVector(space, profile.fn(space.points, False)[0])
-    nrm = raw.norm()
+    nrm = math.sqrt(space.weight) * float(np.linalg.norm(profile(space.points, False)[0]))
     if nrm == 0.0:
-        raise ValueError(f"profile {profile.name} vanishes on the grid")
+        raise ValueError("profile vanishes on the grid")
     return 1.0 / nrm
 
 
@@ -639,7 +640,7 @@ def _shift_family(params, profile, space, kind):
     x = space.points
 
     def fn(theta, cols, components):
-        f, df = profile.fn(x[cols] - theta[..., 0, None], bool(components))
+        f, df = profile(x[cols] - theta[..., 0, None], bool(components))
         return c * f, (-c * df)[..., None, :] if components else None
 
     return _Formula(fn).model(space=space, m=1, domain=domain, kind=kind,
@@ -672,7 +673,7 @@ def _momentum_shift(params):
     c = _grid_norm_factor(profile, space)
     return _phase_generator_family(
         space, _domain(params, ((-2.0, 2.0),)), -space.lower, -space.weight,
-        c * profile.fn(space.points, False)[0], "momentum_shift", np.linspace(-1.0, 1.0, 5))
+        c * profile(space.points, False)[0], "momentum_shift", np.linspace(-1.0, 1.0, 5))
 
 
 def _distinct(values):
@@ -704,7 +705,7 @@ def _position_momentum_shift(params):
         shifts, by_shift = _distinct(theta[..., 0])
         boosts, by_boost = _distinct(theta[..., 1])
         plane = _affine_phases(boosts, space.lower, space.weight, columns[cols])
-        f, df = profile.fn(xs - shifts[..., None], 0 in components)
+        f, df = profile(xs - shifts[..., None], 0 in components)
         states = np.multiply((plane * c)[by_boost], f[by_shift])
         if not components:
             return states, None
@@ -765,8 +766,7 @@ def _ring_flux(params):
     if not space.periodic:
         raise ValueError("ring_flux requires a periodic grid")
     omega, columns = space.points, range(space.dim)
-    raw = StateVector(space, (2.0 - np.cos(omega)) + 0j)
-    c = 1.0 / raw.norm()
+    c = 1.0 / (math.sqrt(space.weight) * float(np.linalg.norm((2.0 - np.cos(omega)) + 0j)))
     domain = _domain(params, ((-2.0 * np.pi, 4.0 * np.pi),))
     rates = np.array([alpha, 1.0])
 

@@ -181,6 +181,6 @@ def is_invariant(op, states):
             pass
     for s in states:
         delta = op.apply(s).amplitudes - s.amplitudes
-        if hilbert.StateVector(s.space, delta).norm() >= INVARIANCE_TOL:
+        if np.sqrt(s.space.weight) * np.linalg.norm(delta) >= INVARIANCE_TOL:
             return False
     return True

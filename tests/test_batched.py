@@ -64,6 +64,24 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+# each entry point that takes theta points, on a ragged or non-numeric list
+# of points (``many``) or a ragged or non-numeric point (``one``)
+MALFORMED_THETA_ENTRIES = {
+    "evaluate_many": lambda mod, many, one: mod.evaluate_many(many),
+    "horizontal_lifts": lambda mod, many, one: list(mod.horizontal_lifts(many)),
+    "analyze_many": lambda mod, many, one: geometry.analyze_many(mod, many),
+    "fisher_many": lambda mod, many, one: estimation.fisher_many(grid_pvm(mod.space), mod,
+                                                                 many),
+    "sample_states": lambda mod, many, one: holonomy.sample_states(mod, many),
+    "is_quasi_parallel": lambda mod, many, one: holonomy.is_quasi_parallel(mod, many),
+    "transport": lambda mod, many, one: holonomy.berry_phase_open(Curve(mod, many)),
+    "evaluate": lambda mod, many, one: mod.evaluate(one),
+    "tangent": lambda mod, many, one: mod.tangent(one, 0),
+    "horizontal_lift": lambda mod, many, one: mod.horizontal_lift(one),
+    "analyze": lambda mod, many, one: geometry.analyze(mod, one),
+}
+
+
 class TestEvaluateMany:
     @pytest.mark.parametrize("rows", [None, 5])
     @pytest.mark.parametrize("name", sorted(BATTERY))
@@ -115,6 +133,14 @@ class TestEvaluateMany:
         with pytest.raises(DomainError) as many:
             mod.evaluate_many([[0.1, 0.2], [0.3, 0.4]])
         assert str(many.value) == str(one.value) == "theta has shape (2,), model expects (1,)"
+
+    @pytest.mark.parametrize("many, one", [([[0.1, 0.2], [0.3]], [0.1, [0.2]]),
+                                           ([[0.1, 0.2], [0.3, "a"]], [0.1, "a"])],
+                             ids=["ragged", "non_numeric"])
+    @pytest.mark.parametrize("entry", sorted(MALFORMED_THETA_ENTRIES))
+    def test_malformed_thetas_are_domain_errors(self, entry, many, one):
+        with pytest.raises(DomainError, match=r"^points are not 2-vectors: "):
+            MALFORMED_THETA_ENTRIES[entry](qg.catalog("bloch"), many, one)
 
     def test_a_drifting_row_raises_the_error_of_evaluate(self):
         def drifting(theta):

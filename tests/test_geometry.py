@@ -196,6 +196,16 @@ class TestBounds:
             WeightMatrix(np.array([[-1.0, 0.0], [0.0, 1.0]]))
         WeightMatrix(np.diag([1.0, 0.0]))
 
+    def test_weight_matrix_tolerance_is_relative_to_the_weight(self):
+        q = np.linalg.qr(np.random.default_rng(1).normal(size=(3, 3)))[0]
+        g = q @ np.diag([1.0, 2.0, 3.0]) * 1e6 @ q.T
+        assert np.max(np.abs(g - g.T)) > geometry.WEIGHT_TOL  # rounding of the product
+        WeightMatrix(g)
+        skew = g.copy()
+        skew[0, 1] += 1e-9 * np.max(np.abs(g))
+        with pytest.raises(ValueError, match="symmetric"):
+            WeightMatrix(skew)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_weight_matrix_rejects_non_finite_entries(self, bad):
         with pytest.raises(ValueError, match="finite"):

@@ -107,6 +107,13 @@ MALFORMED = [
      {"kind": "catalog", "name": "spin_jz", "params": {"amplitudes": [0, 0, 0]}},
      ["report", "--model", "bad.json", "--theta", "0"],
      "params: invalid params for spin_jz: amplitudes must not all be zero"),
+    # nor can it evaluate a profile: this packet sits 1000 widths off the grid
+    ("profile_vanishes", None,
+     {"kind": "catalog", "name": "position_shift",
+      "params": {"profile": {"name": "gaussian", "center": 1000},
+                 "grid": {"n": 64, "lower": -10, "upper": 10}}},
+     ["report", "--model", "bad.json", "--theta", "0"],
+     "params: invalid params for position_shift: profile vanishes on the grid"),
     ("weight_not_numeric", None, None,
      ["report", "--model", "bloch.json", "--theta", "0.3,0.1", "--weight", "diag:1,x"],
      "non-numeric diag weight in 'diag:1,x'"),
