@@ -28,9 +28,9 @@ with ``tool`` and ``model`` (the normalized spec echo); :func:`main` reads
 the model before any other input and each subcommand returns only the
 keys that follow.
 
-Exit codes: 0 success, 2 malformed input documents (including a loop
-marked closed whose end ray differs from its start ray), 3
-numerical-contract violations, 64 usage errors.
+Exit codes: 0 success, 2 on an ``InputError`` (malformed input, a loop
+marked closed whose end ray differs from its start ray), 3 on a
+``ContractError`` or any other ``QestgeoError``, 64 usage errors.
 """
 
 from __future__ import annotations
@@ -45,19 +45,13 @@ import numpy as np
 
 from . import __version__, estimation, geometry, hilbert, holonomy, model, symmetry
 from .errors import (
-    AnchorError,
-    ClosureError,
+    ContractError,
     DomainError,
+    InputError,
     MeasurementDefinitionError,
-    ModelDefinitionError,
     NonRealOverlapError,
     QestgeoError,
-    RankDeficiencyError,
-    RefinementError,
-    SingularSupportError,
     SpecFormatError,
-    SpectralConsistencyError,
-    UndefinedPhaseError,
 )
 from .hilbert import BasisSpace, GridSpace, StateVector
 from .model import Curve
@@ -67,18 +61,7 @@ EXIT_SPEC = 2
 EXIT_NUMERICAL = 3
 EXIT_USAGE = 64
 
-_NUMERICAL_ERRORS = (
-    RankDeficiencyError,
-    SpectralConsistencyError,
-    NonRealOverlapError,
-    RefinementError,
-    SingularSupportError,
-    ModelDefinitionError,
-    AnchorError,
-    UndefinedPhaseError,
-)
-
-CONJUGATION_RESIDUAL_TOL = 1e-6
+CONJUGATION_RESIDUAL_TOL = symmetry.INVARIANCE_TOL
 TABLE_TOL = 1e-9
 
 
@@ -208,7 +191,7 @@ def parse_model_spec(doc):
 
 def _parse_catalog_spec(doc):
     name = _require(doc, "name", "")
-    if name not in model.CATALOG:
+    if not isinstance(name, str) or name not in model.CATALOG:
         raise SpecFormatError(
             f"unknown catalog model {name!r}; known: {sorted(model.CATALOG)}",
             path="name",
@@ -291,7 +274,7 @@ def _parse_tabulated_spec(doc):
             )
         amps = arr[:, 0] + 1j * arr[:, 1]
         nrm = np.sqrt(space.weight) * np.linalg.norm(amps)
-        if abs(nrm - 1.0) >= model.NORM_DRIFT_TOL:
+        if not abs(nrm - 1.0) < model.NORM_DRIFT_TOL:  # NaN too
             raise SpecFormatError(f"row {r} has norm {nrm:.8f}, not 1",
                                   path=f"amplitudes[{r}]")
         table.append(StateVector._adopt(space, amps / nrm))
@@ -703,10 +686,10 @@ def main(argv=None):
         built, echo = _load_model(args.model)
         doc = {"tool": {"name": "qestgeo", "version": __version__, "command": args.command},
                "model": echo, **args.func(args, built)}
-    except (SpecFormatError, DomainError, ClosureError) as exc:
+    except InputError as exc:
         print(f"qestgeo: spec error: {exc}", file=sys.stderr)
         return EXIT_SPEC
-    except _NUMERICAL_ERRORS as exc:
+    except ContractError as exc:
         print(f"qestgeo: numerical contract violated: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
     except QestgeoError as exc:

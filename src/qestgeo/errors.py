@@ -1,10 +1,10 @@
 """Exception types shared across the package.
 
-Every error raised by the library derives from :class:`QestgeoError`, so
-callers (notably the CLI) can map failures onto exit codes: malformed
-input documents raise :class:`SpecFormatError`, while violations of
-numerical contracts (spectra out of range, rank collapse, transport
-breakdown) raise the more specific subclasses below.
+Every error raised by the library derives from :class:`QestgeoError`.
+The CLI exits 2 on an :class:`InputError` (malformed or out-of-range
+input) and 3 on a :class:`ContractError` (a violated numerical contract:
+spectra out of range, rank collapse, transport breakdown) or any other
+error, so a new class picks its exit code by picking its base.
 """
 
 from __future__ import annotations
@@ -12,6 +12,14 @@ from __future__ import annotations
 
 class QestgeoError(Exception):
     """Base class for all library errors."""
+
+
+class InputError(QestgeoError):
+    """The input is malformed or out of range; the CLI exits 2."""
+
+
+class ContractError(QestgeoError):
+    """A numerical contract is violated; the CLI exits 3."""
 
 
 class SpaceMismatchError(QestgeoError):
@@ -22,7 +30,7 @@ class UnsupportedSpaceError(QestgeoError):
     """Operation requires a grid space (or a basis space) and got the other."""
 
 
-class NonRealOverlapError(QestgeoError):
+class NonRealOverlapError(ContractError):
     """A pairwise overlap that must be real has a significant imaginary part.
 
     Attributes
@@ -39,16 +47,16 @@ class NonRealOverlapError(QestgeoError):
         self.imag = imag
 
 
-class DomainError(QestgeoError):
+class DomainError(InputError):
     """Parameter point outside the model domain, or a finite-difference
     step would leave it."""
 
 
-class ModelDefinitionError(QestgeoError):
+class ModelDefinitionError(ContractError):
     """A model produced a state violating its own contract (norm drift)."""
 
 
-class RankDeficiencyError(QestgeoError):
+class RankDeficiencyError(ContractError):
     """Metric matrix is singular where an inverse is required.
 
     Attributes
@@ -62,7 +70,7 @@ class RankDeficiencyError(QestgeoError):
         self.null_directions = null_directions
 
 
-class SpectralConsistencyError(QestgeoError):
+class SpectralConsistencyError(ContractError):
     """A curvature ratio exceeded 1 beyond tolerance; the model data are
     inconsistent with a pure-state family."""
 
@@ -71,12 +79,12 @@ class MeasurementDefinitionError(QestgeoError):
     """POVM elements are not PSD or do not resolve the identity."""
 
 
-class SingularSupportError(QestgeoError):
+class SingularSupportError(ContractError):
     """A probability family has derivative mass on zero-probability
     outcomes, or the retained support loses probability mass."""
 
 
-class RefinementError(QestgeoError):
+class RefinementError(ContractError):
     """Consecutive curve states stayed near-orthogonal after the maximum
     number of midpoint refinements.
 
@@ -94,23 +102,23 @@ class RefinementError(QestgeoError):
         self.overlap = overlap
 
 
-class ClosureError(QestgeoError, ValueError):
+class ClosureError(InputError, ValueError):
     """A curve marked closed does not return to its starting ray.
 
     Also a :class:`ValueError`: the curve argument itself is invalid.
     """
 
 
-class UndefinedPhaseError(QestgeoError):
+class UndefinedPhaseError(ContractError):
     """Relative phase of two states is undefined (orthogonal endpoints)."""
 
 
-class AnchorError(QestgeoError):
+class AnchorError(ContractError):
     """No sample state overlaps every other sample; phase alignment is
     inconclusive."""
 
 
-class SpecFormatError(QestgeoError):
+class SpecFormatError(InputError):
     """A CLI input document violates its schema.
 
     Attributes

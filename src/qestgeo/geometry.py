@@ -178,7 +178,10 @@ def _weighted_trace(weight, j_s):
 
 def sld_bound(weight, j_s):
     """Lower bound Tr G J_S^{-1} on the weighted estimation error; the
-    rank verdict is that of :func:`d_transform`."""
+    rank verdict is that of :func:`d_transform`.  A raw ``weight`` passes
+    the :class:`WeightMatrix` checks first."""
+    if not isinstance(weight, WeightMatrix):
+        weight = WeightMatrix(weight)
     return _weighted_trace(weight, _single(j_s, np.zeros(np.shape(j_s)))[0])
 
 
@@ -251,7 +254,9 @@ class GeometryReport:
         return self.sld_fisher.shape[0]
 
     def sld_bound(self, weight):
-        """Tr G J_S^{-1}; raises on a rank-deficient metric."""
+        """Tr G J_S^{-1}; raises on a rank-deficient metric.  A raw
+        ``weight`` is not checked, to keep an eigendecomposition off the
+        report path: callers pass ``J_S`` or a checked diagonal."""
         if self.rank_deficient:
             raise RankDeficiencyError(
                 f"metric is singular at theta {self.theta.tolist()}"
@@ -317,7 +322,8 @@ def analyze_many(model, thetas):
 def sld_bounds(reports, weights):
     """``Tr G J_S^{-1}`` of each report with its weight ``G``, one ``(m, m)``
     matrix per report: None on a rank-deficient report, and one stacked
-    ``solve`` over the others."""
+    ``solve`` over the others.  The weights are not checked, as in
+    :meth:`GeometryReport.sld_bound`."""
     rows = [r for r, rep in enumerate(reports) if not rep.rank_deficient]
     bounds = [None] * len(reports)
     if rows:

@@ -72,6 +72,8 @@ class GridSpace:
             raise ValueError("n_points must be >= 2")
         if not self.upper > self.lower:
             raise ValueError("upper must exceed lower")
+        if not np.isfinite(self.upper - self.lower):
+            raise ValueError(f"upper - lower must be finite, got {self.upper - self.lower}")
 
     @property
     def dim(self):

@@ -478,9 +478,18 @@ def rephased(model, alpha, grad_alpha=None):
 # base profiles for the grid families
 
 
+def _finite(name, value):
+    """``value`` as a float; ValueError unless it is finite."""
+    x = float(value)
+    if not math.isfinite(x):
+        raise ValueError(f"{name} must be finite, got {x}")
+    return x
+
+
 def gaussian_profile(width=1.0, center=0.0):
-    w = float(width)
-    c = float(center)
+    w, c = _finite("width", width), _finite("center", center)
+    if w <= 0.0:
+        raise ValueError(f"width must be positive, got {w}")
     norm = np.pi ** (-0.25) / np.sqrt(w)
 
     def fn(x, derivative):
@@ -534,13 +543,13 @@ def _phase_factor_profile(base, g, dg):
 
 def boosted_profile(base, p0):
     """Multiply a profile by the plane-wave factor exp(i p0 x)."""
-    p0 = float(p0)
+    p0 = _finite("p0", p0)
     return _phase_factor_profile(base, lambda x: p0 * x, lambda x: p0)
 
 
 def chirped_profile(chirp, width=1.0):
     """Gaussian with quadratic phase exp(i c x^2)."""
-    c = float(chirp)
+    c = _finite("chirp", chirp)
     return _phase_factor_profile(gaussian_profile(width),
                                  lambda x: c * x * x, lambda x: 2.0 * c * x)
 
@@ -552,7 +561,7 @@ def two_well_profile(alpha):
     The step sits under the node, so the profile and its almost-
     everywhere derivative stay square-integrable.
     """
-    a = float(alpha)
+    a = _finite("alpha", alpha)
 
     def fn(x, derivative):
         factor = np.exp(-x * x + 1j * np.where(x >= 0.0, 0.0, a))
@@ -727,6 +736,8 @@ def _spin_jz(params):
     amp = np.asarray(params["amplitudes"], dtype=complex)
     if amp.ndim != 1 or amp.size < 2:
         raise ValueError("amplitudes must be a 1-d sequence of length >= 2")
+    if not np.isfinite(amp).all():
+        raise ValueError(f"amplitudes must be finite, got {params['amplitudes']!r}")
     nrm = np.linalg.norm(amp)
     if nrm == 0.0:
         raise ValueError("amplitudes must not all be zero")
@@ -742,7 +753,7 @@ def _spin_jz(params):
 def _two_well(params):
     # the profile derivative is taken almost everywhere; the quartic node
     # sits exactly on the phase step, so the step never contributes
-    profile = two_well_profile(float(params.get("alpha", np.pi / 2)))
+    profile = two_well_profile(params.get("alpha", np.pi / 2))
     space = _grid_from_params(params, default_n=2048, default_lower=-8.0,
                               default_upper=8.0)
     return _shift_family(params, profile, space, "two_well")
@@ -760,7 +771,7 @@ def _wrap_counts(arg):
 
 
 def _ring_flux(params):
-    alpha = float(params.get("alpha", 0.3))
+    alpha = _finite("alpha", params.get("alpha", 0.3))
     space = _grid_from_params(params, default_n=1024, default_lower=0.0,
                               default_upper=2.0 * np.pi, periodic=True)
     if not space.periodic:

@@ -16,7 +16,7 @@ from . import hilbert, holonomy
 from .errors import AnchorError, UnsupportedSpaceError
 
 SPECTRAL_ZERO_TOL = 1e-10
-INVARIANCE_TOL = 1e-6  # = cli.CONJUGATION_RESIDUAL_TOL: one displacement bound
+INVARIANCE_TOL = 1e-6
 UNITARY_TOL = 1e-8
 
 

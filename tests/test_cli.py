@@ -14,7 +14,7 @@ from referencing import Registry, Resource
 import qestgeo
 from qestgeo import cli, estimation, hilbert
 from qestgeo.cli import main, parse_model_spec, render_document
-from qestgeo.errors import SpecFormatError
+from qestgeo.errors import ContractError, InputError, QestgeoError, SpecFormatError
 
 
 @pytest.fixture
@@ -431,6 +431,49 @@ class TestExitCodes:
         assert proc.stderr.startswith("qestgeo: ")
         assert "endpoint rays differ" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+def error_classes(base=QestgeoError):
+    """``base`` and every subclass of it that the package defines, recursively."""
+    found = {base}
+    for sub in base.__subclasses__():
+        if sub.__module__.startswith("qestgeo."):
+            found |= error_classes(sub)
+    return found
+
+
+# the error hierarchy decides the exit code: a class that moves between
+# these sets changes what the CLI prints and returns
+INPUT_ERRORS = {"InputError", "SpecFormatError", "DomainError", "ClosureError"}
+CONTRACT_ERRORS = {"ContractError", "NonRealOverlapError", "ModelDefinitionError",
+                   "RankDeficiencyError", "SpectralConsistencyError",
+                   "SingularSupportError", "RefinementError", "UndefinedPhaseError",
+                   "AnchorError"}
+OTHER_ERRORS = {"QestgeoError", "SpaceMismatchError", "UnsupportedSpaceError",
+                "MeasurementDefinitionError"}
+
+
+class TestErrorCategories:
+    def test_the_sets_cover_every_error_class(self):
+        names = {cls.__name__ for cls in error_classes()}
+        assert names == INPUT_ERRORS | CONTRACT_ERRORS | OTHER_ERRORS
+        assert {c.__name__ for c in error_classes(InputError)} == INPUT_ERRORS
+        assert {c.__name__ for c in error_classes(ContractError)} == CONTRACT_ERRORS
+
+    @pytest.mark.parametrize("cls", sorted(error_classes(), key=lambda c: c.__name__),
+                             ids=lambda c: c.__name__)
+    def test_each_error_exits_with_its_category(self, capsys, monkeypatch, cls):
+        def fail(path):
+            raise cls("boom")
+
+        monkeypatch.setattr(cli, "_load_model", fail)
+        code, line = ((2, "spec error") if cls.__name__ in INPUT_ERRORS
+                      else (3, "numerical contract violated")
+                      if cls.__name__ in CONTRACT_ERRORS else (3, "error"))
+        assert main(["report", "--model", "m.json", "--theta", "0"]) == code
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"qestgeo: {line}: boom\n"
 
 
 class TestDocumentFrame:

@@ -189,6 +189,12 @@ class TestBounds:
     def test_sld_bound_identity_weight(self):
         assert sld_bound(np.eye(2), np.diag([2.0, 2.0])) == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("weight", [np.diag([-1.0, 0.5]), [[1, 5], [0, 1]]],
+                             ids=["indefinite", "asymmetric"])
+    def test_sld_bound_checks_a_raw_weight(self, weight):
+        with pytest.raises(ValueError):
+            sld_bound(weight, np.eye(2))
+
     def test_weight_matrix_validation(self):
         with pytest.raises(ValueError):
             WeightMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))

@@ -13,6 +13,7 @@ import jsonschema
 import numpy as np
 import pytest
 
+from qestgeo import model
 from qestgeo.cli import main
 from test_cli import octahedral_povm_doc
 
@@ -23,6 +24,9 @@ SPIN = {"kind": "catalog", "name": "spin_jz", "params": {"amplitudes": [0.6, 0.8
 BASIS_2 = {"type": "basis", "dimension": 2}
 UP_ROWS = [[[1.0, 0.0], [0.0, 0.0]]] * 2
 CHECK_SHIFTED = ["check", "--model", "bad.json", "--samples=0.6;1"]
+REPORT_BAD = ["report", "--model", "bad.json", "--theta", "0"]
+FISHER_BAD = ["fisher", "--model", "bloch.json", "--povm", "bad.json", "--theta", "0.3,0.1"]
+CATALOG_NAMES = sorted(model.CATALOG)
 
 
 def ps_domain(domain):
@@ -33,6 +37,15 @@ def ps_domain(domain):
 def domain_detail(given):
     return ("params: invalid params for position_shift: domain must be 1 pair(s) "
             f"[lo, hi] of numbers with lo <= hi, got {given}")
+
+
+def ps_profile(profile):
+    return {"kind": "catalog", "name": "position_shift",
+            "params": {"profile": profile, "grid": {"n": 64, "lower": -10, "upper": 10}}}
+
+
+def ps_detail(detail):
+    return f"params: invalid params for position_shift: {detail}"
 
 
 # (id, schema of bad.json or None, bad.json, argv, stderr detail); argv names
@@ -190,6 +203,121 @@ MALFORMED = [
       "thetas": [0.0, 0.1], "amplitudes": UP_ROWS},
      ["report", "--model", "bad.json", "--theta", "0"],
      "space: invalid space: cannot convert float infinity to integer"),
+    # a name that is not a string was looked up in the catalog's dict
+    ("name_list", "model_spec", {"kind": "catalog", "name": ["bloch"]}, REPORT_BAD,
+     f"name: unknown catalog model ['bloch']; known: {CATALOG_NAMES}"),
+    ("name_object", "model_spec", {"kind": "catalog", "name": {"bloch": 1}}, REPORT_BAD,
+     f"name: unknown catalog model {{'bloch': 1}}; known: {CATALOG_NAMES}"),
+    # the schema cannot say "finite": these parameters are checked before
+    # any arithmetic, which drifted to a NaN norm behind numpy warnings
+    ("gaussian_width_zero", None, ps_profile({"name": "gaussian", "width": 0}), REPORT_BAD,
+     ps_detail("width must be positive, got 0.0")),
+    ("gaussian_width_negative", None, ps_profile({"name": "gaussian", "width": -1}),
+     REPORT_BAD, ps_detail("width must be positive, got -1.0")),
+    ("gaussian_width_nan", None, ps_profile({"name": "gaussian", "width": math.nan}),
+     REPORT_BAD, ps_detail("width must be finite, got nan")),
+    ("gaussian_width_infinite", None, ps_profile({"name": "gaussian", "width": math.inf}),
+     REPORT_BAD, ps_detail("width must be finite, got inf")),
+    ("gaussian_center_nan", None, ps_profile({"name": "gaussian", "center": math.nan}),
+     REPORT_BAD, ps_detail("center must be finite, got nan")),
+    ("boosted_p0_nan", None, ps_profile({"name": "boosted_gaussian", "p0": math.nan}),
+     REPORT_BAD, ps_detail("p0 must be finite, got nan")),
+    ("chirp_infinite", None, ps_profile({"name": "chirped_gaussian", "chirp": math.inf}),
+     REPORT_BAD, ps_detail("chirp must be finite, got inf")),
+    ("two_well_alpha_nan", None, {"kind": "catalog", "name": "two_well",
+                                  "params": {"alpha": math.nan}}, REPORT_BAD,
+     "params: invalid params for two_well: alpha must be finite, got nan"),
+    ("two_well_alpha_infinite", None, {"kind": "catalog", "name": "two_well",
+                                       "params": {"alpha": math.inf}}, REPORT_BAD,
+     "params: invalid params for two_well: alpha must be finite, got inf"),
+    ("ring_flux_alpha_nan", None, {"kind": "catalog", "name": "ring_flux",
+                                   "params": {"alpha": math.nan}}, REPORT_BAD,
+     "params: invalid params for ring_flux: alpha must be finite, got nan"),
+    ("ring_flux_alpha_infinite", None, {"kind": "catalog", "name": "ring_flux",
+                                        "params": {"alpha": -math.inf}}, REPORT_BAD,
+     "params: invalid params for ring_flux: alpha must be finite, got -inf"),
+    ("spin_amplitude_nan", None,
+     {"kind": "catalog", "name": "spin_jz", "params": {"amplitudes": [0.6, math.nan]}},
+     REPORT_BAD, "params: invalid params for spin_jz: amplitudes must be finite, "
+     "got [0.6, nan]"),
+    ("spin_amplitude_infinite", None,
+     {"kind": "catalog", "name": "spin_jz", "params": {"amplitudes": [math.inf, 0.8]}},
+     REPORT_BAD, "params: invalid params for spin_jz: amplitudes must be finite, "
+     "got [inf, 0.8]"),
+    ("grid_span_overflows", None,
+     {"kind": "catalog", "name": "position_shift",
+      "params": {"grid": {"n": 64, "lower": -1e308, "upper": 1e308}}},
+     REPORT_BAD, ps_detail("upper - lower must be finite, got inf")),
+    ("grid_lower_infinite", None,
+     {"kind": "catalog", "name": "position_shift",
+      "params": {"grid": {"n": 64, "lower": -math.inf, "upper": 1}}},
+     REPORT_BAD, ps_detail("upper - lower must be finite, got inf")),
+    ("tabulated_space_span_overflows", None,
+     {"kind": "tabulated", "space": {"type": "grid", "n": 2, "lower": -1e308, "upper": 1e308},
+      "thetas": [0.0, 0.1], "amplitudes": UP_ROWS},
+     REPORT_BAD, "space: invalid space: upper - lower must be finite, got inf"),
+    # a NaN norm passed a ">= tolerance" test
+    ("tabulated_row_nan", None,
+     {"kind": "tabulated", "space": BASIS_2, "thetas": [0.0, 0.1, 0.2],
+      "amplitudes": [UP_ROWS[0], [[math.nan, 0.0], [0.0, 0.0]], UP_ROWS[0]]},
+     ["check", "--model", "bad.json", "--samples=0.1;0.2"],
+     "amplitudes[1]: row 1 has norm nan, not 1"),
+    ("spec_no_kind", "model_spec", {"name": "bloch"}, REPORT_BAD,
+     "kind: missing required field"),
+    ("spec_list", "model_spec", [1, 2], REPORT_BAD, "model spec must be a JSON object"),
+    ("spec_unknown_kind", "model_spec", {"kind": "weird"}, REPORT_BAD,
+     "kind: unknown kind 'weird'"),
+    ("tabulated_no_space", "model_spec",
+     {"kind": "tabulated", "thetas": [0.0, 0.1], "amplitudes": UP_ROWS}, REPORT_BAD,
+     "space: missing required field"),
+    ("tabulated_space_list", "model_spec",
+     {"kind": "tabulated", "space": [1], "thetas": [0.0, 0.1], "amplitudes": UP_ROWS},
+     REPORT_BAD, "space: space must be an object"),
+    ("tabulated_space_torus", "model_spec",
+     {"kind": "tabulated", "space": {"type": "torus"}, "thetas": [0.0, 0.1],
+      "amplitudes": UP_ROWS},
+     REPORT_BAD, "space.type: unknown space type 'torus'"),
+    ("tabulated_thetas_nested", "model_spec",
+     {"kind": "tabulated", "space": BASIS_2, "thetas": [[0, 0.1]], "amplitudes": UP_ROWS},
+     REPORT_BAD, "thetas: thetas must be a flat list of at least two values"),
+    ("tabulated_thetas_decreasing", None,
+     {"kind": "tabulated", "space": BASIS_2, "thetas": [0.1, 0.0], "amplitudes": UP_ROWS},
+     REPORT_BAD, "thetas: thetas must be strictly increasing"),
+    ("tabulated_rows_short", None,
+     {"kind": "tabulated", "space": BASIS_2, "thetas": [0.0, 0.1, 0.2],
+      "amplitudes": UP_ROWS},
+     REPORT_BAD, "amplitudes: got 2 amplitude rows for 3 thetas"),
+    ("tabulated_row_norm_two", None,
+     {"kind": "tabulated", "space": BASIS_2, "thetas": [0.0, 0.1],
+      "amplitudes": [[[2.0, 0.0], [0.0, 0.0]], UP_ROWS[0]]},
+     REPORT_BAD, "amplitudes[0]: row 0 has norm 2.00000000, not 1"),
+    ("theta_not_numeric", None, None, ["report", "--model", "bloch.json", "--theta=a,b"],
+     "non-numeric theta component in 'a,b'"),
+    ("theta_empty", None, None, ["report", "--model", "bloch.json", "--theta=;"],
+     "empty theta list"),
+    ("weight_short", None, None,
+     ["report", "--model", "bloch.json", "--theta", "0.3,0.1", "--weight", "diag:1"],
+     "diag weight has 1 entries, model expects 2"),
+    ("weight_unknown", None, None,
+     ["report", "--model", "bloch.json", "--theta", "0.3,0.1", "--weight", "foo"],
+     "unknown weight spec 'foo' (use js or diag:...)"),
+    ("loop_no_thetas", "loop_spec", {"points": []},
+     ["holonomy", "--model", "bloch.json", "--loop", "bad.json"],
+     "loop document must contain a thetas list"),
+    ("povm_kind_elements", "povm_spec", {"kind": "elements"}, FISHER_BAD,
+     'POVM file must be {"kind": "matrices", ...}'),
+    ("povm_element_not_pairs", "povm_spec",
+     {"kind": "matrices", "elements": [[[1, 0], [0, 1]]]}, FISHER_BAD,
+     "elements[0]: element 0 must be a square matrix of [re, im] pairs"),
+    ("povm_empty", "povm_spec", {"kind": "matrices", "elements": []}, FISHER_BAD,
+     "invalid POVM: empty POVM"),
+    ("povm_not_hermitian", None,
+     {"kind": "matrices", "elements": [[[[1, 0], [1, 0]], [[0, 0], [0, 0]]]]}, FISHER_BAD,
+     "invalid POVM: element 0 is not Hermitian"),
+    ("sample_two_thetas", None, None,
+     ["sample", "--model", "bloch.json", "--povm", "basis", "--theta=0.3,0.1;0.5,0.1",
+      "--n", "10", "--seed", "1"],
+     "sample takes exactly one theta point"),
 ]
 
 
@@ -220,6 +348,31 @@ def test_infinite_loop_point_is_outside_an_unbounded_domain(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "qestgeo: spec error: theta [inf] outside domain ((-inf, inf),)\n"
+
+
+def test_invalid_json_names_its_file(capsys, tmp_path):
+    path = tmp_path / "bad.json"
+    path.write_text("{")
+    with pytest.raises(json.JSONDecodeError) as exc:
+        json.loads("{")
+    assert main(["report", "--model", str(path), "--theta", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qestgeo: spec error: invalid JSON in {path}: {exc.value}\n"
+
+
+@pytest.mark.parametrize("raw, detail", [("abc", "QESTGEO_GRID_N='abc' is not an integer"),
+                                         ("1", "QESTGEO_GRID_N=1 must be >= 2")])
+def test_grid_size_from_the_environment_is_checked(capsys, monkeypatch, tmp_path, raw,
+                                                   detail):
+    monkeypatch.setenv("QESTGEO_GRID_N", raw)
+    path = tmp_path / "ps.json"
+    path.write_text(json.dumps({"kind": "catalog", "name": "position_shift",
+                                "params": {"grid": {"lower": -10, "upper": 10}}}))
+    assert main(["report", "--model", str(path), "--theta", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"qestgeo: spec error: {detail}\n"
 
 
 SCHEMA_CASES = [case for case in MALFORMED if case[1] is not None]

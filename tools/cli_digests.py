@@ -121,6 +121,7 @@ FILES = {
     "table_line.json": {"thetas": [[0.1 * k] for k in range(11)]},
     "ragged.json": {"thetas": [[0.3, 0.1], [0.4], [0.5, 0.1]]},
     "open_end.json": {"thetas": [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]], "closed": True},
+    "two_well_nan.json": {"kind": "catalog", "name": "two_well", "params": {"alpha": math.nan}},
 }
 
 BLOCH_THETAS = "--theta=0.4,0.1;1.1,2.5;2.7,5.9"
@@ -198,6 +199,8 @@ INVOCATIONS = {
     "error_open_loop": ["holonomy", "--model", "bloch.json", "--loop", "open_end.json"],
     # gaussians 15 widths apart overlap nowhere: no phase-alignment anchor
     "error_no_anchor": ["check", "--model", "far.json", "--samples=-15;0;15"],
+    # a non-finite parameter is a spec error, read before any arithmetic
+    "error_nonfinite_alpha": ["report", "--model", "two_well_nan.json", "--theta=0"],
     "error_usage": ["sample", "--model", "ps.json", "--povm", "grid", "--theta=0",
                     "--n", "0", "--seed", "1"],
     # --model is declared once, for every subcommand
