@@ -28,6 +28,11 @@ with ``tool`` and ``model`` (the normalized spec echo); :func:`main` reads
 the model before any other input and each subcommand returns only the
 keys that follow.
 
+The entries of ``report`` and ``fisher`` and the counts of ``sample`` go
+from the stacked arrays to text in :func:`_rows`: one ``%`` template per
+row shape and one ``%.17g`` pass over all numbers, with the bytes of
+``json.dumps(indent=2)`` and no per-entry dict built.
+
 Exit codes: 0 success, 2 on an ``InputError`` (malformed input, a loop
 marked closed whose end ray differs from its start ray), 3 on a
 ``ContractError`` or any other ``QestgeoError``, 64 usage errors.
@@ -90,7 +95,8 @@ def _encode(obj, newline, out, keys):
     bytes match ``json.dumps(obj, indent=2)`` except that floats go through
     :func:`_float_repr`.  A list of plain floats or of plain ints is one
     join; anything else in a list (``np.float64``, bools, a mix) takes the
-    recursive path, so an unsupported value still raises ``TypeError``.
+    recursive path, so an unsupported value still raises ``TypeError``.  A
+    :class:`_Json` string is appended as it is.
     """
     if isinstance(obj, float):
         out.append(_float_repr(obj))
@@ -127,7 +133,7 @@ def _encode(obj, newline, out, keys):
             _encode(value, inner, out, keys)
         out.append(newline + "}")
     elif isinstance(obj, str):
-        out.append(json.dumps(obj))
+        out.append(obj if type(obj) is _Json else json.dumps(obj))
     elif obj is None or isinstance(obj, bool):
         out.append("null" if obj is None else "true" if obj else "false")
     elif isinstance(obj, int):
@@ -145,6 +151,71 @@ def render_document(doc):
 
 def _matrix(a):
     return np.asarray(a, dtype=float).tolist()
+
+
+class _Json(str):
+    """JSON text that :func:`_encode` appends as it is."""
+
+
+_SLOT = _Json("\0")  # a number's place in a row template; JSON text holds no NUL
+_TOP = "\n  "  # the newline before the value of a top-level document key
+
+
+def _skeleton(shape):
+    """One field of a row template: a literal, or the nested lists of
+    ``_SLOT``s of a shape tuple."""
+    if not isinstance(shape, tuple):
+        return shape
+    return [_skeleton(shape[1:]) for _ in range(shape[0])] if shape else _SLOT
+
+
+@functools.cache
+def _row_template(newline, keys, shape, fmt):
+    """``(template, sizes)`` of one row of field shapes ``shape`` at the
+    indentation ``newline``: its ``%`` template, with ``fmt`` at each
+    number's place, and the count of numbers of each field."""
+    fields = [_skeleton(s) for s in shape]
+    out = []
+    _encode(fields[0] if keys == (None,) else dict(zip(keys, fields)), newline, out, {})
+    sizes = tuple(int(np.prod(s)) if isinstance(s, tuple) else 0 for s in shape)
+    return "".join(out).replace("%", "%%").replace(_SLOT, fmt), sizes
+
+
+def _rows(newline, fields):
+    """The JSON text of a list of ``k >= 1`` rows whose value starts a line at
+    ``newline``: the bytes :func:`render_document` gives for the same rows
+    as dicts and lists, with no per-row object built.
+
+    ``fields`` holds one ``(key, shape, column)`` per field of a row, and a
+    row is the object of these fields, or the bare value of its one field
+    when that field's key is None.  A shape is a tuple ``()``, ``(n,)`` or
+    ``(n, n)`` of numbers, or None, True or False for that literal, and is
+    given once for every row or as a list of one per row.  A field's
+    numbers are the first ones of each row of its ``(k, w)`` column array,
+    row-major.  There is one template per distinct row shape and one ``%``
+    pass over all numbers: ``%d`` for integer columns, ``%.17g`` for float
+    ones, :func:`_float_repr` when a float is not finite.
+    """
+    keys, shapes, columns = zip(*fields)
+    k = len(columns[0])
+    kinds = {}
+    ids = [kinds.setdefault(shape, len(kinds))
+           for shape in zip(*[s if isinstance(s, list) else [s] * k for s in shapes])]
+    values = np.concatenate(columns, axis=1)
+    fmt = ("%d" if values.dtype.kind in "iu"
+           else "%.17g" if np.isfinite(values).all() else "%s")
+    inner = newline + "  "
+    layouts = [_row_template(inner, keys, shape, fmt) for shape in kinds]
+    widths = tuple(c.shape[1] for c in columns)
+    if any(sizes != widths for _, sizes in layouts):  # keep each row's used numbers
+        used = np.array([np.concatenate([np.arange(w) < n for w, n in zip(widths, sizes)])
+                         for _, sizes in layouts], dtype=bool)
+        values = values[used[ids]]
+    values = values.ravel().tolist()
+    if fmt == "%s":
+        values = map(_float_repr, values)
+    body = ("," + inner).join([layouts[i][0] for i in ids]) % tuple(values)
+    return _Json("[" + inner + body + newline + "]")
 
 
 # ---------------------------------------------------------------------------
@@ -389,29 +460,44 @@ def _parse_weight(text, m):
 def _cmd_report(args, built):
     thetas = parse_theta_list(args.theta, built.m)
     weight = _parse_weight(args.weight, built.m)
-    reports = geometry.analyze_many(built, thetas)
-    metrics = [rep.sld_fisher for rep in reports]
-    js_bounds = geometry.sld_bounds(reports, metrics)
+    points = built._points(thetas)
+    j_s, j_t, regular, d, betas, cr, below = geometry._analyze_columns(built, points)
+    (k, m, _), ok = j_s.shape, regular.tolist()
+
+    def at_regular(values, width):
+        """``(k, width)`` floats: ``values``, one row per regular row, there,
+        and zeros at the rank-deficient rows, which show none."""
+        block = np.zeros((k, width))
+        block[regular] = np.reshape(values, (len(d), width))
+        return block
+
+    n_betas = [0] * k
+    for r, row in zip(np.flatnonzero(regular).tolist(), betas):
+        n_betas[r] = len(row)
+    metrics = j_s[regular]
+    weights = [metrics]
     if weight is not None:
-        weighted = geometry.sld_bounds(
-            reports, metrics if weight["kind"] == "js"
-            else [np.diag(weight["values"])] * len(reports))
-    entries = []
-    for r, (theta, rep) in enumerate(zip(thetas, reports)):
-        entry = {
-            "theta": list(theta),
-            "sld_fisher": _matrix(rep.sld_fisher),
-            "berry_curvature": _matrix(rep.berry_curvature),
-            "d_transform": None if rep.d_matrix is None else _matrix(rep.d_matrix),
-            "betas": list(rep.betas),
-            "sld_bound_js": js_bounds[r],
-            "attainable_cr_js": rep.cr_js,
-            "quasi_classical": rep.quasi_classical,
-            "rank_deficient": rep.rank_deficient,
-        }
-        if weight is not None:
-            entry["sld_bound_weight"] = weighted[r]
-        entries.append(entry)
+        weights.append(metrics if weight["kind"] == "js"
+                       else np.broadcast_to(np.diag(weight["values"]), metrics.shape))
+    # Tr G J_S^{-1}: one stacked solve per weight over the regular rows
+    bounds = [at_regular(geometry._weighted_traces(g, metrics) if len(d) else [], 1)
+              for g in weights]
+    number = [() if r else None for r in ok]
+    quasi = [not n_betas[r] if r_ok else below[r] for r, r_ok in enumerate(ok)]
+    fields = [
+        ("theta", (m,), points),
+        ("sld_fisher", (m, m), j_s.reshape(k, m * m)),
+        ("berry_curvature", (m, m), j_t.reshape(k, m * m)),
+        ("d_transform", [(m, m) if r else None for r in ok], at_regular(d, m * m)),
+        ("betas", [(n,) for n in n_betas],
+         at_regular([row + [0.0] * (m // 2 - len(row)) for row in betas], m // 2)),
+        ("sld_bound_js", number, bounds[0]),
+        ("attainable_cr_js", number, at_regular(cr, 1)),
+        ("quasi_classical", quasi, np.empty((k, 0))),
+        ("rank_deficient", [not r for r in ok], np.empty((k, 0))),
+    ]
+    if weight is not None:
+        fields.append(("sld_bound_weight", number, bounds[1]))
     return {
         "weight": weight,
         "tolerances": {
@@ -420,11 +506,11 @@ def _cmd_report(args, built):
             "quasi_parallel": holonomy.QUASI_PARALLEL_TOL,
             "beta_bound": geometry.BETA_BOUND_TOL,
         },
-        "entries": entries,
+        "entries": _rows(_TOP, fields),
         "summary": {
-            "all_quasi_classical": all(e["quasi_classical"] for e in entries),
-            "any_rank_deficient": any(e["rank_deficient"] for e in entries),
-            "max_beta": max((b for rep in reports for b in rep.betas), default=None),
+            "all_quasi_classical": all(quasi),
+            "any_rank_deficient": not all(ok),
+            "max_beta": max((b for row in betas for b in row), default=None),
         },
     }
 
@@ -573,13 +659,12 @@ def _cmd_fisher(args, built):
     rel_gaps = (np.max(np.abs(gaps), axis=(1, 2))
                 / np.maximum(np.max(np.abs(j_s), axis=(1, 2)), 1e-300))
     min_eigs = np.min(np.linalg.eigvalsh(gaps), axis=1)
-    entries = [{
-        "theta": list(theta),
-        "classical_fisher": _matrix(j_c[r]),
-        "sld_fisher": _matrix(j_s[r]),
-        "max_relative_gap": float(rel_gaps[r]),
-        "min_psd_eigenvalue": float(min_eigs[r]),
-    } for r, theta in enumerate(thetas)]
+    k, m = j_c.shape[:2]
+    entries = _rows(_TOP, [("theta", (m,), np.array(thetas)),
+                           ("classical_fisher", (m, m), j_c.reshape(k, m * m)),
+                           ("sld_fisher", (m, m), j_s.reshape(k, m * m)),
+                           ("max_relative_gap", (), rel_gaps[:, None]),
+                           ("min_psd_eigenvalue", (), min_eigs[:, None])])
     return {"povm": povm_echo, "entries": entries}
 
 
@@ -597,7 +682,7 @@ def _cmd_sample(args, built):
         "theta": list(thetas[0]),
         "n": int(args.n),
         "seed": int(args.seed),
-        "counts": np.column_stack((kept, counts[kept])).tolist(),
+        "counts": _rows(_TOP, [(None, (2,), np.column_stack((kept, counts[kept])))]),
     }
 
 

@@ -279,15 +279,44 @@ def analyze(model, theta):
 def analyze_many(model, thetas):
     """:func:`analyze` at each row of a ``(k, m)`` theta array, as a list.
 
-    The lifts come one block of points at a time
-    (``PureStateModel._lift_blocks``), and only their ``(m, m)`` Gram
-    matrices are kept.  One ``eigh`` over all rows, one SVD and one
-    ``solve`` over the regular rows then serve every point, and each row is
-    bitwise the row :func:`analyze` gives alone.
+    The arrays come from :func:`_analyze_columns`, and each row is bitwise
+    the row :func:`analyze` gives alone.
     """
     points = model._points(thetas)
     if not len(points):
         return []
+    j_s, j_t, regular, d, betas, cr, below = _analyze_columns(model, points)
+    d_matrix, betas_r, cr_r = [None] * len(points), [()] * len(points), [None] * len(points)
+    for r, d_r, b_r, c_r in zip(np.flatnonzero(regular).tolist(), d, betas, cr):
+        d_matrix[r], betas_r[r], cr_r[r] = d_r, tuple(b_r), c_r
+    return [
+        GeometryReport(
+            theta=points[r],
+            sld_fisher=j_s[r],
+            berry_curvature=j_t[r],
+            d_matrix=d_matrix[r],
+            betas=betas_r[r],
+            cr_js=cr_r[r],
+            quasi_classical=not betas_r[r] if ok else below[r],
+            rank_deficient=not ok,
+        )
+        for r, ok in enumerate(regular.tolist())
+    ]
+
+
+def _analyze_columns(model, points):
+    """The stacked arrays of :func:`analyze_many` at checked ``(k, m)``
+    ``points``, ``k >= 1``: ``(j_s, j_t, regular, d, betas, cr, below)``.
+
+    The lifts come one block of points at a time
+    (``PureStateModel._lift_blocks``), and only their ``(m, m)`` Gram
+    matrices are kept.  One ``eigh`` over all rows, one SVD and one
+    ``solve`` over the regular rows then serve every point.  ``j_s`` and
+    ``j_t`` are ``(k, m, m)``, ``regular`` is the boolean row mask, ``d``
+    (an ``(r, m, m)`` array), ``betas`` (lists) and ``cr`` (floats) hold one
+    item per regular row, in order, and ``below`` is the list of
+    :func:`_curvature_below_scale` verdicts of every row.
+    """
     m, root_w = model.m, np.sqrt(model.space.weight)
     # the lifts are scaled to coordinates in place: one block-sized temporary
     # less; a stand-in for _gram may give a one-row block as (m, m)
@@ -295,28 +324,12 @@ def analyze_many(model, thetas):
              for block, _, lifts in model._lift_blocks(points)]
     j_s, j_t = _metric_and_curvature(np.concatenate(grams))
     _, _, regular, svals = _spectra(j_s, j_t)
-    regular_rows = np.flatnonzero(regular).tolist()
-    d_matrix, betas, cr = [None] * len(points), [()] * len(points), [None] * len(points)
-    if regular_rows:
+    d, betas, cr = np.empty((0, m, m)), [], []
+    if svals is not None:
         # D before the beta check, so a rejected point costs the same calls
         d = np.linalg.solve(j_s[regular], j_t[regular])
-        for r, d_r, betas_r, cr_r in zip(regular_rows, d, _betas(svals),
-                                         _cr_from_svals(m, svals)):
-            d_matrix[r], betas[r], cr[r] = d_r, tuple(betas_r), cr_r
-    below = _curvature_below_scale(j_t, j_s).tolist()
-    return [
-        GeometryReport(
-            theta=points[r],
-            sld_fisher=j_s[r],
-            berry_curvature=j_t[r],
-            d_matrix=d_matrix[r],
-            betas=betas[r],
-            cr_js=cr[r],
-            quasi_classical=not betas[r] if ok else below[r],
-            rank_deficient=not ok,
-        )
-        for r, ok in enumerate(regular.tolist())
-    ]
+        betas, cr = _betas(svals), _cr_from_svals(m, svals)
+    return j_s, j_t, regular, d, betas, cr, _curvature_below_scale(j_t, j_s).tolist()
 
 
 def sld_bounds(reports, weights):

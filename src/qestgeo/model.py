@@ -738,9 +738,15 @@ def _spin_jz(params):
         raise ValueError("amplitudes must be a 1-d sequence of length >= 2")
     if not np.isfinite(amp).all():
         raise ValueError(f"amplitudes must be finite, got {params['amplitudes']!r}")
-    nrm = np.linalg.norm(amp)
-    if nrm == 0.0:
-        raise ValueError("amplitudes must not all be zero")
+    with np.errstate(over="ignore"):
+        nrm = np.linalg.norm(amp)
+    if not np.finfo(float).tiny <= nrm < np.inf:  # under- or overflowed: rescale first
+        scale = np.max(np.abs(amp))
+        if scale == 0.0:
+            raise ValueError("amplitudes must not all be zero")
+        # part by part: a complex divide by a subnormal overflows
+        amp = amp.real / scale + 1j * (amp.imag / scale)
+        nrm = np.linalg.norm(amp)
     amp = amp / nrm
     d = amp.size
     total_spin = (d - 1) / 2.0

@@ -4,15 +4,18 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import jsonschema
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from referencing import Registry, Resource
 
 import qestgeo
-from qestgeo import cli, estimation, hilbert
+from qestgeo import cli, estimation, geometry, hilbert
 from qestgeo.cli import main, parse_model_spec, render_document
 from qestgeo.errors import ContractError, InputError, QestgeoError, SpecFormatError
 
@@ -80,6 +83,42 @@ class TestReport:
             "--weight", "diag:1,0",
         ])
         assert doc["entries"][0]["sld_bound_weight"] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("amplitudes, plain", [([3e-200, 4e-200], [3.0, 4.0]),
+                                                   ([1e308, 1e308], [1.0, 1.0])])
+    def test_spin_amplitudes_whose_norm_under_or_overflows(self, capsys, tmp_path,
+                                                           amplitudes, plain):
+        # the norm of the amplitudes as given is 0 or inf: they are rescaled first
+        fishers = []
+        for amps in (amplitudes, plain):
+            path = tmp_path / "spin.json"
+            path.write_text(json.dumps({"kind": "catalog", "name": "spin_jz",
+                                        "params": {"amplitudes": amps}}))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                doc = run_to_doc(capsys, ["report", "--model", str(path), "--theta=0.3"])
+            fishers.append(doc["entries"][0]["sld_fisher"][0][0])
+        assert fishers[0] == pytest.approx(fishers[1], rel=1e-15, abs=0)
+
+    def test_report_and_fisher_build_no_geometry_report(self, monkeypatch, capsys, tmp_path):
+        made = []
+
+        class Counted(geometry.GeometryReport):
+            def __init__(self, *args, **kwargs):
+                made.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "GeometryReport", Counted)
+        path = tmp_path / "bloch.json"
+        path.write_text(json.dumps({"kind": "catalog", "name": "bloch"}))
+        thetas = "--theta=" + ";".join(f"{0.1 + 0.14 * j!r},{0.3 * j!r}" for j in range(20))
+        for argv in (["report", "--weight", "js"], ["fisher", "--povm", "basis"]):
+            doc = run_to_doc(capsys, argv + ["--model", str(path), thetas])
+            assert len(doc["entries"]) == 20
+        assert made == []
+        geometry.analyze_many(parse_model_spec({"kind": "catalog", "name": "bloch"})[0],
+                              [(0.1 + 0.14 * j, 0.3 * j) for j in range(20)])
+        assert len(made) == 20  # the count sees the library's reports
 
 
 class TestModelSpecParsing:
@@ -665,6 +704,66 @@ class TestRenderDocument:
         for bad in ([np.int64(3)], [1, np.int64(3)], [1.0, np.float32(2.0)]):
             with pytest.raises(TypeError):
                 render_document(bad)
+
+
+# numbers a row renderer must spell as the dict path does
+SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 1e308,
+                  -1e308, 2.0, -3.0, 1e16, 1.0 / 3.0]
+
+
+class TestRows:
+    """``cli._rows`` renders entries from column arrays with the bytes of the
+    equivalent dict entries."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_report_rows_match_the_dict_entries(self, data):
+        m = data.draw(st.sampled_from([1, 2, 3]))
+        k = data.draw(st.integers(1, 6))
+        weighted = data.draw(st.booleans())
+        ok = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        counts = [data.draw(st.integers(0, m // 2)) if r else 0 for r in ok]
+        quasi = data.draw(st.lists(st.booleans(), min_size=k, max_size=k))
+        number = st.one_of(st.sampled_from(SPECIAL_FLOATS), st.floats())
+
+        def block(width):
+            flat = data.draw(st.lists(number, min_size=k * width, max_size=k * width))
+            return np.array(flat, dtype=float).reshape(k, width)
+
+        theta, j_s, j_t, d, betas = block(m), block(m * m), block(m * m), block(m * m), \
+            block(m // 2)
+        bound, cr, weight = block(1), block(1), block(1)
+        entries = []
+        for r in range(k):
+            entry = {
+                "theta": theta[r].tolist(),
+                "sld_fisher": j_s[r].reshape(m, m).tolist(),
+                "berry_curvature": j_t[r].reshape(m, m).tolist(),
+                "d_transform": d[r].reshape(m, m).tolist() if ok[r] else None,
+                "betas": betas[r, :counts[r]].tolist(),
+                "sld_bound_js": float(bound[r, 0]) if ok[r] else None,
+                "attainable_cr_js": float(cr[r, 0]) if ok[r] else None,
+                "quasi_classical": quasi[r],
+                "rank_deficient": not ok[r],
+            }
+            if weighted:
+                entry["sld_bound_weight"] = float(weight[r, 0]) if ok[r] else None
+            entries.append(entry)
+        number_shape = [() if r else None for r in ok]
+        shapes = [(m,), (m, m), (m, m), [(m, m) if r else None for r in ok],
+                  [(n,) for n in counts], number_shape, number_shape, quasi,
+                  [not r for r in ok]] + [number_shape] * weighted
+        columns = [theta, j_s, j_t, d, betas, bound, cr, np.empty((k, 0)),
+                   np.empty((k, 0))] + [weight] * weighted
+        rows = cli._rows(cli._TOP, list(zip(entries[0], shapes, columns)))
+        assert (render_document({"entries": rows, "after": 1})
+                == render_document({"entries": entries, "after": 1}))
+
+    @pytest.mark.parametrize("pairs", [[[0, 7]], [[3, 1], [17, 12345678901234567890 // 10**10]],
+                                       [[i, 1000 - i] for i in range(0, 1000, 37)]])
+    def test_integer_rows_match_the_lists(self, pairs):
+        rows = cli._rows(cli._TOP, [(None, (2,), np.array(pairs, dtype=np.int64))])
+        assert render_document({"counts": rows}) == render_document({"counts": pairs})
 
 
 def octahedral_povm_doc():

@@ -84,6 +84,11 @@ FILES = {
     "bloch.json": {"kind": "catalog", "name": "bloch"},
     "spin.json": {"kind": "catalog", "name": "spin_jz",
                   "params": {"amplitudes": [0.3, -0.5, 0.6, 0.2, -0.4, 0.3]}},
+    # norms that under- and overflow unless the amplitudes are rescaled first
+    "spin_tiny.json": {"kind": "catalog", "name": "spin_jz",
+                       "params": {"amplitudes": [3e-200, 4e-200]}},
+    "spin_huge.json": {"kind": "catalog", "name": "spin_jz",
+                       "params": {"amplitudes": [1e308, 1e308]}},
     "ps.json": grid_spec("position_shift", 1024, profile="gaussian"),
     "pm.json": grid_spec("position_momentum_shift", 1024, profile="gaussian"),
     "chirped.json": grid_spec("position_shift", 1024,
@@ -125,9 +130,16 @@ FILES = {
 }
 
 BLOCH_THETAS = "--theta=0.4,0.1;1.1,2.5;2.7,5.9"
+# the pole first: a rank-deficient row (nulls, -0) before a regular one
+POLE_THETAS = "--theta=0,0.3;1.1,2.5"
 INVOCATIONS = {
     "report_bloch": ["report", "--model", "bloch.json", BLOCH_THETAS, "--weight", "js"],
     "report_spin": ["report", "--model", "spin.json", "--theta=-2;0.3;1.7"],
+    "report_bloch_pole": ["report", "--model", "bloch.json", POLE_THETAS,
+                          "--weight", "diag:1,2"],
+    "report_bloch_pole_js": ["report", "--model", "bloch.json", POLE_THETAS, "--weight", "js"],
+    "report_spin_tiny": ["report", "--model", "spin_tiny.json", "--theta=0.3"],
+    "report_spin_huge": ["report", "--model", "spin_huge.json", "--theta=0.3"],
     "report_pm": ["report", "--model", "pm.json", "--theta=0,0;0.5,-0.3",
                   "--weight", "diag:1,3"],
     "report_chirped": ["report", "--model", "chirped.json", "--theta=-0.5;0.25"],
@@ -155,6 +167,7 @@ INVOCATIONS = {
     "check_table": ["check", "--model", "table_phases.json", "--samples=0.1;0.5;0.9"],
     "fisher_octahedral": ["fisher", "--model", "bloch.json", "--povm", "octahedral.json",
                           BLOCH_THETAS],
+    "fisher_bloch_pole": ["fisher", "--model", "bloch.json", "--povm", "basis", POLE_THETAS],
     "fisher_grid": ["fisher", "--model", "ps.json", "--povm", "grid",
                     "--theta=-0.7;0.2;0.9"],
     "fisher_schmidt": ["fisher", "--model", "ps.json", "--povm", "schmidt",
