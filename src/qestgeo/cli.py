@@ -31,7 +31,10 @@ keys that follow.
 The entries of ``report`` and ``fisher`` and the counts of ``sample`` go
 from the stacked arrays to text in :func:`_rows`: one ``%`` template per
 row shape and one ``%.17g`` pass over all numbers, with the bytes of
-``json.dumps(indent=2)`` and no per-entry dict built.
+``json.dumps(indent=2)`` and no per-entry dict built.  ``report`` reads the
+full-length columns of ``geometry._analyze_columns`` as they are.  The
+rest of a document is small and goes through one recursive encoder, one
+value at a time.
 
 Exit codes: 0 success, 2 on an ``InputError`` (malformed input, a loop
 marked closed whose end ray differs from its start ray), 3 on a
@@ -84,19 +87,15 @@ def _float_repr(x):
     return format(x, ".17g")
 
 
-_FLOATS, _INTS = {float}, {int}
-
-
-def _encode(obj, newline, out, keys):
+def _encode(obj, newline, out):
     """Append the JSON text of ``obj`` to ``out``, indented by two spaces.
 
     ``newline`` is the line break plus the indentation of the enclosing
-    level, and ``keys`` maps each key met so far to its JSON text.  The
-    bytes match ``json.dumps(obj, indent=2)`` except that floats go through
-    :func:`_float_repr`.  A list of plain floats or of plain ints is one
-    join; anything else in a list (``np.float64``, bools, a mix) takes the
-    recursive path, so an unsupported value still raises ``TypeError``.  A
-    :class:`_Json` string is appended as it is.
+    level.  The bytes match ``json.dumps(obj, indent=2)`` except that floats
+    go through :func:`_float_repr`.  Lists and dicts are written one value
+    at a time, so an unsupported value still raises ``TypeError``; the bulk
+    numbers of a document come as one :class:`_Json` text from :func:`_rows`,
+    which is appended as it is.
     """
     if isinstance(obj, float):
         out.append(_float_repr(obj))
@@ -105,32 +104,20 @@ def _encode(obj, newline, out, keys):
             out.append("[]")
             return
         inner = newline + "  "
-        sep, kinds = "," + inner, set(map(type, obj))
-        if kinds == _FLOATS:
-            text = sep.join(["%.17g"] * len(obj)) % tuple(obj)
-            if "n" in text:  # nan, inf or -inf: JSON spells them otherwise
-                text = sep.join(map(_float_repr, obj))
-            out.append("[" + inner + text + newline + "]")
-        elif kinds == _INTS:
-            out.append("[" + inner + sep.join(map(repr, obj)) + newline + "]")
-        else:
-            for k, value in enumerate(obj):
-                out.append(("[" if k == 0 else ",") + inner)
-                _encode(value, inner, out, keys)
-            out.append(newline + "]")
+        for k, value in enumerate(obj):
+            out.append(("[" if k == 0 else ",") + inner)
+            _encode(value, inner, out)
+        out.append(newline + "]")
     elif isinstance(obj, dict):
         if not obj:
             out.append("{}")
             return
         inner = newline + "  "
         for k, (key, value) in enumerate(obj.items()):
-            text = keys.get(key)
-            if text is None:
-                if not isinstance(key, str):
-                    raise TypeError(f"keys must be str, not {type(key).__name__}")
-                text = keys[key] = json.dumps(key)
-            out.append(("{" if k == 0 else ",") + inner + text + ": ")
-            _encode(value, inner, out, keys)
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out.append(("{" if k == 0 else ",") + inner + json.dumps(key) + ": ")
+            _encode(value, inner, out)
         out.append(newline + "}")
     elif isinstance(obj, str):
         out.append(obj if type(obj) is _Json else json.dumps(obj))
@@ -144,7 +131,7 @@ def _encode(obj, newline, out, keys):
 
 def render_document(doc):
     out = []
-    _encode(doc, "\n", out, {})
+    _encode(doc, "\n", out)
     out.append("\n")
     return "".join(out)
 
@@ -176,7 +163,7 @@ def _row_template(newline, keys, shape, fmt):
     number's place, and the count of numbers of each field."""
     fields = [_skeleton(s) for s in shape]
     out = []
-    _encode(fields[0] if keys == (None,) else dict(zip(keys, fields)), newline, out, {})
+    _encode(fields[0] if keys == (None,) else dict(zip(keys, fields)), newline, out)
     sizes = tuple(int(np.prod(s)) if isinstance(s, tuple) else 0 for s in shape)
     return "".join(out).replace("%", "%%").replace(_SLOT, fmt), sizes
 
@@ -461,43 +448,32 @@ def _cmd_report(args, built):
     thetas = parse_theta_list(args.theta, built.m)
     weight = _parse_weight(args.weight, built.m)
     points = built._points(thetas)
-    j_s, j_t, regular, d, betas, cr, below = geometry._analyze_columns(built, points)
-    (k, m, _), ok = j_s.shape, regular.tolist()
-
-    def at_regular(values, width):
-        """``(k, width)`` floats: ``values``, one row per regular row, there,
-        and zeros at the rank-deficient rows, which show none."""
-        block = np.zeros((k, width))
-        block[regular] = np.reshape(values, (len(d), width))
-        return block
-
-    n_betas = [0] * k
-    for r, row in zip(np.flatnonzero(regular).tolist(), betas):
-        n_betas[r] = len(row)
+    j_s, j_t, regular, d, pairs, n_betas, cr, quasi = geometry._analyze_columns(built, points)
+    (k, m, _), ok, quasi = j_s.shape, regular.tolist(), quasi.tolist()
     metrics = j_s[regular]
     weights = [metrics]
     if weight is not None:
         weights.append(metrics if weight["kind"] == "js"
                        else np.broadcast_to(np.diag(weight["values"]), metrics.shape))
     # Tr G J_S^{-1}: one stacked solve per weight over the regular rows
-    bounds = [at_regular(geometry._weighted_traces(g, metrics) if len(d) else [], 1)
-              for g in weights]
+    bounds = np.zeros((len(weights), k))
+    if len(metrics):
+        for row, g in zip(bounds, weights):
+            row[regular] = geometry._weighted_traces(g, metrics)
     number = [() if r else None for r in ok]
-    quasi = [not n_betas[r] if r_ok else below[r] for r, r_ok in enumerate(ok)]
     fields = [
         ("theta", (m,), points),
         ("sld_fisher", (m, m), j_s.reshape(k, m * m)),
         ("berry_curvature", (m, m), j_t.reshape(k, m * m)),
-        ("d_transform", [(m, m) if r else None for r in ok], at_regular(d, m * m)),
-        ("betas", [(n,) for n in n_betas],
-         at_regular([row + [0.0] * (m // 2 - len(row)) for row in betas], m // 2)),
-        ("sld_bound_js", number, bounds[0]),
-        ("attainable_cr_js", number, at_regular(cr, 1)),
+        ("d_transform", [(m, m) if r else None for r in ok], d.reshape(k, m * m)),
+        ("betas", [(n,) for n in n_betas.tolist()], pairs),
+        ("sld_bound_js", number, bounds[0, :, None]),
+        ("attainable_cr_js", number, cr[:, None]),
         ("quasi_classical", quasi, np.empty((k, 0))),
         ("rank_deficient", [not r for r in ok], np.empty((k, 0))),
     ]
     if weight is not None:
-        fields.append(("sld_bound_weight", number, bounds[1]))
+        fields.append(("sld_bound_weight", number, bounds[1, :, None]))
     return {
         "weight": weight,
         "tolerances": {
@@ -510,7 +486,7 @@ def _cmd_report(args, built):
         "summary": {
             "all_quasi_classical": all(quasi),
             "any_rank_deficient": not all(ok),
-            "max_beta": max((b for row in betas for b in row), default=None),
+            "max_beta": pairs[n_betas > 0, 0].max().item() if n_betas.any() else None,
         },
     }
 

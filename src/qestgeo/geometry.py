@@ -101,9 +101,12 @@ def _spectra(j_s, j_tilde):
 
 
 def _betas(svals):
-    """Per row of singular values, the betas: one per pair (antisymmetric
-    real matrices pair theirs as (b, b)) above ``QUASI_CLASSICAL_TOL``."""
-    return [[b for b in row if b > QUASI_CLASSICAL_TOL] for row in svals[:, 0::2].tolist()]
+    """``(pairs, counts)`` of rows of singular values: ``pairs`` holds one
+    value per pair (antisymmetric real matrices pair theirs as (b, b)), in
+    descending order, so a row's betas are its first ``counts`` pairs, those
+    above ``QUASI_CLASSICAL_TOL``."""
+    pairs = svals[:, 0::2]
+    return pairs, np.count_nonzero(pairs > QUASI_CLASSICAL_TOL, axis=1)
 
 
 def _single(j_s, j_tilde):
@@ -134,7 +137,8 @@ def d_transform(j_s, j_tilde):
     metric is singular at relative tolerance ``RANK_TOL``.
     """
     j_s, j_tilde, svals = _single(j_s, j_tilde)
-    return np.linalg.solve(j_s, j_tilde), _betas(svals)[0]
+    pairs, counts = _betas(svals)
+    return np.linalg.solve(j_s, j_tilde), pairs[0, :counts[0]].tolist()
 
 
 def d_via_projection(lift, x):
@@ -171,8 +175,13 @@ def _weighted_traces(g, j_s):
     return np.trace(np.linalg.solve(j_s, g), axis1=-2, axis2=-1).tolist()
 
 
-def _weighted_trace(weight, j_s):
-    g = weight.matrix if isinstance(weight, WeightMatrix) else np.asarray(weight, float)
+def _weight_matrix(weight):
+    """The checked ``(m, m)`` array of a :class:`WeightMatrix`, or of a raw
+    weight after the :class:`WeightMatrix` checks."""
+    return (weight if isinstance(weight, WeightMatrix) else WeightMatrix(weight)).matrix
+
+
+def _weighted_trace(g, j_s):
     return _weighted_traces(g[None], np.asarray(j_s)[None])[0]
 
 
@@ -180,13 +189,11 @@ def sld_bound(weight, j_s):
     """Lower bound Tr G J_S^{-1} on the weighted estimation error; the
     rank verdict is that of :func:`d_transform`.  A raw ``weight`` passes
     the :class:`WeightMatrix` checks first."""
-    if not isinstance(weight, WeightMatrix):
-        weight = WeightMatrix(weight)
-    return _weighted_trace(weight, _single(j_s, np.zeros(np.shape(j_s)))[0])
+    return _weighted_trace(_weight_matrix(weight), _single(j_s, np.zeros(np.shape(j_s)))[0])
 
 
 def _cr_from_svals(m, svals):
-    """``CR(J_S)`` per row of singular values (:func:`_betas`).
+    """``CR(J_S)`` per row of singular values (:func:`_betas`), as an array.
 
     Raises :class:`SpectralConsistencyError` at the first row, in order,
     with a beta above 1 beyond ``BETA_BOUND_TOL``.
@@ -205,7 +212,7 @@ def _cr_from_svals(m, svals):
     paired = np.zeros(len(pairs))
     for column in terms.T:  # in order, as the betas are summed one by one
         paired = paired + column
-    return (paired + (m - 2 * np.count_nonzero(kept, axis=1))).tolist()
+    return paired + (m - 2 * np.count_nonzero(kept, axis=1))
 
 
 def attainable_cr_js(j_s, j_tilde):
@@ -217,7 +224,7 @@ def attainable_cr_js(j_s, j_tilde):
     equality exactly when the curvature vanishes.
     """
     j_s, _, svals = _single(j_s, j_tilde)
-    return _cr_from_svals(j_s.shape[0], svals)[0]
+    return float(_cr_from_svals(j_s.shape[0], svals)[0])
 
 
 def _curvature_below_scale(j_tilde, j_s):
@@ -231,7 +238,7 @@ def is_quasi_classical(j_tilde, j_s):
     """No beta left, as in ``analyze``; at a singular metric, where none
     exists, ``max abs J_tilde < QUASI_CLASSICAL_TOL * max(1, max abs J_S)``."""
     try:
-        return not _betas(_single(j_s, j_tilde)[2])[0]
+        return not _betas(_single(j_s, j_tilde)[2])[1][0]
     except RankDeficiencyError:
         return bool(_curvature_below_scale(j_tilde, j_s))
 
@@ -255,13 +262,15 @@ class GeometryReport:
 
     def sld_bound(self, weight):
         """Tr G J_S^{-1}; raises on a rank-deficient metric.  A raw
-        ``weight`` is not checked, to keep an eigendecomposition off the
-        report path: callers pass ``J_S`` or a checked diagonal."""
+        ``weight`` passes the :class:`WeightMatrix` checks first, except
+        the report's own ``sld_fisher``, which its rank verdict already
+        shows symmetric and positive definite: no eigendecomposition."""
         if self.rank_deficient:
             raise RankDeficiencyError(
                 f"metric is singular at theta {self.theta.tolist()}"
             )
-        return _weighted_trace(weight, self.sld_fisher)
+        g = weight if weight is self.sld_fisher else _weight_matrix(weight)
+        return _weighted_trace(g, self.sld_fisher)
 
 
 def analyze(model, theta):
@@ -279,43 +288,44 @@ def analyze(model, theta):
 def analyze_many(model, thetas):
     """:func:`analyze` at each row of a ``(k, m)`` theta array, as a list.
 
-    The arrays come from :func:`_analyze_columns`, and each row is bitwise
-    the row :func:`analyze` gives alone.
+    Row ``r`` reads row ``r`` of the :func:`_analyze_columns` arrays, and is
+    bitwise the row :func:`analyze` gives alone.
     """
     points = model._points(thetas)
     if not len(points):
         return []
-    j_s, j_t, regular, d, betas, cr, below = _analyze_columns(model, points)
-    d_matrix, betas_r, cr_r = [None] * len(points), [()] * len(points), [None] * len(points)
-    for r, d_r, b_r, c_r in zip(np.flatnonzero(regular).tolist(), d, betas, cr):
-        d_matrix[r], betas_r[r], cr_r[r] = d_r, tuple(b_r), c_r
+    j_s, j_t, regular, d, pairs, n_betas, cr, quasi = _analyze_columns(model, points)
+    rows = zip(regular.tolist(), pairs.tolist(), n_betas.tolist(), cr.tolist(), quasi.tolist())
     return [
         GeometryReport(
             theta=points[r],
             sld_fisher=j_s[r],
             berry_curvature=j_t[r],
-            d_matrix=d_matrix[r],
-            betas=betas_r[r],
-            cr_js=cr_r[r],
-            quasi_classical=not betas_r[r] if ok else below[r],
+            d_matrix=d[r] if ok else None,
+            betas=tuple(betas[:n]),
+            cr_js=cr_r if ok else None,
+            quasi_classical=quasi_r,
             rank_deficient=not ok,
         )
-        for r, ok in enumerate(regular.tolist())
+        for r, (ok, betas, n, cr_r, quasi_r) in enumerate(rows)
     ]
 
 
 def _analyze_columns(model, points):
     """The stacked arrays of :func:`analyze_many` at checked ``(k, m)``
-    ``points``, ``k >= 1``: ``(j_s, j_t, regular, d, betas, cr, below)``.
+    ``points``, ``k >= 1``: ``(j_s, j_t, regular, d, pairs, n_betas, cr,
+    quasi)``, each with one row per point.
 
     The lifts come one block of points at a time
     (``PureStateModel._lift_blocks``), and only their ``(m, m)`` Gram
     matrices are kept.  One ``eigh`` over all rows, one SVD and one
-    ``solve`` over the regular rows then serve every point.  ``j_s`` and
-    ``j_t`` are ``(k, m, m)``, ``regular`` is the boolean row mask, ``d``
-    (an ``(r, m, m)`` array), ``betas`` (lists) and ``cr`` (floats) hold one
-    item per regular row, in order, and ``below`` is the list of
-    :func:`_curvature_below_scale` verdicts of every row.
+    ``solve`` over the regular rows then serve every point.  ``j_s``,
+    ``j_t`` and ``d`` are ``(k, m, m)``, ``regular`` is the boolean row
+    mask, ``pairs`` the ``(k, (m + 1) // 2)`` pair values of
+    :func:`_betas`, of which the first ``n_betas`` of a row are its betas,
+    ``cr`` is ``CR(J_S)`` and ``quasi`` the quasi-classical verdict: no
+    beta on a regular row, :func:`_curvature_below_scale` on the others.
+    ``d``, ``pairs`` and ``cr`` are 0 on the rank-deficient rows.
     """
     m, root_w = model.m, np.sqrt(model.space.weight)
     # the lifts are scaled to coordinates in place: one block-sized temporary
@@ -324,24 +334,28 @@ def _analyze_columns(model, points):
              for block, _, lifts in model._lift_blocks(points)]
     j_s, j_t = _metric_and_curvature(np.concatenate(grams))
     _, _, regular, svals = _spectra(j_s, j_t)
-    d, betas, cr = np.empty((0, m, m)), [], []
+    k = len(j_s)
+    d, pairs, n_betas, cr = (np.zeros((k, m, m)), np.zeros((k, (m + 1) // 2)),
+                             np.zeros(k, dtype=int), np.zeros(k))
     if svals is not None:
         # D before the beta check, so a rejected point costs the same calls
-        d = np.linalg.solve(j_s[regular], j_t[regular])
-        betas, cr = _betas(svals), _cr_from_svals(m, svals)
-    return j_s, j_t, regular, d, betas, cr, _curvature_below_scale(j_t, j_s).tolist()
+        d[regular] = np.linalg.solve(j_s[regular], j_t[regular])
+        pairs[regular], n_betas[regular] = _betas(svals)
+        cr[regular] = _cr_from_svals(m, svals)
+    quasi = np.where(regular, n_betas == 0, _curvature_below_scale(j_t, j_s))
+    return j_s, j_t, regular, d, pairs, n_betas, cr, quasi
 
 
 def sld_bounds(reports, weights):
     """``Tr G J_S^{-1}`` of each report with its weight ``G``, one ``(m, m)``
     matrix per report: None on a rank-deficient report, and one stacked
-    ``solve`` over the others.  The weights are not checked, as in
-    :meth:`GeometryReport.sld_bound`."""
+    ``solve`` over the others.  Raw weights pass the :class:`WeightMatrix`
+    checks first, as in :meth:`GeometryReport.sld_bound`."""
+    g = [_weight_matrix(w) for w in weights]
     rows = [r for r, rep in enumerate(reports) if not rep.rank_deficient]
     bounds = [None] * len(reports)
     if rows:
-        g = np.array([np.asarray(weights[r], dtype=float) for r in rows])
         j_s = np.array([reports[r].sld_fisher for r in rows])
-        for r, value in zip(rows, _weighted_traces(g, j_s)):
+        for r, value in zip(rows, _weighted_traces(np.array([g[r] for r in rows]), j_s)):
             bounds[r] = value
     return bounds

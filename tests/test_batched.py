@@ -46,7 +46,7 @@ from qestgeo.estimation import MatrixPovm, grid_pvm
 from qestgeo.hilbert import BasisSpace, StateVector
 from qestgeo.model import Curve, PureStateModel, broadcasting, rephased
 
-from conftest import catalog_battery
+from conftest import catalog_battery, random_unitary_family
 from test_cli import run_to_doc
 from test_estimation import lift_fisher_cases, octahedral_elements
 
@@ -428,6 +428,49 @@ class TestAnalyzeMany:
         bloch = BATTERY["bloch"]
         with pytest.raises(SpectralConsistencyError, match="beta = 1.10000000 exceeds 1"):
             geometry.analyze_many(bloch, random_points(bloch, 6, np.random.default_rng(11)))
+
+    def test_an_odd_m_report_reads_the_rows_of_analyze_many(self, monkeypatch, capsys):
+        # m = 3, so a row has two pair values and at most one beta; the rows
+        # are rank-deficient, regular without a beta, and regular with one
+        fakes = np.array([[[1, 0.5j, 0], [-0.5j, 1, 0], [0, 0, 0]],
+                          [[2, 0.3, 0], [0.3, 1, 0], [0, 0, 1.5]],
+                          [[1, 0.5j, 0], [-0.5j, 1, 0], [0, 0, 1]]])
+        gram = geometry._gram
+
+        def fake_rows(coords):
+            g = gram(coords)
+            g[:] = fakes
+            return g
+
+        mod = random_unitary_family(4, 3, np.random.default_rng(14))
+        thetas = random_points(mod, 3, np.random.default_rng(15))
+        monkeypatch.setattr(geometry, "_gram", fake_rows)
+        monkeypatch.setattr(cli, "_load_model", lambda path: (mod, {"kind": "test"}))
+        reports = geometry.analyze_many(mod, thetas)
+        assert [(rep.rank_deficient, len(rep.betas)) for rep in reports] == [
+            (True, 0), (False, 0), (False, 1)]
+        doc = run_to_doc(capsys, ["report", "--model", "-", "--weight", "diag:1,2,3",
+                                  theta_arg(thetas)])
+        weight = np.diag([1.0, 2.0, 3.0])
+        for entry, rep in zip(doc["entries"], reports, strict=True):
+            ok = not rep.rank_deficient
+            assert entry == {
+                "theta": rep.theta.tolist(),
+                "sld_fisher": rep.sld_fisher.tolist(),
+                "berry_curvature": rep.berry_curvature.tolist(),
+                "d_transform": rep.d_matrix.tolist() if ok else None,
+                "betas": list(rep.betas),
+                "sld_bound_js": rep.sld_bound(rep.sld_fisher) if ok else None,
+                "attainable_cr_js": rep.cr_js,
+                "quasi_classical": rep.quasi_classical,
+                "rank_deficient": rep.rank_deficient,
+                "sld_bound_weight": rep.sld_bound(weight) if ok else None,
+            }
+        assert doc["summary"] == {
+            "all_quasi_classical": all(rep.quasi_classical for rep in reports),
+            "any_rank_deficient": any(rep.rank_deficient for rep in reports),
+            "max_beta": max(b for rep in reports for b in rep.betas),
+        }
 
     @pytest.mark.parametrize("weight, solves", [(None, 2), ("js", 3), ("diag:1,2", 3)])
     def test_a_report_takes_one_spectral_pass(self, monkeypatch, capsys, tmp_path,

@@ -690,8 +690,8 @@ class TestRenderDocument:
             render_document({1: "int key"})
 
     def test_lists_of_plain_numbers_render_as_each_number_alone(self):
-        # a list of plain floats or ints is one join; np.float64, bools and
-        # mixed lists go one value at a time: the bytes are the same
+        # every list goes one value at a time, so plain floats, ints,
+        # np.float64, bools and mixed lists give the bytes of each value alone
         for values in ([0.5, -0.0, 1e300, 5e-324, 1.0 / 3.0], [float("nan"), 2.0],
                        [1.0, float("-inf")], [3, -12, 12345678901234567890],
                        [np.float64(0.1), 0.1], [True, 1, 1.5], [[1, 2], [0.25, 0.5]],

@@ -195,6 +195,23 @@ class TestBounds:
         with pytest.raises(ValueError):
             sld_bound(weight, np.eye(2))
 
+    @pytest.mark.parametrize("weight", [[[1, 0], [0, -7]], [[1, 5], [0, 1]]],
+                             ids=["indefinite", "asymmetric"])
+    def test_a_report_checks_a_raw_weight(self, weight):
+        rep = qg.analyze(qg.catalog("bloch"), (1.0, 0.3))
+        with pytest.raises(ValueError):
+            rep.sld_bound(weight)
+        with pytest.raises(ValueError):
+            geometry.sld_bounds([rep], [weight])
+
+    def test_a_checked_weight_keeps_the_bits_of_the_bound(self):
+        rep = qg.analyze(qg.catalog("bloch"), (1.0, 0.3))
+        for weight in (np.diag([1.0, 2.0]), rep.sld_fisher, rep.sld_fisher.copy()):
+            want = rep.sld_bound(WeightMatrix(weight))
+            assert rep.sld_bound(weight) == want
+            assert geometry.sld_bounds([rep], [weight]) == [want]
+            assert sld_bound(weight, rep.sld_fisher) == want
+
     def test_weight_matrix_validation(self):
         with pytest.raises(ValueError):
             WeightMatrix(np.array([[1.0, 0.5], [0.0, 1.0]]))
