@@ -32,9 +32,9 @@ The entries of ``report`` and ``fisher`` and the counts of ``sample`` go
 from the stacked arrays to text in :func:`_rows`: one ``%`` template per
 row shape and one ``%.17g`` pass over all numbers, with the bytes of
 ``json.dumps(indent=2)`` and no per-entry dict built.  ``report`` reads the
-full-length columns of ``geometry._analyze_columns`` as they are.  The
-rest of a document is small and goes through one recursive encoder, one
-value at a time.
+full-length columns of ``geometry._analyze_columns`` as they are, and its
+bounds from ``geometry._weighted_bounds``.  The rest of a document is small
+and goes through one recursive encoder, one value at a time.
 
 Exit codes: 0 success, 2 on an ``InputError`` (malformed input, a loop
 marked closed whose end ray differs from its start ray), 3 on a
@@ -450,16 +450,6 @@ def _cmd_report(args, built):
     points = built._points(thetas)
     j_s, j_t, regular, d, pairs, n_betas, cr, quasi = geometry._analyze_columns(built, points)
     (k, m, _), ok, quasi = j_s.shape, regular.tolist(), quasi.tolist()
-    metrics = j_s[regular]
-    weights = [metrics]
-    if weight is not None:
-        weights.append(metrics if weight["kind"] == "js"
-                       else np.broadcast_to(np.diag(weight["values"]), metrics.shape))
-    # Tr G J_S^{-1}: one stacked solve per weight over the regular rows
-    bounds = np.zeros((len(weights), k))
-    if len(metrics):
-        for row, g in zip(bounds, weights):
-            row[regular] = geometry._weighted_traces(g, metrics)
     number = [() if r else None for r in ok]
     fields = [
         ("theta", (m,), points),
@@ -467,13 +457,16 @@ def _cmd_report(args, built):
         ("berry_curvature", (m, m), j_t.reshape(k, m * m)),
         ("d_transform", [(m, m) if r else None for r in ok], d.reshape(k, m * m)),
         ("betas", [(n,) for n in n_betas.tolist()], pairs),
-        ("sld_bound_js", number, bounds[0, :, None]),
+        ("sld_bound_js", number, geometry._weighted_bounds(j_s, j_s, regular)[:, None]),
         ("attainable_cr_js", number, cr[:, None]),
         ("quasi_classical", quasi, np.empty((k, 0))),
         ("rank_deficient", [not r for r in ok], np.empty((k, 0))),
     ]
     if weight is not None:
-        fields.append(("sld_bound_weight", number, bounds[1, :, None]))
+        g = (j_s if weight["kind"] == "js"
+             else np.broadcast_to(np.diag(weight["values"]), j_s.shape))
+        fields.append(("sld_bound_weight", number,
+                       geometry._weighted_bounds(g, j_s, regular)[:, None]))
     return {
         "weight": weight,
         "tolerances": {

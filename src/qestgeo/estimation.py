@@ -54,8 +54,8 @@ class Povm:
         rows = self.dim if bras is None else len(bras)
         self.n_outcomes = rows // rank + int(has_complement)
 
-    def _check_space(self, space):
-        if space.dim != self.dim or self.space not in (None, space):
+    def _check_space(self, *spaces):
+        if any(s.dim != self.dim or self.space not in (None, s) for s in spaces):
             raise SpaceMismatchError("state does not live on the measured space")
 
     def _amps(self, coords):
@@ -113,10 +113,12 @@ class Povm:
         return p
 
     def scores(self, state, lifts):
+        self._check_space(state.space, *(l.space for l in lifts))
         coords = np.array([l.coords for l in lifts])
         return self._scores(self._amps(state.coords), self._amps(coords))
 
     def node_fisher(self, lifts, mask):
+        self._check_space(*(l.space for l in lifts))
         coords = np.array([l.coords for l in lifts])
         return self._node_term(self._amps(coords), coords, mask)
 

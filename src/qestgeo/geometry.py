@@ -29,14 +29,6 @@ QUASI_CLASSICAL_TOL = 1e-8
 WEIGHT_TOL = 1e-12
 
 
-def _is_singular(eigvals):
-    # relative rank test over the last axis of ascending eigenvalues, with an
-    # absolute floor so the all-zero metric (pure-gauge directions) is caught
-    # as well
-    largest = eigvals[..., -1]
-    return (largest <= METRIC_SCALE_FLOOR) | (eigvals[..., 0] <= RANK_TOL * largest)
-
-
 @dataclass(frozen=True)
 class WeightMatrix:
     """Real symmetric nonnegative weight for the error functional."""
@@ -78,44 +70,48 @@ def berry_curvature(lift):
     return _metric_and_curvature(_lift_gram(lift))[1]
 
 
-def _spectra(j_s, j_tilde):
-    """The spectral pass over ``(k, m, m)`` stacks of metrics and curvatures.
+def _spectral_pass(j_s, j_tilde):
+    """The spectral pass over ``(k, m, m)`` stacks of metrics and curvatures,
+    and its verdicts: ``(eigvals, eigvecs, regular, pairs, n_betas, quasi)``.
 
-    One ``eigh`` of the metrics gives the rank verdicts and J_S^{-1/2}, and
-    one SVD of the whitened curvatures of the regular rows their singular
-    values; no SVD runs when no row is regular.  Returns ``(eigvals,
-    eigvecs, regular, svals)`` with one ``svals`` row per regular row.
+    One ``eigh`` of the metrics gives the rank verdicts and J_S^{-1/2}: a row
+    is ``regular`` unless its eigenvalues fail a relative rank test, with an
+    absolute floor so the all-zero metric (pure-gauge directions) is caught as
+    well.  One SVD of the whitened curvatures of the regular rows gives their
+    singular values; no SVD runs when no row is regular.  Antisymmetric real
+    matrices pair theirs as (b, b), so ``pairs`` keeps one value per pair, in
+    descending order, shape ``(k, (m + 1) // 2)`` and 0 on the rank-deficient
+    rows; a row's betas are its first ``n_betas`` pairs, those above
+    ``QUASI_CLASSICAL_TOL``.  ``quasi`` is the quasi-classical verdict: no
+    beta on a regular row, and ``max abs J_tilde < QUASI_CLASSICAL_TOL *
+    max(1, max abs J_S)`` on the others, where no beta exists.
     """
     eigvals, eigvecs = np.linalg.eigh(j_s)
-    regular = ~_is_singular(eigvals)
-    if not regular.any():
-        return eigvals, eigvecs, regular, None
-    vecs = eigvecs[regular]
-    scale = np.zeros_like(vecs)
-    diag = np.arange(scale.shape[-1])
-    scale[:, diag, diag] = eigvals[regular] ** -0.5
-    inv_sqrt = vecs @ scale @ np.swapaxes(vecs, -1, -2)
-    k = inv_sqrt @ j_tilde[regular] @ inv_sqrt
-    k = 0.5 * (k - np.swapaxes(k, -1, -2))
-    return eigvals, eigvecs, regular, np.linalg.svd(k, compute_uv=False)
-
-
-def _betas(svals):
-    """``(pairs, counts)`` of rows of singular values: ``pairs`` holds one
-    value per pair (antisymmetric real matrices pair theirs as (b, b)), in
-    descending order, so a row's betas are its first ``counts`` pairs, those
-    above ``QUASI_CLASSICAL_TOL``."""
-    pairs = svals[:, 0::2]
-    return pairs, np.count_nonzero(pairs > QUASI_CLASSICAL_TOL, axis=1)
+    largest = eigvals[..., -1]
+    regular = ~((largest <= METRIC_SCALE_FLOOR) | (eigvals[..., 0] <= RANK_TOL * largest))
+    pairs = np.zeros(j_s.shape[:1] + ((j_s.shape[-1] + 1) // 2,))
+    if regular.any():
+        vecs = eigvecs[regular]
+        scale = np.zeros_like(vecs)
+        diag = np.arange(scale.shape[-1])
+        scale[:, diag, diag] = eigvals[regular] ** -0.5
+        inv_sqrt = vecs @ scale @ np.swapaxes(vecs, -1, -2)
+        k = inv_sqrt @ j_tilde[regular] @ inv_sqrt
+        k = 0.5 * (k - np.swapaxes(k, -1, -2))
+        pairs[regular] = np.linalg.svd(k, compute_uv=False)[:, 0::2]
+    n_betas = np.count_nonzero(pairs > QUASI_CLASSICAL_TOL, axis=1)
+    flat = (np.max(np.abs(j_tilde), axis=(-2, -1))
+            < QUASI_CLASSICAL_TOL * np.maximum(1.0, np.max(np.abs(j_s), axis=(-2, -1))))
+    return eigvals, eigvecs, regular, pairs, n_betas, np.where(regular, n_betas == 0, flat)
 
 
 def _single(j_s, j_tilde):
-    """``j_s``, ``j_tilde`` as float ``(m, m)`` arrays and their spectral
-    pass; :class:`RankDeficiencyError` right after the ``eigh`` when the
-    metric is singular."""
+    """``j_s``, ``j_tilde`` as float ``(m, m)`` arrays, the ``(1, (m + 1) //
+    2)`` pairs of their :func:`_spectral_pass` and the row's beta count;
+    :class:`RankDeficiencyError` when the metric is singular."""
     j_s = np.asarray(j_s, dtype=float)
     j_tilde = np.asarray(j_tilde, dtype=float)
-    eigvals, eigvecs, regular, svals = _spectra(j_s[None], j_tilde[None])
+    eigvals, eigvecs, regular, pairs, n_betas, _ = _spectral_pass(j_s[None], j_tilde[None])
     if not regular[0]:
         eigvals, eigvecs = eigvals[0], eigvecs[0]
         null = eigvals <= max(RANK_TOL * eigvals[-1], METRIC_SCALE_FLOOR)
@@ -123,7 +119,7 @@ def _single(j_s, j_tilde):
             f"metric is singular: eigenvalues {eigvals.tolist()}",
             null_directions=eigvecs[:, null],
         )
-    return j_s, j_tilde, svals
+    return j_s, j_tilde, pairs, n_betas[0]
 
 
 def d_transform(j_s, j_tilde):
@@ -136,9 +132,8 @@ def d_transform(j_s, j_tilde):
     numerically guaranteed.  Raises :class:`RankDeficiencyError` when the
     metric is singular at relative tolerance ``RANK_TOL``.
     """
-    j_s, j_tilde, svals = _single(j_s, j_tilde)
-    pairs, counts = _betas(svals)
-    return np.linalg.solve(j_s, j_tilde), pairs[0, :counts[0]].tolist()
+    j_s, j_tilde, pairs, n_betas = _single(j_s, j_tilde)
+    return np.linalg.solve(j_s, j_tilde), pairs[0, :n_betas].tolist()
 
 
 def d_via_projection(lift, x):
@@ -170,35 +165,39 @@ def d_via_projection(lift, x):
     return coeffs
 
 
-def _weighted_traces(g, j_s):
-    """``Tr G J_S^{-1}`` over ``(k, m, m)`` stacks: one ``solve``."""
-    return np.trace(np.linalg.solve(j_s, g), axis1=-2, axis2=-1).tolist()
-
-
 def _weight_matrix(weight):
     """The checked ``(m, m)`` array of a :class:`WeightMatrix`, or of a raw
     weight after the :class:`WeightMatrix` checks."""
     return (weight if isinstance(weight, WeightMatrix) else WeightMatrix(weight)).matrix
 
 
-def _weighted_trace(g, j_s):
-    return _weighted_traces(g[None], np.asarray(j_s)[None])[0]
+def _weighted_bounds(g, j_s, regular):
+    """``Tr G J_S^{-1}`` over the ``regular`` rows of ``(k, m, m)`` stacks of
+    weights and metrics, as a ``(k,)`` array: one ``solve``, none when no row
+    is regular, and 0 on the other rows."""
+    bounds = np.zeros(len(j_s))
+    if regular.any():
+        bounds[regular] = np.trace(np.linalg.solve(j_s[regular], g[regular]),
+                                   axis1=-2, axis2=-1)
+    return bounds
 
 
 def sld_bound(weight, j_s):
     """Lower bound Tr G J_S^{-1} on the weighted estimation error; the
     rank verdict is that of :func:`d_transform`.  A raw ``weight`` passes
     the :class:`WeightMatrix` checks first."""
-    return _weighted_trace(_weight_matrix(weight), _single(j_s, np.zeros(np.shape(j_s)))[0])
+    g = _weight_matrix(weight)
+    j_s = _single(j_s, np.zeros(np.shape(j_s)))[0]
+    return _weighted_bounds(g[None], j_s[None], np.ones(1, dtype=bool)).item()
 
 
-def _cr_from_svals(m, svals):
-    """``CR(J_S)`` per row of singular values (:func:`_betas`), as an array.
+def _cr(m, pairs):
+    """``CR(J_S)`` per row of the pairs of :func:`_spectral_pass`, as an
+    array.
 
     Raises :class:`SpectralConsistencyError` at the first row, in order,
     with a beta above 1 beyond ``BETA_BOUND_TOL``.
     """
-    pairs = svals[:, 0::2]
     over = np.argwhere(pairs > 1.0 + BETA_BOUND_TOL)
     if over.size:
         raise SpectralConsistencyError(
@@ -223,24 +222,16 @@ def attainable_cr_js(j_s, j_tilde):
     is also the beta -> 0 limit of half a pair.  The total is >= m with
     equality exactly when the curvature vanishes.
     """
-    j_s, _, svals = _single(j_s, j_tilde)
-    return float(_cr_from_svals(j_s.shape[0], svals)[0])
-
-
-def _curvature_below_scale(j_tilde, j_s):
-    """``max abs J_tilde < QUASI_CLASSICAL_TOL * max(1, max abs J_S)`` over
-    the last two axes."""
-    scale = np.maximum(1.0, np.max(np.abs(j_s), axis=(-2, -1)))
-    return np.max(np.abs(j_tilde), axis=(-2, -1)) < QUASI_CLASSICAL_TOL * scale
+    j_s, _, pairs, _ = _single(j_s, j_tilde)
+    return float(_cr(j_s.shape[0], pairs)[0])
 
 
 def is_quasi_classical(j_tilde, j_s):
-    """No beta left, as in ``analyze``; at a singular metric, where none
-    exists, ``max abs J_tilde < QUASI_CLASSICAL_TOL * max(1, max abs J_S)``."""
-    try:
-        return not _betas(_single(j_s, j_tilde)[2])[1][0]
-    except RankDeficiencyError:
-        return bool(_curvature_below_scale(j_tilde, j_s))
+    """The verdict of :func:`_spectral_pass` on one row, as in ``analyze``:
+    no beta left; at a singular metric, where none exists,
+    ``max abs J_tilde < QUASI_CLASSICAL_TOL * max(1, max abs J_S)``."""
+    return bool(_spectral_pass(np.asarray(j_s, dtype=float)[None],
+                               np.asarray(j_tilde, dtype=float)[None])[5][0])
 
 
 @dataclass(frozen=True)
@@ -270,7 +261,7 @@ class GeometryReport:
                 f"metric is singular at theta {self.theta.tolist()}"
             )
         g = weight if weight is self.sld_fisher else _weight_matrix(weight)
-        return _weighted_trace(g, self.sld_fisher)
+        return _weighted_bounds(g[None], self.sld_fisher[None], np.ones(1, dtype=bool)).item()
 
 
 def analyze(model, theta):
@@ -318,14 +309,14 @@ def _analyze_columns(model, points):
 
     The lifts come one block of points at a time
     (``PureStateModel._lift_blocks``), and only their ``(m, m)`` Gram
-    matrices are kept.  One ``eigh`` over all rows, one SVD and one
-    ``solve`` over the regular rows then serve every point.  ``j_s``,
-    ``j_t`` and ``d`` are ``(k, m, m)``, ``regular`` is the boolean row
-    mask, ``pairs`` the ``(k, (m + 1) // 2)`` pair values of
-    :func:`_betas`, of which the first ``n_betas`` of a row are its betas,
-    ``cr`` is ``CR(J_S)`` and ``quasi`` the quasi-classical verdict: no
-    beta on a regular row, :func:`_curvature_below_scale` on the others.
-    ``d``, ``pairs`` and ``cr`` are 0 on the rank-deficient rows.
+    matrices are kept.  :func:`_spectral_pass` over all rows then gives
+    ``regular``, the boolean row mask, ``pairs``, of which the first
+    ``n_betas`` of a row are its betas, and ``quasi``, the quasi-classical
+    verdict.  One ``solve`` over the regular rows gives ``d``, and ``cr`` is
+    ``CR(J_S)`` from the pairs (:func:`_cr`).  ``j_s``, ``j_t`` and ``d`` are
+    ``(k, m, m)``; ``d``, ``pairs`` and ``cr`` are 0 on the rank-deficient
+    rows.  The bounds ``Tr G J_S^{-1}`` of these rows come from
+    :func:`_weighted_bounds` on ``j_s`` and ``regular``.
     """
     m, root_w = model.m, np.sqrt(model.space.weight)
     # the lifts are scaled to coordinates in place: one block-sized temporary
@@ -333,29 +324,21 @@ def _analyze_columns(model, points):
     grams = [np.reshape(_gram(np.multiply(lifts, root_w, out=lifts)), (len(block), m, m))
              for block, _, lifts in model._lift_blocks(points)]
     j_s, j_t = _metric_and_curvature(np.concatenate(grams))
-    _, _, regular, svals = _spectra(j_s, j_t)
-    k = len(j_s)
-    d, pairs, n_betas, cr = (np.zeros((k, m, m)), np.zeros((k, (m + 1) // 2)),
-                             np.zeros(k, dtype=int), np.zeros(k))
-    if svals is not None:
+    _, _, regular, pairs, n_betas, quasi = _spectral_pass(j_s, j_t)
+    d = np.zeros_like(j_s)
+    if regular.any():
         # D before the beta check, so a rejected point costs the same calls
         d[regular] = np.linalg.solve(j_s[regular], j_t[regular])
-        pairs[regular], n_betas[regular] = _betas(svals)
-        cr[regular] = _cr_from_svals(m, svals)
-    quasi = np.where(regular, n_betas == 0, _curvature_below_scale(j_t, j_s))
-    return j_s, j_t, regular, d, pairs, n_betas, cr, quasi
+    return j_s, j_t, regular, d, pairs, n_betas, np.where(regular, _cr(m, pairs), 0.0), quasi
 
 
 def sld_bounds(reports, weights):
     """``Tr G J_S^{-1}`` of each report with its weight ``G``, one ``(m, m)``
-    matrix per report: None on a rank-deficient report, and one stacked
-    ``solve`` over the others.  Raw weights pass the :class:`WeightMatrix`
+    matrix per report, from :func:`_weighted_bounds`: one stacked ``solve``
+    over the reports that :func:`_spectral_pass` found regular, and None on
+    the rank-deficient ones.  Raw weights pass the :class:`WeightMatrix`
     checks first, as in :meth:`GeometryReport.sld_bound`."""
-    g = [_weight_matrix(w) for w in weights]
-    rows = [r for r, rep in enumerate(reports) if not rep.rank_deficient]
-    bounds = [None] * len(reports)
-    if rows:
-        j_s = np.array([reports[r].sld_fisher for r in rows])
-        for r, value in zip(rows, _weighted_traces(np.array([g[r] for r in rows]), j_s)):
-            bounds[r] = value
-    return bounds
+    g = np.array([_weight_matrix(w) for w in weights])
+    regular = np.array([not rep.rank_deficient for rep in reports], dtype=bool)
+    bounds = _weighted_bounds(g, np.array([rep.sld_fisher for rep in reports]), regular)
+    return [b if ok else None for b, ok in zip(bounds.tolist(), regular.tolist())]

@@ -486,10 +486,21 @@ def _finite(name, value):
     return x
 
 
+def _largest_phase(name, rate, power, reach):
+    """ValueError unless ``|rate| reach**power``, the largest argument of a phase
+    ``rate x**power`` at ``|x| <= reach``, is finite.  Every catalog phase is
+    checked here from the grid bounds and the domain, before any array arithmetic."""
+    arg = abs(rate) * reach * (reach if power == 2 else 1.0)
+    if not math.isfinite(arg):
+        raise ValueError(f"{name} = {rate} makes phase arguments up to {arg}")
+
+
 def gaussian_profile(width=1.0, center=0.0):
     w, c = _finite("width", width), _finite("center", center)
     if w <= 0.0:
         raise ValueError(f"width must be positive, got {w}")
+    if not np.finfo(float).tiny <= w * w < np.inf:  # the exponent divides by it
+        raise ValueError(f"width squared must be a normal float, got {w * w}")
     norm = np.pi ** (-0.25) / np.sqrt(w)
 
     def fn(x, derivative):
@@ -525,8 +536,9 @@ def hermite_profile(n):
     return fn
 
 
-def _phase_factor_profile(base, g, dg):
-    """Multiply a profile by exp(i g(x)); its derivative gains i g'(x) f."""
+def _phase_factor_profile(base, g, dg, phase):
+    """Multiply a profile by exp(i g(x)); its derivative gains i g'(x) f.
+    The profile keeps ``phase = (name, rate, power)``, ``g(x) = rate x**power``."""
 
     def fn(x, derivative):
         phase = np.exp(1j * g(x))
@@ -538,20 +550,21 @@ def _phase_factor_profile(base, g, dg):
         # and a complex product is not bitwise symmetric
         return phase * f, np.multiply(phase, df + 1j * dg(x) * f)
 
+    fn.phase = phase
     return fn
 
 
 def boosted_profile(base, p0):
     """Multiply a profile by the plane-wave factor exp(i p0 x)."""
     p0 = _finite("p0", p0)
-    return _phase_factor_profile(base, lambda x: p0 * x, lambda x: p0)
+    return _phase_factor_profile(base, lambda x: p0 * x, lambda x: p0, ("p0", p0, 1))
 
 
 def chirped_profile(chirp, width=1.0):
     """Gaussian with quadratic phase exp(i c x^2)."""
     c = _finite("chirp", chirp)
-    return _phase_factor_profile(gaussian_profile(width),
-                                 lambda x: c * x * x, lambda x: 2.0 * c * x)
+    return _phase_factor_profile(gaussian_profile(width), lambda x: c * x * x,
+                                 lambda x: 2.0 * c * x, ("chirp", c, 2))
 
 
 def two_well_profile(alpha):
@@ -586,7 +599,7 @@ def make_profile(spec):
 
     A profile is its function ``fn(x, derivative)``: the complex 1-d
     ``(f(x), f'(x))``, the derivative None unless asked for, with the
-    factors they share computed once.
+    factors they share computed once; a phase factor adds ``fn.phase``.
     """
     if isinstance(spec, str):
         name, params = spec, {}
@@ -634,8 +647,12 @@ def _domain(params, default):
     return tuple(domain)
 
 
-def _grid_norm_factor(profile, space):
-    """Normalization constant on the model's own grid, computed once."""
+def _grid_norm_factor(profile, space, shifts):
+    """Normalization constant on the model's own grid, computed once, after
+    :func:`_largest_phase` of the profile's phase at ``x - t``, ``t`` in ``shifts``."""
+    lo, hi = shifts
+    if hasattr(profile, "phase"):
+        _largest_phase(*profile.phase, max(abs(space.lower - hi), abs(space.upper - lo)))
     nrm = math.sqrt(space.weight) * float(np.linalg.norm(profile(space.points, False)[0]))
     if nrm == 0.0:
         raise ValueError("profile vanishes on the grid")
@@ -644,8 +661,8 @@ def _grid_norm_factor(profile, space):
 
 def _shift_family(params, profile, space, kind):
     """The family ``c f(x - theta)`` of a profile translated on its grid."""
-    c = _grid_norm_factor(profile, space)
     domain = _domain(params, ((-2.0, 2.0),))
+    c = _grid_norm_factor(profile, space, domain[0])
     x = space.points
 
     def fn(theta, cols, components):
@@ -679,7 +696,7 @@ def _phase_generator_family(space, domain, g0, dg, psi0, kind, sample_line):
 def _momentum_shift(params):
     profile = make_profile(params.get("profile", "gaussian"))
     space = _grid_from_params(params)
-    c = _grid_norm_factor(profile, space)
+    c = _grid_norm_factor(profile, space, (0.0, 0.0))  # the profile at theta = 0
     return _phase_generator_family(
         space, _domain(params, ((-2.0, 2.0),)), -space.lower, -space.weight,
         c * profile(space.points, False)[0], "momentum_shift", np.linspace(-1.0, 1.0, 5))
@@ -701,8 +718,8 @@ def _distinct(values):
 def _position_momentum_shift(params):
     profile = make_profile(params.get("profile", "gaussian"))
     space = _grid_from_params(params)
-    c = _grid_norm_factor(profile, space)
     domain = _domain(params, ((-2.0, 2.0), (-2.0, 2.0)))
+    c = _grid_norm_factor(profile, space, domain[0])
     x, columns = space.points, range(space.dim)
 
     def fn(theta, cols, components):
@@ -782,9 +799,12 @@ def _ring_flux(params):
                               default_upper=2.0 * np.pi, periodic=True)
     if not space.periodic:
         raise ValueError("ring_flux requires a periodic grid")
+    domain = _domain(params, ((-2.0 * np.pi, 4.0 * np.pi),))
+    # the phases alpha omega and 2 pi alpha q, |2 pi q| < |omega| + |t| + 2 pi
+    _largest_phase("alpha", alpha, 1, max(abs(space.lower), abs(space.upper))
+                   + max(map(abs, domain[0])) + 2.0 * np.pi)
     omega, columns = space.points, range(space.dim)
     c = 1.0 / (math.sqrt(space.weight) * float(np.linalg.norm((2.0 - np.cos(omega)) + 0j)))
-    domain = _domain(params, ((-2.0 * np.pi, 4.0 * np.pi),))
     rates = np.array([alpha, 1.0])
 
     def fn(theta, cols, components):

@@ -627,3 +627,31 @@ class TestAgainstElements:
             classical_fisher(measurement_family(bloch, placed), theta))
         with pytest.raises(SpaceMismatchError):
             induced_distribution(bare, StateVector(BasisSpace(3), [1.0, 0.0, 0.0]))
+
+
+MISMATCH = "^state does not live on the measured space$"
+
+
+class TestPovmSpaces:
+    """Scores and node terms check their vectors' space as probabilities do."""
+
+    def setup_method(self):
+        # same dimension, other bounds: a cell POVM of one grid measures no
+        # state of the other
+        self.state = StateVector(hilbert.GridSpace(4, 0.0, 2.0), np.ones(4), normalize=True)
+        self.povm = grid_pvm(hilbert.GridSpace(4, 0.0, 1.0))
+
+    def test_probabilities(self):
+        with pytest.raises(SpaceMismatchError, match=MISMATCH):
+            self.povm.probabilities(self.state)
+
+    def test_scores_check_the_state_and_each_lift(self):
+        own = StateVector(self.povm.space, np.ones(4), normalize=True)
+        for state, lifts in [(self.state, [own]), (own, [own, self.state])]:
+            with pytest.raises(SpaceMismatchError, match=MISMATCH):
+                self.povm.scores(state, lifts)
+        assert self.povm.scores(own, [own]).shape == (1, 4)
+
+    def test_node_fisher_checks_each_lift(self):
+        with pytest.raises(SpaceMismatchError, match=MISMATCH):
+            self.povm.node_fisher([self.state], np.ones(4, dtype=bool))

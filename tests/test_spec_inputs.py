@@ -236,6 +236,19 @@ MALFORMED = [
     ("ring_flux_alpha_infinite", None, {"kind": "catalog", "name": "ring_flux",
                                         "params": {"alpha": -math.inf}}, REPORT_BAD,
      "params: invalid params for ring_flux: alpha must be finite, got -inf"),
+    # finite parameters whose largest phase argument over the grid and the
+    # domain overflows, and a width whose square underflows: rejected from
+    # the spec before any arithmetic, which warned and drifted to a NaN norm
+    ("boosted_p0_overflows", None, ps_profile({"name": "boosted_gaussian", "p0": 1e308}),
+     REPORT_BAD, ps_detail("p0 = 1e+308 makes phase arguments up to inf")),
+    ("chirp_overflows", None, ps_profile({"name": "chirped_gaussian", "chirp": 1e308}),
+     REPORT_BAD, ps_detail("chirp = 1e+308 makes phase arguments up to inf")),
+    ("ring_flux_alpha_overflows", None, {"kind": "catalog", "name": "ring_flux",
+                                         "params": {"alpha": 1e308}}, REPORT_BAD,
+     "params: invalid params for ring_flux: alpha = 1e+308 makes phase arguments up to inf"),
+    ("gaussian_width_squared_underflows", None,
+     ps_profile({"name": "gaussian", "width": 1e-300}), REPORT_BAD,
+     ps_detail("width squared must be a normal float, got 0.0")),
     ("spin_amplitude_nan", None,
      {"kind": "catalog", "name": "spin_jz", "params": {"amplitudes": [0.6, math.nan]}},
      REPORT_BAD, "params: invalid params for spin_jz: amplitudes must be finite, "

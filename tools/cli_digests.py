@@ -127,6 +127,14 @@ FILES = {
     "ragged.json": {"thetas": [[0.3, 0.1], [0.4], [0.5, 0.1]]},
     "open_end.json": {"thetas": [[1.0, 0.0], [1.0, 1.0], [1.0, 2.0]], "closed": True},
     "two_well_nan.json": {"kind": "catalog", "name": "two_well", "params": {"alpha": math.nan}},
+    "p0_huge.json": grid_spec("position_shift", 64,
+                              profile={"name": "boosted_gaussian", "p0": 1e308}),
+    "chirp_huge.json": grid_spec("position_shift", 64,
+                                 profile={"name": "chirped_gaussian", "chirp": 1e308}),
+    "ring_alpha_huge.json": {"kind": "catalog", "name": "ring_flux",
+                             "params": {"alpha": 1e308}},
+    "width_tiny.json": grid_spec("position_shift", 64,
+                                 profile={"name": "gaussian", "width": 1e-300}),
 }
 
 BLOCH_THETAS = "--theta=0.4,0.1;1.1,2.5;2.7,5.9"
@@ -214,6 +222,13 @@ INVOCATIONS = {
     "error_no_anchor": ["check", "--model", "far.json", "--samples=-15;0;15"],
     # a non-finite parameter is a spec error, read before any arithmetic
     "error_nonfinite_alpha": ["report", "--model", "two_well_nan.json", "--theta=0"],
+    # finite parameters whose phase arguments overflow, or whose width squared
+    # underflows, over the grid and the domain: spec errors too
+    "error_p0_overflows": ["report", "--model", "p0_huge.json", "--theta=0.3"],
+    "error_chirp_overflows": ["report", "--model", "chirp_huge.json", "--theta=0.3"],
+    "error_ring_alpha_overflows": ["report", "--model", "ring_alpha_huge.json",
+                                   "--theta=0.3"],
+    "error_width_underflows": ["report", "--model", "width_tiny.json", "--theta=0.3"],
     "error_usage": ["sample", "--model", "ps.json", "--povm", "grid", "--theta=0",
                     "--n", "0", "--seed", "1"],
     # --model is declared once, for every subcommand
