@@ -53,7 +53,8 @@ class DomainError(InputError):
 
 
 class ModelDefinitionError(ContractError):
-    """A model produced a state violating its own contract (norm drift)."""
+    """A model produced a state violating its own contract (norm drift), or
+    lifts whose Gram matrix is not finite."""
 
 
 class RankDeficiencyError(ContractError):

@@ -15,13 +15,14 @@ import numpy as np
 
 from . import hilbert
 from .errors import (
+    AnchorError,
     MeasurementDefinitionError,
     SingularSupportError,
     SpaceMismatchError,
 )
 from .geometry import _metric_and_curvature
 from .hilbert import _gram, _norms
-from .holonomy import align_phases, sample_states
+from .holonomy import _align_rows, _sample_amplitudes
 
 PSD_TOL = 1e-10
 RESOLUTION_TOL = 1e-8
@@ -137,7 +138,12 @@ def ProjectorPovm(basis):
     if not basis:
         raise MeasurementDefinitionError("projector POVM needs at least one vector")
     space = hilbert.common_space(basis)
-    u = np.column_stack([b.coords for b in basis])
+    return _projector_povm(space, np.column_stack([b.coords for b in basis]))
+
+
+def _projector_povm(space, u):
+    """:func:`ProjectorPovm` of the family whose coordinates are the columns
+    of the C-ordered ``(dim, k)`` array ``u``."""
     # U^dagger as a transposed view, not a C-ordered copy: the memory order
     # picks the matrix-vector kernel, and so the last bits of every result
     bras = u.conj().T
@@ -409,13 +415,29 @@ def optimal_measurement_quasi_parallel(model, sample_thetas):
     sampled point, with a single measurement that never depends on the
     parameter.
     """
-    return schmidt_povm(sample_states(model, sample_thetas)[1])
+    return _schmidt_povm(*_sample_amplitudes(model, sample_thetas)[1:])
 
 
 def schmidt_povm(states):
     """The construction of :func:`optimal_measurement_quasi_parallel` on
     sample states evaluated by the caller."""
-    return ProjectorPovm(hilbert.gram_schmidt_real(align_phases(states)[0]))
+    if not states:
+        raise AnchorError("no sample state to phase-align")
+    return _schmidt_povm(hilbert.common_space(states), np.array([s.amplitudes for s in states]))
+
+
+def _schmidt_povm(space, amps):
+    """:func:`schmidt_povm` of the sample amplitudes ``amps`` ``(k, dim)``,
+    aligned in place, bitwise the StateVector route.  The one overlap matrix
+    gives the phases ``u``, and the verdict reads it rotated by them
+    (``conj(u_a) u_b G[a, b]``), not a second matrix of the aligned rows."""
+    g = space.weight * hilbert._gram(amps)
+    phases = _align_rows(g, amps)[1]
+    hilbert._require_real(np.conj(phases)[:, None] * phases * g)
+    basis = hilbert._orthonormal_rows(amps, space.weight)
+    # one product for all rows: a real scale rounds the same in any batch, so
+    # these are the bits of ProjectorPovm's column-stacked coordinates
+    return _projector_povm(space, np.ascontiguousarray((np.sqrt(space.weight) * basis).T))
 
 
 def _inverse_cdf(povm, state_or_rho, n):

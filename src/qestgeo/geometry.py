@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import RankDeficiencyError, SpectralConsistencyError
+from .errors import ModelDefinitionError, RankDeficiencyError, SpectralConsistencyError
 from .hilbert import _gram
 from .model import _row
 
@@ -53,6 +53,21 @@ class WeightMatrix:
 
 def _lift_gram(lift):
     return _gram(np.array([l.coords for l in lift.lifts]))
+
+
+def _lift_grams(points, coords):
+    """The ``(k, m, m)`` Gram matrices of the lift coordinates ``coords``
+    ``(k, m, dim)`` at ``points``, overflow silenced: :class:`ModelDefinitionError`
+    names the first point whose matrix is not finite, before a spectral call."""
+    k, m = coords.shape[:2]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # a stand-in for _gram may give a one-row block as (m, m)
+        g = np.reshape(_gram(coords), (k, m, m))
+    finite = np.isfinite(g).all(axis=(1, 2))
+    if not finite.all():
+        raise ModelDefinitionError("lift Gram matrix is not finite at theta "
+                                   f"{points[np.argmin(finite)].tolist()}")
+    return g
 
 
 def _metric_and_curvature(gram):
@@ -319,9 +334,8 @@ def _analyze_columns(model, points):
     :func:`_weighted_bounds` on ``j_s`` and ``regular``.
     """
     m, root_w = model.m, np.sqrt(model.space.weight)
-    # the lifts are scaled to coordinates in place: one block-sized temporary
-    # less; a stand-in for _gram may give a one-row block as (m, m)
-    grams = [np.reshape(_gram(np.multiply(lifts, root_w, out=lifts)), (len(block), m, m))
+    # the lifts are scaled to coordinates in place: one block-sized temporary less
+    grams = [_lift_grams(block, np.multiply(lifts, root_w, out=lifts))
              for block, _, lifts in model._lift_blocks(points)]
     j_s, j_t = _metric_and_curvature(np.concatenate(grams))
     _, _, regular, pairs, n_betas, quasi = _spectral_pass(j_s, j_t)

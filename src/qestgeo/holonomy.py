@@ -225,14 +225,26 @@ def align_phases(states, gram=None):
     ``(aligned_states, anchor_index)``.
     """
     g = hilbert.overlap_matrix(states) if gram is None else gram
-    anchors = np.flatnonzero(np.all(np.hypot(g.real, g.imag) > MIN_OVERLAP, axis=1))
+    amps = np.array([s.amplitudes for s in states])
+    anchor = _align_rows(g, amps)[0]
+    return [hilbert.StateVector._adopt(s.space, a) for s, a in zip(states, amps)], anchor
+
+
+def _align_rows(gram, amps):
+    """:func:`align_phases` of the rows of ``amps`` ``(k, dim)``, in place,
+    with their overlap matrix ``gram``.  Returns ``(anchor, phases)``: row
+    ``a`` is multiplied by the unit ``phases[a]``, one scalar-times-row
+    product each: a complex product may round differently in a longer batch."""
+    anchors = np.flatnonzero(np.all(np.hypot(gram.real, gram.imag) > MIN_OVERLAP, axis=1))
     if anchors.size == 0:
         raise AnchorError(
             "no sample overlaps every other sample; cannot phase-align the family"
         )
     anchor = int(anchors[0])
-    return [s.with_amplitudes(np.exp(-1j * np.angle(ov)) * s.amplitudes)
-            for s, ov in zip(states, g[anchor])], anchor
+    phases = np.exp(-1j * np.angle(gram[anchor]))
+    for row, u in zip(amps, phases):
+        np.multiply(u, row, out=row)
+    return anchor, phases
 
 
 def is_quasi_parallel(model, sample_thetas, align=True):
@@ -256,9 +268,14 @@ def is_quasi_parallel(model, sample_thetas, align=True):
 def sample_states(model, sample_thetas):
     """``(thetas, states)``: the samples as float arrays and the model
     evaluated once at each."""
-    thetas = [_theta_array(t, model.m) for t in sample_thetas]
-    space, amps = _evaluate(model, _as_points(model, thetas))
+    thetas, space, amps = _sample_amplitudes(model, sample_thetas)
     return thetas, [hilbert.StateVector._adopt(space, a) for a in amps]
+
+
+def _sample_amplitudes(model, sample_thetas):
+    """:func:`sample_states` as ``(thetas, space, (k, dim) amplitudes)``."""
+    thetas = [_theta_array(t, model.m) for t in sample_thetas]
+    return (thetas, *_evaluate(model, _as_points(model, thetas)))
 
 
 def pair_ratios(gram):

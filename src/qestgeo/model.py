@@ -505,7 +505,8 @@ def gaussian_profile(width=1.0, center=0.0):
 
     def fn(x, derivative):
         shifted = x - c
-        f = norm * np.exp(-(shifted ** 2) / (2.0 * w * w)) + 0j
+        with np.errstate(over="ignore"):  # a far tail overflows to exp(-inf) = 0
+            f = norm * np.exp(-(shifted ** 2) / (2.0 * w * w)) + 0j
         return f, -shifted / (w * w) * f if derivative else None
 
     return fn

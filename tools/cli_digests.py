@@ -135,6 +135,11 @@ FILES = {
                              "params": {"alpha": 1e308}},
     "width_tiny.json": grid_spec("position_shift", 64,
                                  profile={"name": "gaussian", "width": 1e-300}),
+    "p0_large.json": grid_spec("position_shift", 64,
+                               profile={"name": "boosted_gaussian", "p0": 1e306}),
+    "width_small.json": grid_spec("position_shift", 64,
+                                  profile={"name": "gaussian", "width": 1.5e-154}),
+    "two_well_512.json": grid_spec("two_well", 512, lower=-8.0, upper=8.0),
 }
 
 BLOCH_THETAS = "--theta=0.4,0.1;1.1,2.5;2.7,5.9"
@@ -180,6 +185,11 @@ INVOCATIONS = {
                     "--theta=-0.7;0.2;0.9"],
     "fisher_schmidt": ["fisher", "--model", "ps.json", "--povm", "schmidt",
                        "--theta=-0.5;0.5", "--samples=-1;-0.5;0;0.5;1"],
+    # 21 samples on [-1, 1]: Gram-Schmidt keeps 15 and drops 6
+    "fisher_schmidt_rejects": ["fisher", "--model", "ps.json", "--povm", "schmidt",
+                               "--theta=-0.5;0.5",
+                               "--samples=" + ";".join(f"{-1.0 + j / 10!r}"
+                                                       for j in range(21))],
     "fisher_table": ["fisher", "--model", "table.json", "--povm", "basis",
                      "--theta=0.2;0.6"],
     "fisher_table_phases": ["fisher", "--model", "table_phases.json", "--povm", "basis",
@@ -229,6 +239,13 @@ INVOCATIONS = {
     "error_ring_alpha_overflows": ["report", "--model", "ring_alpha_huge.json",
                                    "--theta=0.3"],
     "error_width_underflows": ["report", "--model", "width_tiny.json", "--theta=0.3"],
+    # lifts whose Gram matrix overflows, and a width whose exponent overflows
+    # in the far tails of the profile
+    "error_p0_gram_overflows": ["report", "--model", "p0_large.json", "--theta=0.3"],
+    "error_width_overflows": ["report", "--model", "width_small.json", "--theta=0.3"],
+    # the schmidt construction on a family whose overlaps are not real
+    "error_schmidt_nonreal": ["fisher", "--model", "two_well_512.json", "--povm", "schmidt",
+                              "--theta=-0.5;0;0.5"],
     "error_usage": ["sample", "--model", "ps.json", "--povm", "grid", "--theta=0",
                     "--n", "0", "--seed", "1"],
     # --model is declared once, for every subcommand
