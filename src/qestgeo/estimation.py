@@ -20,7 +20,7 @@ from .errors import (
     SingularSupportError,
     SpaceMismatchError,
 )
-from .geometry import _metric_and_curvature
+from .geometry import _lift_grams, _metric_and_curvature
 from .hilbert import _gram, _norms
 from .holonomy import _align_rows, _sample_amplitudes
 
@@ -134,18 +134,18 @@ CellPovm = grid_pvm
 
 def ProjectorPovm(basis):
     """Rank-1 projectors onto an orthonormal family; when the family does
-    not span the space, the remainder projector is the last outcome."""
+    not span the space, the remainder projector is the last outcome.
+
+    The bras are ``U^dagger`` of the C-ordered ``(dim, k)`` array ``U`` of
+    the column-stacked coordinates, as a transposed view, not a C-ordered
+    copy: the memory order picks the matrix-vector kernel, and so the last
+    bits of every result."""
     if not basis:
         raise MeasurementDefinitionError("projector POVM needs at least one vector")
     space = hilbert.common_space(basis)
-    return _projector_povm(space, np.column_stack([b.coords for b in basis]))
-
-
-def _projector_povm(space, u):
-    """:func:`ProjectorPovm` of the family whose coordinates are the columns
-    of the C-ordered ``(dim, k)`` array ``u``."""
-    # U^dagger as a transposed view, not a C-ordered copy: the memory order
-    # picks the matrix-vector kernel, and so the last bits of every result
+    # one product for all columns: a real scale rounds the same in any batch,
+    # so these are the bits of each vector's coords
+    u = np.multiply(np.sqrt(space.weight), np.array([b.amplitudes for b in basis]).T, order="C")
     bras = u.conj().T
     if np.max(np.abs(bras @ u - np.eye(u.shape[1]))) > RESOLUTION_TOL:
         raise MeasurementDefinitionError("projector POVM vectors are not orthonormal")
@@ -306,8 +306,10 @@ def lift_fisher(povm, lift):
     """
     space = lift.phi.space
     povm._check_space(space)
+    coords = np.array([[l.coords for l in lift.lifts]])
+    _lift_grams([lift.theta], coords)  # raises before any Fisher arithmetic
     return _lift_fishers(povm, np.sqrt(space.weight), np.array([lift.phi.amplitudes]),
-                         np.array([[l.amplitudes for l in lift.lifts]]))[0]
+                         coords)[0]
 
 
 def fisher_many(povm, model, thetas):
@@ -315,41 +317,45 @@ def fisher_many(povm, model, thetas):
     theta array, two ``(k, m, m)`` arrays.
 
     The lifts come one block of points at a time
-    (``PureStateModel._lift_blocks``), and each block takes one pass
-    (:func:`_lift_fishers`), then ``J_S`` from one stacked
-    ``hilbert._gram``.  Each row is bitwise :func:`lift_fisher` and
-    :func:`geometry.sld_fisher` of the lift at its theta alone, and the first
-    row that fails a check raises what :func:`lift_fisher` raises there.
+    (``PureStateModel._lift_blocks``) and are scaled to coordinates in
+    place.  Each block's Gram matrices (``geometry._lift_grams``) are checked
+    before any Fisher arithmetic and give ``J_S``; then the block takes one
+    pass (:func:`_lift_fishers`).  Each row is bitwise :func:`lift_fisher` and
+    :func:`geometry.sld_fisher` of the lift at its theta alone.  The first
+    row that fails a check raises what :func:`lift_fisher` raises there,
+    except that a Gram matrix that is not finite raises before the Fisher
+    checks of every row of its block.
     """
     points = model._points(thetas)
     m, root_w = model.m, np.sqrt(model.space.weight)
     j_c, j_s = [np.empty((0, m, m))], [np.empty((0, m, m))]
-    for _, states, lifts in model._lift_blocks(points):
+    for block, states, lifts in model._lift_blocks(points):
         povm._check_space(model.space)
-        j_c.append(_lift_fishers(povm, root_w, states, lifts))
-        j_s.append(_metric_and_curvature(_gram(lifts))[0])  # lifts are coordinates now
-        del states, lifts  # not alive while the next block is evaluated
+        coords = np.multiply(lifts, root_w, out=lifts)
+        j_s.append(_metric_and_curvature(_lift_grams(block, coords))[0])
+        j_c.append(_lift_fishers(povm, root_w, states, coords))
+        del states, lifts, coords  # not alive while the next block is evaluated
     return np.concatenate(j_c), np.concatenate(j_s)
 
 
-def _lift_fishers(povm, root_w, states, lifts):
-    """:func:`lift_fisher` at each row of unit states ``(k, dim)`` and their
-    lifts ``(k, m, dim)``, amplitudes on a space of quadrature weight
-    ``root_w ** 2``; both arrays are scaled to orthonormal coordinates in
+def _lift_fishers(povm, root_w, states, coords):
+    """:func:`lift_fisher` at each row of unit states ``(k, dim)`` and the
+    orthonormal coordinates ``(k, m, dim)`` of their lifts, whose Gram
+    matrices the caller has checked finite.  The states are amplitudes on a
+    space of quadrature weight ``root_w ** 2``, scaled to coordinates in
     place.
 
     One stacked POVM product each gives the amplitudes of the states and of
     the lifts, then the ``(k, W)`` probabilities and the ``(k, m, W)``
-    scores.  The support check scales by the lift norms that
-    ``StateVector.norm`` gives, so they are taken of the amplitudes, and
-    only when a row clips an outcome.
+    scores.  The support check scales by the largest lift norm, taken of the
+    coordinates, and only when a row clips an outcome.
     """
     phi = povm._amps(np.multiply(states, root_w, out=states))
     p, faults = _distributions(povm._probabilities(phi))
-    norms = None if _support(p).all() else root_w * np.max(_norms(lifts), axis=-1)
-    amps = povm._amps(np.multiply(lifts, root_w, out=lifts))
+    norms = None if _support(p).all() else np.max(_norms(coords), axis=-1)
+    amps = povm._amps(coords)
     return _fishers(p, povm._scores(phi, amps), faults, norms,
-                    lambda r, dropped: povm._node_term(amps[r], lifts[r], dropped))
+                    lambda r, dropped: povm._node_term(amps[r], coords[r], dropped))
 
 
 def _support(p):
@@ -429,15 +435,16 @@ def schmidt_povm(states):
 def _schmidt_povm(space, amps):
     """:func:`schmidt_povm` of the sample amplitudes ``amps`` ``(k, dim)``,
     aligned in place, bitwise the StateVector route.  The one overlap matrix
-    gives the phases ``u``, and the verdict reads it rotated by them
-    (``conj(u_a) u_b G[a, b]``), not a second matrix of the aligned rows."""
-    g = space.weight * hilbert._gram(amps)
+    gives the phases ``u``, and the verdict of
+    :func:`hilbert.gram_schmidt_real` reads it rotated by them
+    (``conj(u_a) u_b G[a, b]``), not a second matrix of the aligned rows.
+    The aligned rows enter as views, so no state is copied before
+    Gram-Schmidt, which drops a dependent row early."""
+    g = space.weight * _gram(amps)
     phases = _align_rows(g, amps)[1]
-    hilbert._require_real(np.conj(phases)[:, None] * phases * g)
-    basis = hilbert._orthonormal_rows(amps, space.weight)
-    # one product for all rows: a real scale rounds the same in any batch, so
-    # these are the bits of ProjectorPovm's column-stacked coordinates
-    return _projector_povm(space, np.ascontiguousarray((np.sqrt(space.weight) * basis).T))
+    rows = [hilbert.StateVector._adopt(space, a) for a in amps]
+    gram = np.conj(phases)[:, None] * phases * g
+    return ProjectorPovm(hilbert.gram_schmidt_real(rows, gram=gram))
 
 
 def _inverse_cdf(povm, state_or_rho, n):

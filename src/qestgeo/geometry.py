@@ -51,22 +51,19 @@ class WeightMatrix:
         object.__setattr__(self, "matrix", g)
 
 
-def _lift_gram(lift):
-    return _gram(np.array([l.coords for l in lift.lifts]))
-
-
 def _lift_grams(points, coords):
     """The ``(k, m, m)`` Gram matrices of the lift coordinates ``coords``
-    ``(k, m, dim)`` at ``points``, overflow silenced: :class:`ModelDefinitionError`
-    names the first point whose matrix is not finite, before a spectral call."""
-    k, m = coords.shape[:2]
+    ``(k, m, dim)`` at the ``k`` points ``points``, overflow silenced:
+    :class:`ModelDefinitionError` names the first point whose matrix is not
+    finite, before a spectral call or any Fisher arithmetic."""
+    k, m = np.shape(coords)[:2]
     with np.errstate(over="ignore", invalid="ignore"):
         # a stand-in for _gram may give a one-row block as (m, m)
-        g = np.reshape(_gram(coords), (k, m, m))
+        g = np.reshape(_gram(np.asarray(coords)), (k, m, m))
     finite = np.isfinite(g).all(axis=(1, 2))
     if not finite.all():
         raise ModelDefinitionError("lift Gram matrix is not finite at theta "
-                                   f"{points[np.argmin(finite)].tolist()}")
+                                   f"{np.asarray(points)[np.argmin(finite)].tolist()}")
     return g
 
 
@@ -77,12 +74,12 @@ def _metric_and_curvature(gram):
 
 def sld_fisher(lift):
     """Real part of the lift Gram matrix; symmetric PSD."""
-    return _metric_and_curvature(_lift_gram(lift))[0]
+    return _metric_and_curvature(_lift_grams([lift.theta], [[l.coords for l in lift.lifts]]))[0][0]
 
 
 def berry_curvature(lift):
     """Imaginary part of the lift Gram matrix; antisymmetric."""
-    return _metric_and_curvature(_lift_gram(lift))[1]
+    return _metric_and_curvature(_lift_grams([lift.theta], [[l.coords for l in lift.lifts]]))[1][0]
 
 
 def _spectral_pass(j_s, j_tilde):

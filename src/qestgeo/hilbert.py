@@ -220,6 +220,11 @@ def gram_schmidt_real(vectors, gram=None):
     reals, so every input has real coefficients in the output basis.
     Inputs linearly dependent on their predecessors (residual below
     ``GRAM_SCHMIDT_TOL`` times the largest input norm) are skipped silently.
+    Each input takes two passes, the classic fix for near-dependent inputs,
+    except one whose first-pass residual is already below ``1 - 1e-9`` of
+    the threshold: it is dropped without the second pass, which only removes
+    components, so its norm cannot climb back by more than rounding.  The
+    kept vectors are the first rows of one new ``(k, dim)`` array.
     ``gram`` is the :func:`overlap_matrix` of the inputs when the caller
     has built it, or that matrix of the inputs before a phase alignment,
     rotated by the phases (``conj(u_a) u_b G[a, b]``), which only the
@@ -233,43 +238,26 @@ def gram_schmidt_real(vectors, gram=None):
         real coefficients are guaranteed; the exception carries the first
         failing index pair and the imaginary part of its overlap.
     """
+    from . import holonomy  # call time: holonomy imports this module
+
     vecs = list(vectors)
     if not vecs:
         return []
-    _require_real(overlap_matrix(vecs) if gram is None else gram)
-    space = common_space(vecs)
-    basis = _orthonormal_rows(np.array([v.amplitudes for v in vecs]), space.weight)
-    return [StateVector._adopt(space, e) for e in basis]
-
-
-def _require_real(gram):
-    """The precondition of :func:`gram_schmidt_real` on the overlap matrix
-    ``gram`` of its inputs: :class:`NonRealOverlapError` names the first
-    pair that fails the quasi-parallel verdict."""
-    from . import holonomy  # call time: holonomy imports this module
-
+    gram = overlap_matrix(vecs) if gram is None else gram
     failing = np.argwhere(~(holonomy.pair_ratios(gram) < holonomy.QUASI_PARALLEL_TOL))
     if failing.size:
         a, b = (int(i) for i in failing[0])
         raise NonRealOverlapError(
             f"overlap of inputs {a} and {b} has Im = {gram[a, b].imag:.3e}",
             pair=(a, b), imag=float(gram[a, b].imag))
-
-
-def _orthonormal_rows(amps, weight):
-    """The basis of :func:`gram_schmidt_real` of the amplitude rows ``amps``
-    ``(k, dim)`` on a space of quadrature weight ``weight``, as the first
-    rows of one new ``(k, dim)`` array: two passes per input, the classic fix
-    for near-dependent inputs.  A residual below ``1 - 1e-9`` of the threshold
-    after the first pass is dropped without the second, which only removes
-    components, so its norm cannot climb back by more than rounding."""
-    root_w = np.sqrt(weight)
-    skip = GRAM_SCHMIDT_TOL * max(float(root_w * np.linalg.norm(a)) for a in amps)
-    basis = np.empty_like(amps)
+    space = common_space(vecs)
+    weight, root_w = space.weight, np.sqrt(space.weight)
+    skip = GRAM_SCHMIDT_TOL * max(v.norm() for v in vecs)
+    basis = np.empty((len(vecs), space.dim), dtype=complex)
     kept = 0
-    for v in amps:
+    for v in vecs:
         resid = basis[kept]
-        resid[...] = v
+        resid[...] = v.amplitudes
         for threshold in ((1.0 - 1e-9) * skip, skip):
             for e in basis[:kept]:
                 resid -= complex(weight * np.vdot(e, resid)) * e
@@ -279,7 +267,7 @@ def _orthonormal_rows(amps, weight):
         else:
             resid /= rnorm
             kept += 1
-    return basis[:kept]
+    return [StateVector._adopt(space, e) for e in basis[:kept]]
 
 
 def conjugation_residuals(basis, states):

@@ -17,7 +17,8 @@ from referencing import Registry, Resource
 import qestgeo
 from qestgeo import cli, estimation, geometry, hilbert
 from qestgeo.cli import main, parse_model_spec, render_document
-from qestgeo.errors import ContractError, InputError, QestgeoError, SpecFormatError
+from qestgeo.errors import (ContractError, InputError, ModelDefinitionError, QestgeoError,
+                            SpecFormatError)
 
 
 @pytest.fixture
@@ -42,6 +43,13 @@ def two_well_spec(tmp_path):
                    "grid": {"n": 1024, "lower": -8, "upper": 8}},
     }))
     return str(path)
+
+
+# boosted so far that the lift Gram matrix overflows at theta 0.3
+P0_LARGE = {"kind": "catalog", "name": "position_shift",
+            "params": {"profile": {"name": "boosted_gaussian", "p0": 1e306},
+                       "grid": {"n": 64, "lower": -10, "upper": 10}}}
+GRAM_NOT_FINITE = "lift Gram matrix is not finite at theta [0.3]"
 
 
 def run_to_doc(capsys, argv):
@@ -443,6 +451,31 @@ class TestExitCodes:
         code = main(["fisher", "--model", str(path), "--povm", "schmidt",
                      "--theta=-0.5;0;0.5"])
         assert code == 3
+
+    @pytest.mark.parametrize("argv", [["report"], ["fisher", "--povm", "grid"]],
+                             ids=["report", "fisher"])
+    def test_a_lift_gram_that_overflows(self, capsys, tmp_path, argv):
+        path = tmp_path / "p0_large.json"
+        path.write_text(json.dumps(P0_LARGE))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            code = main([argv[0], "--model", str(path), *argv[1:], "--theta=0.3"])
+        out, err = capsys.readouterr()
+        assert (code, out) == (3, "")
+        assert err == f"qestgeo: numerical contract violated: {GRAM_NOT_FINITE}\n"
+
+    @pytest.mark.parametrize("fn", [
+        geometry.sld_fisher,
+        geometry.berry_curvature,
+        lambda lift: estimation.lift_fisher(estimation.grid_pvm(lift.phi.space), lift),
+    ], ids=["sld_fisher", "berry_curvature", "lift_fisher"])
+    def test_a_lift_gram_that_overflows_in_the_library(self, fn):
+        lift = parse_model_spec(P0_LARGE)[0].horizontal_lift(0.3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(ModelDefinitionError) as err:
+                fn(lift)
+        assert str(err.value) == GRAM_NOT_FINITE
 
     def test_usage_error(self, capsys):
         with pytest.raises(SystemExit) as err:

@@ -242,6 +242,8 @@ INVOCATIONS = {
     # lifts whose Gram matrix overflows, and a width whose exponent overflows
     # in the far tails of the profile
     "error_p0_gram_overflows": ["report", "--model", "p0_large.json", "--theta=0.3"],
+    "error_p0_gram_overflows_fisher": ["fisher", "--model", "p0_large.json", "--povm", "grid",
+                                       "--theta=0.3"],
     "error_width_overflows": ["report", "--model", "width_small.json", "--theta=0.3"],
     # the schmidt construction on a family whose overlaps are not real
     "error_schmidt_nonreal": ["fisher", "--model", "two_well_512.json", "--povm", "schmidt",
