@@ -28,10 +28,11 @@ with ``tool`` and ``model`` (the normalized spec echo); :func:`main` reads
 the model before any other input and each subcommand returns only the
 keys that follow.
 
-The entries of ``report`` and ``fisher`` and the counts of ``sample`` go
-from the stacked arrays to text in :func:`_rows`: one ``%`` template per
-row shape and one ``%.17g`` pass over all numbers, with the bytes of
-``json.dumps(indent=2)`` and no per-entry dict built.  ``report`` reads the
+The entries of ``report`` and ``fisher``, the counts of ``sample`` and the
+amplitudes of a tabulated spec's echo go from the stacked arrays to text
+in :func:`_rows`: one ``%`` template per row shape and one ``%.17g`` pass
+over all numbers, with the bytes of ``json.dumps(indent=2)`` and no
+per-entry dict built.  ``report`` reads the
 full-length columns of ``geometry._analyze_columns`` as they are, and its
 bounds from ``geometry._weighted_bounds``.  The rest of a document is small
 and goes through one recursive encoder, one value at a time.
@@ -148,12 +149,17 @@ _SLOT = _Json("\0")  # a number's place in a row template; JSON text holds no NU
 _TOP = "\n  "  # the newline before the value of a top-level document key
 
 
-def _skeleton(shape):
-    """One field of a row template: a literal, or the nested lists of
-    ``_SLOT``s of a shape tuple."""
+def _skeleton(shape, newline):
+    """One field of a row template whose value starts a line at ``newline``:
+    a literal, or the JSON text of the nested lists of ``_SLOT``s of a shape
+    tuple, one join a level, so a long field is not encoded a value at a time."""
     if not isinstance(shape, tuple):
         return shape
-    return [_skeleton(shape[1:]) for _ in range(shape[0])] if shape else _SLOT
+    if not shape:
+        return _SLOT
+    inner = newline + "  "
+    items = ("," + inner).join([_skeleton(shape[1:], inner)] * shape[0])
+    return _Json("[" + inner + items + newline + "]" if items else "[]")
 
 
 @functools.cache
@@ -161,7 +167,7 @@ def _row_template(newline, keys, shape, fmt):
     """``(template, sizes)`` of one row of field shapes ``shape`` at the
     indentation ``newline``: its ``%`` template, with ``fmt`` at each
     number's place, and the count of numbers of each field."""
-    fields = [_skeleton(s) for s in shape]
+    fields = [_skeleton(s, newline if keys == (None,) else newline + "  ") for s in shape]
     out = []
     _encode(fields[0] if keys == (None,) else dict(zip(keys, fields)), newline, out)
     sizes = tuple(int(np.prod(s)) if isinstance(s, tuple) else 0 for s in shape)
@@ -335,14 +341,15 @@ def _parse_tabulated_spec(doc):
         if not abs(nrm - 1.0) < model.NORM_DRIFT_TOL:  # NaN too
             raise SpecFormatError(f"row {r} has norm {nrm:.8f}, not 1",
                                   path=f"amplitudes[{r}]")
-        table.append(StateVector._adopt(space, amps / nrm))
+        table.append(StateVector._adopt(space, hilbert._scale(amps, nrm)))
     built = _tabulated_model(space, thetas, table)
+    parts = np.array([st.amplitudes for st in table]).view(float)
     echo = {
         "kind": "tabulated",
         "space": _space_echo(space),
         "thetas": [float(t) for t in thetas],
-        "amplitudes": [np.stack((st.amplitudes.real, st.amplitudes.imag), -1).tolist()
-                       for st in table],
+        # the JSON text of the [re, im] pairs, at the depth of model.amplitudes
+        "amplitudes": _rows(_TOP + "  ", [(None, (space.dim, 2), parts)]),
     }
     return built, echo
 

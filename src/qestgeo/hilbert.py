@@ -111,7 +111,7 @@ class StateVector:
             nrm = np.sqrt(space.weight) * np.linalg.norm(amp)
             if nrm == 0.0:
                 raise ValueError("cannot normalize the zero vector")
-            amp /= nrm
+            _scale(amp, nrm)
         self.space = space
         self.amplitudes = amp
 
@@ -141,7 +141,7 @@ class StateVector:
 
 def from_coords(space, coords):
     """Inverse of :attr:`StateVector.coords`."""
-    return StateVector(space, np.asarray(coords, dtype=complex) / np.sqrt(space.weight))
+    return StateVector(space, _scale(np.array(coords, dtype=complex), np.sqrt(space.weight)))
 
 
 def inner(u, v):
@@ -191,6 +191,20 @@ def _norms(amps):
     re, im = amps.real[..., None, :], amps.imag[..., None, :]
     sq = re @ np.swapaxes(re, -1, -2) + im @ np.swapaxes(im, -1, -2)
     return np.sqrt(sq[..., 0, 0])
+
+
+def _scale(amps, divisor, out=None):
+    """``amps / divisor`` of complex rows ``(..., dim)``, last axis contiguous,
+    by reals ``divisor`` broadcast over the rows, written into ``out``
+    (``amps`` itself when None) and returned: the float view times
+    ``1.0 / divisor``.  numpy divides by ``d + 0j`` as ``(re + im 0) (1 / d)``
+    in its scalar complex loop, so on an element whose two parts are finite
+    the bits are its own, except that an exactly zero part keeps its sign.
+    A part next to an infinite or NaN one is scaled on its own here, where
+    numpy's ``im 0`` makes it NaN."""
+    out = amps if out is None else out
+    np.multiply(amps.view(float), (1.0 / np.asarray(divisor))[..., None], out=out.view(float))
+    return out
 
 
 def _gram(x):
@@ -265,7 +279,7 @@ def gram_schmidt_real(vectors, gram=None):
             if rnorm < threshold:
                 break
         else:
-            resid /= rnorm
+            _scale(resid, rnorm)
             kept += 1
     return [StateVector._adopt(space, e) for e in basis[:kept]]
 

@@ -22,7 +22,8 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, ModelDefinitionError, SpaceMismatchError
-from .hilbert import BasisSpace, GridSpace, StateVector, _bra_dots, _dots, _norms  # noqa: F401
+from .hilbert import (BasisSpace, GridSpace, StateVector, _bra_dots, _dots,  # noqa: F401
+                      _norms, _scale)
 
 NORM_DRIFT_TOL = 1e-6
 DEFAULT_FD_STEP = 1e-4
@@ -124,7 +125,7 @@ class PureStateModel:
             block = points[start:start + rows]
             dest = out[start:start + len(block)]
             amps = self._formula_block(block, (), dest)[0]
-            np.divide(amps, self._unit_norms(block, amps)[:, None], out=dest)
+            _scale(amps, self._unit_norms(block, amps), out=dest)
         return out
 
     def _unit_norms(self, points, amps):
@@ -284,7 +285,7 @@ class PureStateModel:
                 amps, bra, lifts = self._stencil(block, components)
             else:
                 amps, lifts = self._formula_block(block, components)
-                amps /= self._unit_norms(block, amps)[:, None]
+                _scale(amps, self._unit_norms(block, amps))
                 bra = np.conj(amps)
             ov = self.space.weight * _bra_dots(bra[:, None], lifts)
             del bra  # not alive while the block is consumed
@@ -401,8 +402,7 @@ def _transported_difference(space, bra, up, dn, h):
     np.multiply(np.conj(links[..., 0, None]), up, out=up)
     np.multiply(np.conj(links[..., 1, None]), dn, out=dn)
     up -= dn
-    up /= 2.0 * np.asarray(h)[..., None]
-    return up
+    return _scale(up, 2.0 * np.asarray(h))
 
 
 PHASE_TABLE_STEP = 64
@@ -488,11 +488,17 @@ def _finite(name, value):
 
 def _largest_phase(name, rate, power, reach):
     """ValueError unless ``|rate| reach**power``, the largest argument of a phase
-    ``rate x**power`` at ``|x| <= reach``, is finite.  Every catalog phase is
-    checked here from the grid bounds and the domain, before any array arithmetic."""
+    ``rate x**power`` at ``|x| <= reach``, keeps its digits: the rounding error
+    ``eps`` times it carries is at most ``NORM_DRIFT_TOL`` radians, since a
+    phase error is a relative error of the amplitude.  Every catalog phase is
+    checked here from the grid bounds and the domain, not the grid size,
+    before any array arithmetic."""
     arg = abs(rate) * reach * (reach if power == 2 else 1.0)
-    if not math.isfinite(arg):
-        raise ValueError(f"{name} = {rate} makes phase arguments up to {arg}")
+    err = np.finfo(float).eps * arg
+    if not err <= NORM_DRIFT_TOL:  # an infinite argument too
+        detail = (f", each rounded by up to {err:.1e} rad (limit {NORM_DRIFT_TOL:.0e})"
+                  if math.isfinite(arg) else "")
+        raise ValueError(f"{name} = {rate} makes phase arguments up to {arg}{detail}")
 
 
 def gaussian_profile(width=1.0, center=0.0):
@@ -751,7 +757,7 @@ def _position_momentum_shift(params):
 
 
 def _spin_jz(params):
-    amp = np.asarray(params["amplitudes"], dtype=complex)
+    amp = np.array(params["amplitudes"], dtype=complex)  # a copy: normalized in place
     if amp.ndim != 1 or amp.size < 2:
         raise ValueError("amplitudes must be a 1-d sequence of length >= 2")
     if not np.isfinite(amp).all():
@@ -765,7 +771,7 @@ def _spin_jz(params):
         # part by part: a complex divide by a subnormal overflows
         amp = amp.real / scale + 1j * (amp.imag / scale)
         nrm = np.linalg.norm(amp)
-    amp = amp / nrm
+    _scale(amp, nrm)
     d = amp.size
     total_spin = (d - 1) / 2.0
     m_values = np.arange(d) - total_spin

@@ -45,11 +45,19 @@ def two_well_spec(tmp_path):
     return str(path)
 
 
-# boosted so far that the lift Gram matrix overflows at theta 0.3
-P0_LARGE = {"kind": "catalog", "name": "position_shift",
-            "params": {"profile": {"name": "boosted_gaussian", "p0": 1e306},
-                       "grid": {"n": 64, "lower": -10, "upper": 10}}}
-GRAM_NOT_FINITE = "lift Gram matrix is not finite at theta [0.3]"
+def boosted_spec(p0, n=64):
+    return {"kind": "catalog", "name": "position_shift",
+            "params": {"profile": {"name": "boosted_gaussian", "p0": p0},
+                       "grid": {"n": n, "lower": -10, "upper": 10}}}
+
+
+# a table whose theta step is 1e-300: its central-difference lifts are of
+# order 1e300 and their Gram matrix overflows at the middle row
+TINY_STEP = {"kind": "tabulated", "space": {"type": "basis", "dimension": 2},
+             "thetas": [0.0, 1e-300, 2e-300],
+             "amplitudes": [[[1.0, 0.0], [0.0, 0.0]], [[0.6, 0.0], [0.8, 0.0]],
+                            [[0.0, 0.0], [1.0, 0.0]]]}
+GRAM_NOT_FINITE = "lift Gram matrix is not finite at theta [1e-300]"
 
 
 def run_to_doc(capsys, argv):
@@ -455,14 +463,34 @@ class TestExitCodes:
     @pytest.mark.parametrize("argv", [["report"], ["fisher", "--povm", "grid"]],
                              ids=["report", "fisher"])
     def test_a_lift_gram_that_overflows(self, capsys, tmp_path, argv):
-        path = tmp_path / "p0_large.json"
-        path.write_text(json.dumps(P0_LARGE))
+        path = tmp_path / "tiny_step.json"
+        path.write_text(json.dumps(TINY_STEP))
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            code = main([argv[0], "--model", str(path), *argv[1:], "--theta=0.3"])
+            code = main([argv[0], "--model", str(path), *argv[1:], "--theta=1e-300"])
         out, err = capsys.readouterr()
         assert (code, out) == (3, "")
         assert err == f"qestgeo: numerical contract violated: {GRAM_NOT_FINITE}\n"
+
+    # exact J_S = 2 at every boost; at n = 64 the answers were 2 + 8.6e-13,
+    # 2 + 8.6e-10, 2 - 8.7e-5 (p0 = 1e12) and 7.6 (p0 = 1e16), and p0 = 1e306
+    # overflowed the lift Gram.  The guard reads the grid bounds and the domain, not n
+    @pytest.mark.parametrize("p0, n, code", [
+        (1e4, 64, 0), (1e8, 64, 0), (1e8, 1024, 0), (1e12, 64, 2), (1e14, 64, 2),
+        (1e14, 1024, 2), (1e16, 64, 2), (1e306, 64, 2)])
+    def test_the_boost_table_as_exit_codes(self, capsys, tmp_path, p0, n, code):
+        path = tmp_path / "boosted.json"
+        path.write_text(json.dumps(boosted_spec(p0, n)))
+        assert main(["report", "--model", str(path), "--theta=0.3"]) == code
+        out, err = capsys.readouterr()
+        if code == 0:
+            j_s = json.loads(out)["entries"][0]["sld_fisher"][0][0]
+            assert j_s == pytest.approx(2.0, rel=1e-8)
+        else:
+            assert out == ""
+            assert err.startswith(f"qestgeo: spec error: params: invalid params for "
+                                  f"position_shift: p0 = {p0!r} makes phase arguments")
+            assert err.count("\n") == 1
 
     @pytest.mark.parametrize("fn", [
         geometry.sld_fisher,
@@ -470,7 +498,7 @@ class TestExitCodes:
         lambda lift: estimation.lift_fisher(estimation.grid_pvm(lift.phi.space), lift),
     ], ids=["sld_fisher", "berry_curvature", "lift_fisher"])
     def test_a_lift_gram_that_overflows_in_the_library(self, fn):
-        lift = parse_model_spec(P0_LARGE)[0].horizontal_lift(0.3)
+        lift = parse_model_spec(TINY_STEP)[0].horizontal_lift(1e-300)
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
             with pytest.raises(ModelDefinitionError) as err:
@@ -744,6 +772,13 @@ SPECIAL_FLOATS = [float("nan"), float("inf"), float("-inf"), -0.0, 0.0, 5e-324, 
                   -1e308, 2.0, -3.0, 1e16, 1.0 / 3.0]
 
 
+def off_unit_rows(rows, weight):
+    """``(k, dim, 2)`` rows of norm ``1 + 1e-9`` on a space of quadrature
+    ``weight``, as lists: a tabulated spec that its parse rescales."""
+    norms = np.sqrt(weight * np.sum(rows ** 2, axis=(1, 2)))
+    return (rows * ((1.0 + 1e-9) / norms)[:, None, None]).tolist()
+
+
 class TestRows:
     """``cli._rows`` renders entries from column arrays with the bytes of the
     equivalent dict entries."""
@@ -797,6 +832,23 @@ class TestRows:
     def test_integer_rows_match_the_lists(self, pairs):
         rows = cli._rows(cli._TOP, [(None, (2,), np.array(pairs, dtype=np.int64))])
         assert render_document({"counts": rows}) == render_document({"counts": pairs})
+
+    @pytest.mark.parametrize("space, rows", [
+        ({"type": "basis", "dimension": 2},
+         [[[1.0, 0.0], [0.0, 0.0]], [[0.6, 0.0], [0.0, -0.8]], [[0.0, 0.6], [0.8 + 1e-9, 0.0]]]),
+        ({"type": "grid", "n": 40, "lower": -1.0, "upper": 1.0},
+         off_unit_rows(np.random.default_rng(3).normal(size=(3, 40, 2)), 2.0 / 39)),
+    ], ids=["basis", "grid"])
+    def test_a_tabulated_echo_renders_its_normalized_rows(self, space, rows):
+        spec = {"kind": "tabulated", "space": space, "thetas": [0.0, 0.1, 0.2],
+                "amplitudes": rows}
+        built, echo = parse_model_spec(spec)
+        rows = np.array(rows)
+        amps = rows[..., 0] + 1j * rows[..., 1]
+        amps /= np.sqrt(built.space.weight) * np.linalg.norm(amps, axis=1)[:, None]
+        lists = np.stack((amps.real, amps.imag), -1).tolist()
+        assert (render_document({"model": echo, "after": 1})
+                == render_document({"model": {**echo, "amplitudes": lists}, "after": 1}))
 
 
 def octahedral_povm_doc():

@@ -332,3 +332,51 @@ class TestProjector:
             assert np.max(np.abs(rho @ rho - rho)) < 1e-8
             assert abs(np.trace(rho).real - 1.0) < 1e-10
             assert abs(np.trace(rho @ rho).real - 1.0) < 1e-8
+
+
+class TestScale:
+    """``hilbert._scale`` is numpy's complex division by a real, bit for bit,
+    on finite parts, except that an exactly zero part keeps its sign."""
+
+    PART = st.one_of(
+        st.floats(allow_nan=False, allow_infinity=False),  # every magnitude, subnormals too
+        st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, -1.0]))
+
+    @settings(max_examples=200, deadline=None)
+    @given(shape=st.lists(st.integers(1, 5), min_size=1, max_size=3),
+           strided=st.booleans(), into=st.sampled_from(["self", "alias", "other"]),
+           data=st.data())
+    def test_numpy_division_bits(self, shape, strided, into, data):
+        size, strided = int(np.prod(shape)), strided and len(shape) > 1
+        parts = np.array(data.draw(st.lists(self.PART, min_size=2 * size, max_size=2 * size)))
+        # leading axes may be strided; the last one is contiguous
+        whole = np.zeros((2 * shape[0],) + tuple(shape[1:]), dtype=complex) if strided else None
+        amps = whole[::2] if strided else np.empty(shape, dtype=complex)
+        amps.real, amps.imag = parts[:size].reshape(shape), parts[size:].reshape(shape)
+        logs = data.draw(st.lists(st.floats(-300.0, 300.0), min_size=size // shape[-1],
+                                  max_size=size // shape[-1]))
+        divisor = (10.0 ** np.array(logs)).reshape(shape[:-1])
+        given_parts = amps.copy().view(float)
+        with np.errstate(all="ignore"):
+            expected = np.divide(amps, divisor[..., None]).view(float)
+            if into == "other":
+                out = np.empty(shape, dtype=complex)
+                got = hilbert._scale(amps, divisor, out=out)
+                assert got is out
+                assert np.array_equal(amps.view(float), given_parts, equal_nan=True)
+            else:
+                got = hilbert._scale(amps, divisor, out=amps if into == "alias" else None)
+                assert got is amps
+        got = got.view(float)
+        nonzero = given_parts != 0.0
+        assert np.array_equal(got[nonzero].view(np.int64), expected[nonzero].view(np.int64))
+        assert np.all(got[~nonzero] == 0.0)
+        assert np.array_equal(np.signbit(got[~nonzero]), np.signbit(given_parts[~nonzero]))
+
+    def test_a_zero_part_keeps_its_sign_where_numpy_flips_it(self):
+        amps = np.array([complex(-0.0, 1.0), complex(1.0, -0.0), complex(-1.0, -0.0)])
+        with np.errstate(all="ignore"):
+            numpy_parts = (amps / 2.0).view(float)
+        got = hilbert._scale(amps.copy(), 2.0).view(float)
+        assert list(np.signbit(got)) == [True, False, False, True, True, True]
+        assert list(np.signbit(numpy_parts)) != list(np.signbit(got))

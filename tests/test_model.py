@@ -285,6 +285,26 @@ class TestCatalog:
         for th in (-0.5, 0.0, 0.5):
             assert abs(mod.evaluate((th,)).norm() - 1.0) < 1e-12
 
+    def test_catalog_phases_keep_their_digits_with_margin(self, monkeypatch):
+        # every family at its defaults, the phase profiles at unit rates and
+        # the largest chirp of the benchmark's n = 65536 spec (eps x 72)
+        calls, guard = [], model._largest_phase
+        monkeypatch.setattr(model, "_largest_phase",
+                            lambda *args: calls.append(args) or guard(*args))
+        grid = {"n": 64, "lower": -10, "upper": 10}
+        for name, params in [*[(name, {}) for name in model.CATALOG if name != "spin_jz"],
+                             ("spin_jz", {"amplitudes": [0.6, 0.8]}),
+                             ("position_shift", {"profile": {"name": "boosted_gaussian",
+                                                             "p0": 1.0}}),
+                             ("position_shift", {"profile": {"name": "chirped_gaussian",
+                                                             "chirp": 1.0}}),
+                             ("position_shift", {"profile": {"name": "chirped_gaussian",
+                                                             "chirp": 0.5}, "grid": grid})]:
+            qg.catalog(name, params)
+        assert {args[0] for args in calls} == {"alpha", "p0", "chirp"}
+        for name, rate, power, reach in calls:  # a million times the rate still passes
+            guard(name, 1e6 * rate, power, reach)
+
 
 class TestCurve:
     def test_closed_curve_requires_ray_closure(self, battery):

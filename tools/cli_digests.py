@@ -137,6 +137,11 @@ FILES = {
                                  profile={"name": "gaussian", "width": 1e-300}),
     "p0_large.json": grid_spec("position_shift", 64,
                                profile={"name": "boosted_gaussian", "p0": 1e306}),
+    # a theta step of 1e-300: central-difference lifts of order 1e300
+    "table_tiny_step.json": {"kind": "tabulated", "space": {"type": "basis", "dimension": 2},
+                             "thetas": [0.0, 1e-300, 2e-300],
+                             "amplitudes": [[[1.0, 0.0], [0.0, 0.0]], [[0.6, 0.0], [0.8, 0.0]],
+                                            [[0.0, 0.0], [1.0, 0.0]]]},
     "width_small.json": grid_spec("position_shift", 64,
                                   profile={"name": "gaussian", "width": 1.5e-154}),
     "two_well_512.json": grid_spec("two_well", 512, lower=-8.0, upper=8.0),
@@ -239,11 +244,13 @@ INVOCATIONS = {
     "error_ring_alpha_overflows": ["report", "--model", "ring_alpha_huge.json",
                                    "--theta=0.3"],
     "error_width_underflows": ["report", "--model", "width_tiny.json", "--theta=0.3"],
+    # a finite boost whose phase arguments keep no digits: a spec error too
+    "error_p0_loses_digits": ["report", "--model", "p0_large.json", "--theta=0.3"],
     # lifts whose Gram matrix overflows, and a width whose exponent overflows
     # in the far tails of the profile
-    "error_p0_gram_overflows": ["report", "--model", "p0_large.json", "--theta=0.3"],
-    "error_p0_gram_overflows_fisher": ["fisher", "--model", "p0_large.json", "--povm", "grid",
-                                       "--theta=0.3"],
+    "error_gram_overflows": ["report", "--model", "table_tiny_step.json", "--theta=1e-300"],
+    "error_gram_overflows_fisher": ["fisher", "--model", "table_tiny_step.json", "--povm",
+                                    "grid", "--theta=1e-300"],
     "error_width_overflows": ["report", "--model", "width_small.json", "--theta=0.3"],
     # the schmidt construction on a family whose overlaps are not real
     "error_schmidt_nonreal": ["fisher", "--model", "two_well_512.json", "--povm", "schmidt",
